@@ -9,6 +9,7 @@ they evaluate, so the search is fully auditable after the fact.
 from recfuse.baselines import binarized_pairs, fit, generate_matrix
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.data import SplitSpec, split_folds
+from recfuse.metrics import holdout_keys
 from recfuse.selection import (
     MemoizedEval,
     compute_weights,
@@ -37,9 +38,10 @@ def main():
 
     split = folds[0]
     fuser = FoldFuser(norm, fold=0, k=10)
-    holdouts = split.holdout("validation")
+    holdout = holdout_keys(split.holdout("validation"), norm.user_index,
+                           norm.item_index)
     evaluator = MemoizedEval(
-        lambda members: fuser.ndcg(sorted(members), weights, holdouts, 5))
+        lambda members: fuser.ndcg(sorted(members), weights, holdout, 5))
 
     trace = greedy_select(model_ids, evaluator)
     print("greedy evaluation order (fold 0, validation ndcg@5):")

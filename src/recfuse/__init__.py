@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from recfuse.core import (
-    EnsembleResult,
     FoldSplit,
     IdIndex,
     Interaction,
@@ -24,7 +23,6 @@ from recfuse.selection import (
 from recfuse.harness import ExperimentConfig, confidence_interval, pct_vs_ppl, run_experiment
 
 __all__ = [
-    "EnsembleResult",
     "ExperimentConfig",
     "FoldSplit",
     "FusedList",

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from recfuse import harness
-from recfuse.data import write_fused, write_matrix, write_splits, write_weights
+from recfuse.data import (SplitSpec, split_folds, write_fused, write_matrix,
+                          write_splits, write_weights)
 from recfuse.fusion import fuse_all
 from recfuse.harness import ExperimentConfig
 
@@ -105,24 +106,18 @@ def _cmd_split(config, args):
 
 
 def _cmd_fit(config, args):
-    from recfuse.baselines import binarized_pairs, fit
-    from recfuse.data import SplitSpec, split_folds
-    from recfuse.harness import _load_dataset
-
+    roster = [m.model_id for m in config.models if m.kind is not None]
     for ds in config.datasets:
-        dataset = _load_dataset(config, ds)
-        splits = split_folds(dataset, SplitSpec(seed=config.seed,
-                                                n_folds=config.n_folds))
+        splits = split_folds(harness._load_dataset(config, ds),
+                             SplitSpec(seed=config.seed, n_folds=config.n_folds))
+        by_fold = harness._fit_fold_models(config, splits, args.threads)
         for split in splits:
-            pairs = binarized_pairs(split.train)
-            for model_cfg in config.models:
-                if model_cfg.kind is None:
-                    continue
-                fitted = fit(model_cfg.kind, pairs, model_cfg.params,
-                             model_id=model_cfg.model_id)
+            fitted = {f.model_id: f for f in by_fold[split.fold_index]}
+            for model_id in roster:
+                model = fitted[model_id]
                 print(f"{ds.name} fold={split.fold_index} "
-                      f"model={fitted.model_id} users={len(fitted.users)} "
-                      f"items={len(fitted.items)}")
+                      f"model={model_id} users={len(model.users)} "
+                      f"items={len(model.items)}")
     return 0
 
 

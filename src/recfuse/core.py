@@ -9,7 +9,7 @@ id order) because the hot loops fan out over (user x model x k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ class IdIndex:
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
-
-    def indices_of(self, ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter((self._pos[s] for s in ids), dtype=np.int32, count=len(ids))
 
 
 @dataclass(frozen=True)
@@ -401,28 +398,3 @@ class ModelWeights:
         except KeyError:
             raise KeyError(f"no weight for model {model!r} in fold {fold}") from None
 
-    def for_fold(self, fold: int) -> dict[str, float]:
-        return {m: w for (f, m), w in self.weights.items() if f == fold}
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """A model subset with its fold-averaged evaluation."""
-
-    members: frozenset[str]
-    per_fold_ndcg: tuple[float, ...]
-    mean_ndcg: float
-    ci_low: float
-    ci_high: float
-    k: int
-    cutoff_n: int
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("members must be nonempty")
-        if self.per_fold_ndcg:
-            mean = sum(self.per_fold_ndcg) / len(self.per_fold_ndcg)
-            if not math.isclose(mean, self.mean_ndcg, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("mean_ndcg must equal the mean of per_fold_ndcg")
-        if not (self.ci_low <= self.mean_ndcg <= self.ci_high):
-            raise ValueError("confidence interval must bracket the mean")

@@ -9,14 +9,14 @@ by item id ascending.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from recfuse.core import IdIndex, ModelWeights, PredictionMatrix, ScoredItem
+from recfuse.core import ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.core import _Block
+from recfuse.metrics import HoldoutKeys, list_ranks, ndcg_rows
 
 NORMALIZATION_MODES = ("global-minmax", "per-user-minmax")
 
@@ -171,9 +171,10 @@ class FoldFuser:
     Repeated candidate evaluations during selection dominate the pipeline's
     cost; this pre-extracts each model's truncated (user, item, score)
     arrays once so each candidate costs one concatenate/bincount/lexsort
-    pass instead of per-user Python loops. Results are identical to
-    fuse_all + ndcg_model (asserted in tests to 1e-12 and by construction:
-    same truncation, same weights, same tie rule, same population rule).
+    pass plus one metrics.ndcg_rows call instead of per-user Python loops.
+    Results are identical to fuse_all + ndcg_model (asserted in tests to
+    1e-12 and by construction: same truncation, same weights, same tie
+    rule, same population rule).
     """
 
     def __init__(self, matrix: PredictionMatrix, fold: int, k: int):
@@ -184,25 +185,18 @@ class FoldFuser:
         self._model_users: dict[str, np.ndarray] = {}
         for model in matrix.models(fold):
             block = matrix.block(fold, model)
-            self._model_users[model] = block.user_rows.astype(np.int64)
-            lengths = np.minimum(np.diff(block.indptr), k)
-            users = np.repeat(block.user_rows.astype(np.int64), lengths)
-            total = int(lengths.sum())
-            items = np.empty(total, dtype=np.int64)
-            scores = np.empty(total, dtype=np.float64)
-            pos = 0
-            for row in range(block.user_rows.size):
-                start = int(block.indptr[row])
-                take = int(lengths[row])
-                items[pos:pos + take] = block.items[start:start + take]
-                scores[pos:pos + take] = block.scores[start:start + take]
-                pos += take
-            self._per_model[model] = (users, items, scores)
+            user_rows = block.user_rows.astype(np.int64)
+            head = list_ranks(block.indptr) < k
+            users = np.repeat(user_rows, np.diff(block.indptr))[head]
+            self._model_users[model] = user_rows
+            self._per_model[model] = (users, block.items[head].astype(np.int64),
+                                      block.scores[head])
 
     def ndcg(self, members: Sequence[str], weights: ModelWeights,
-             holdouts: Mapping[str, frozenset[str]], n: int,
+             holdout: HoldoutKeys, n: int,
              include_empty_holdout_users: bool = False) -> float:
-        """Mean NDCG@n of the fused lists for one member subset."""
+        """Mean NDCG@n of the fused lists for one member subset, against a
+        holdout built over this fuser's matrix (metrics.holdout_keys)."""
         member_list = sorted(set(members))
         if not member_list:
             raise ValueError("no models")
@@ -229,52 +223,12 @@ class FoldFuser:
         # np.lexsort sorts by last key first: user asc, fused desc, item asc.
         order = np.lexsort((uniq_items, -fused, uniq_users))
         sorted_users = uniq_users[order]
-        sorted_items = uniq_items[order]
 
-        boundaries = np.flatnonzero(np.diff(sorted_users)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_users.size]))
-
-        user_ids = self._matrix.user_index.ids
-        item_ids = self._matrix.item_index.ids
-        # Same operations in the same order as metrics.ndcg_user, so this
-        # path is bit-identical to the public one, not merely close.
-        idcg_n = _idcg_value(n)
-        discounts = [1.0 / math.log2(i + 1) for i in range(1, n + 1)]
-
-        total = 0.0
-        count = 0
-        for start, end in zip(starts, ends):
-            user = user_ids[int(sorted_users[start])]
-            holdout = holdouts.get(user)
-            if not holdout:
-                if include_empty_holdout_users:
-                    count += 1
-                continue
-            top = sorted_items[start:min(end, start + n)]
-            gain = 0.0
-            for pos, item_idx in enumerate(top):
-                if item_ids[int(item_idx)] in holdout:
-                    gain += discounts[pos]
-            total += gain / idcg_n
-            count += 1
-
-        # Users covered only by empty stored lists never reach the fused
-        # arrays but still belong to the population (they score 0).
+        # One row per covered user. Users covered only by empty stored lists
+        # get an empty row: they still belong to the population (score 0).
         covered = np.unique(np.concatenate(
             [self._model_users[m] for m in member_list]))
-        if covered.size != np.unique(sorted_users).size:
-            silent = np.setdiff1d(covered, sorted_users, assume_unique=False)
-            for user_idx in silent:
-                holdout = holdouts.get(user_ids[int(user_idx)])
-                if holdout or include_empty_holdout_users:
-                    count += 1
-
-        if count == 0:
-            raise ValueError("empty evaluation population")
-        return total / count
-
-
-def _idcg_value(n: int) -> float:
-    from recfuse.metrics import idcg
-    return idcg(n)
+        indptr = np.append(np.searchsorted(sorted_users, covered),
+                           sorted_users.size)
+        return ndcg_rows(covered, indptr, uniq_items[order], n_items, holdout,
+                         n, include_empty_holdout_users)

@@ -28,14 +28,12 @@ from typing import Mapping, Sequence
 
 from recfuse import __version__ as _package_version
 from recfuse.baselines import (
-    DEFAULT_PARAMS,
     MODEL_KINDS,
     binarized_pairs,
     fit,
     generate_matrix,
 )
 from recfuse.core import (
-    EnsembleResult,
     FoldSplit,
     InteractionDataset,
     ModelWeights,
@@ -51,7 +49,7 @@ from recfuse.data import (
     write_weights,
 )
 from recfuse.fusion import NORMALIZATION_MODES, FoldFuser, normalize_scores
-from recfuse.metrics import ndcg_model
+from recfuse.metrics import HoldoutKeys, holdout_keys, ndcg_rows
 from recfuse.selection import (
     MemoizedEval,
     SelectionTrace,
@@ -374,12 +372,23 @@ class DatasetBundle:
     model_ids: list[str]
     _selections: dict = field(default_factory=dict)
     _fusers: dict = field(default_factory=dict)
+    _holdouts: dict = field(default_factory=dict)
+    _test_tables: dict = field(default_factory=dict)
 
     def fuser(self, fold: int, k: int) -> FoldFuser:
         key = (fold, k)
         if key not in self._fusers:
             self._fusers[key] = FoldFuser(self.norm, fold, k)
         return self._fusers[key]
+
+    def holdout(self, fold: int, kind: str) -> HoldoutKeys:
+        """A fold's holdout over the indices that raw and norm share."""
+        key = (fold, kind)
+        if key not in self._holdouts:
+            self._holdouts[key] = holdout_keys(
+                self.splits[fold].holdout(kind), self.raw.user_index,
+                self.raw.item_index)
+        return self._holdouts[key]
 
 
 def _load_dataset(config: ExperimentConfig, ds: DatasetConfig
@@ -487,13 +496,23 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
 def model_fold_ndcg(bundle: DatasetBundle, model: str, fold: int, n: int,
                     holdout_kind: str) -> float:
     """One model's top-n NDCG against one fold's holdout."""
-    split = bundle.splits[fold]
-    matrix = bundle.raw
-    lists = {u: matrix.ranked_ids(fold, model, u, limit=n)
-             for u in matrix.users(fold, model)}
-    return ndcg_model(
-        lists, split.holdout(holdout_kind), n,
-        include_empty_holdout_users=bundle.config.include_empty_holdout_users)
+    block = bundle.raw.block(fold, model)
+    return ndcg_rows(
+        block.user_rows, block.indptr, block.items,
+        len(bundle.raw.item_index), bundle.holdout(fold, holdout_kind), n,
+        bundle.config.include_empty_holdout_users)
+
+
+def per_model_test_ndcg(bundle: DatasetBundle, n: int
+                        ) -> dict[str, tuple[float, ...]]:
+    """Per-model test NDCG@n per fold, computed once per n and shared by
+    the score table and the k sweep."""
+    if n not in bundle._test_tables:
+        bundle._test_tables[n] = {
+            m: tuple(model_fold_ndcg(bundle, m, s.fold_index, n, "test")
+                     for s in bundle.splits)
+            for m in bundle.model_ids}
+    return bundle._test_tables[n]
 
 
 @dataclass(frozen=True)
@@ -509,13 +528,6 @@ class CellSelection:
     mean_test: float
     ci: tuple[float, float]
 
-    def as_ensemble_result(self) -> EnsembleResult:
-        members = self.members_per_fold[0]
-        if any(m != members for m in self.members_per_fold):
-            members = frozenset().union(*self.members_per_fold)
-        return EnsembleResult(members, self.test_per_fold, self.mean_test,
-                              self.ci[0], self.ci[1], self.k, self.n)
-
 
 def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     """Search the subset lattice for one (dataset, n, k) context."""
@@ -529,47 +541,27 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     weights = bundle.weights[n]
     incl = config.include_empty_holdout_users
 
-    traces: list[tuple[str | int, SelectionTrace]] = []
-    members_per_fold: list[frozenset[str]] = []
-    sel_scores: list[float] = []
-    test_scores: list[float] = []
+    def score(fold: int, members: frozenset[str], kind: str) -> float:
+        return bundle.fuser(fold, k).ndcg(
+            sorted(members), weights, bundle.holdout(fold, kind), n,
+            include_empty_holdout_users=incl)
 
+    folds = [s.fold_index for s in bundle.splits]
+    traces: list[tuple[str | int, SelectionTrace]]
     if sel.scope == "per-fold":
-        for split in bundle.splits:
-            fold = split.fold_index
-            fuser = bundle.fuser(fold, k)
-            holdouts = split.holdout(sel_holdout)
-            ev = MemoizedEval(lambda m, _f=fuser, _h=holdouts: _f.ndcg(
-                sorted(m), weights, _h, n, include_empty_holdout_users=incl))
-            trace = search(bundle.model_ids, ev)
-            traces.append((fold, trace))
-            members_per_fold.append(trace.chosen_members)
-            sel_scores.append(trace.chosen_ndcg)
-            if sel_holdout == "test":
-                test_scores.append(trace.chosen_ndcg)
-            else:
-                test_scores.append(fuser.ndcg(
-                    sorted(trace.chosen_members), weights,
-                    split.holdout("test"), n,
-                    include_empty_holdout_users=incl))
+        traces = [(fold, search(bundle.model_ids, MemoizedEval(
+            lambda m, _f=fold: score(_f, m, sel_holdout)))) for fold in folds]
+        picks = [trace for _, trace in traces]
     else:
-        fusers = [bundle.fuser(s.fold_index, k) for s in bundle.splits]
-        holdout_list = [s.holdout(sel_holdout) for s in bundle.splits]
-
-        def _mean_eval(members: frozenset[str]) -> float:
-            scores = [f.ndcg(sorted(members), weights, h, n,
-                             include_empty_holdout_users=incl)
-                      for f, h in zip(fusers, holdout_list)]
-            return sum(scores) / len(scores)
-
-        trace = search(bundle.model_ids, MemoizedEval(_mean_eval))
-        traces.append(("all", trace))
-        for split, fuser in zip(bundle.splits, fusers):
-            members_per_fold.append(trace.chosen_members)
-            sel_scores.append(trace.chosen_ndcg)
-            test_scores.append(fuser.ndcg(
-                sorted(trace.chosen_members), weights, split.holdout("test"),
-                n, include_empty_holdout_users=incl))
+        # Fixed-subset selection scores are cross-fold means.
+        trace = search(bundle.model_ids, MemoizedEval(lambda m: sum(
+            [score(fold, m, sel_holdout) for fold in folds]) / len(folds)))
+        traces = [("all", trace)]
+        picks = [trace] * len(folds)
+    members_per_fold = [trace.chosen_members for trace in picks]
+    sel_scores = [trace.chosen_ndcg for trace in picks]
+    test_scores = [score(fold, members, "test")
+                   for fold, members in zip(folds, members_per_fold)]
 
     ci = confidence_interval(test_scores)
     result = CellSelection(
@@ -584,14 +576,11 @@ def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:
     config = bundle.config
     rows = []
     ppl_ids = [m.model_id for m in config.models if m.kind == "popularity"]
+    per_model_scores = per_model_test_ndcg(bundle, n)
     ppl_mean = None
-    per_model_scores = {}
-    for model in bundle.model_ids:
-        scores = tuple(model_fold_ndcg(bundle, model, s.fold_index, n, "test")
-                       for s in bundle.splits)
-        per_model_scores[model] = scores
-        if ppl_ids and model == ppl_ids[0]:
-            ppl_mean = sum(scores) / len(scores)
+    if ppl_ids:
+        scores = per_model_scores[ppl_ids[0]]
+        ppl_mean = sum(scores) / len(scores)
     selection = run_selection(bundle, n, config.cell_table_k(n))
     for model in bundle.model_ids:
         scores = per_model_scores[model]
@@ -610,10 +599,8 @@ def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:
 def sweep_rows(bundle: DatasetBundle, n: int) -> list[dict]:
     """One aggregate row per usable k for the (dataset, n) cell."""
     config = bundle.config
-    table = {m: tuple(model_fold_ndcg(bundle, m, s.fold_index, n, "test")
-                      for s in bundle.splits)
-             for m in bundle.model_ids}
-    means = {m: sum(v) / len(v) for m, v in table.items()}
+    means = {m: sum(v) / len(v)
+             for m, v in per_model_test_ndcg(bundle, n).items()}
     best_model = min(means, key=lambda m: (-means[m], m))
     rows = []
     for k in config.usable_ks(n):

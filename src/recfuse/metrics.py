@@ -4,12 +4,21 @@ NDCG here uses a fixed-length ideal: idcg(n) always discounts n positions,
 regardless of how many holdout items a user actually has. A user with two
 holdout items and a perfect length-3 list therefore scores below 1.0. That
 is deliberate and every consumer in this package relies on it.
+
+The per-user functions (ndcg_user, ndcg_model) are the reference over string
+ids. The pipeline scores CSR blocks of dense indices with ndcg_rows, which
+performs the same float operations in the same order, so both give
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+from recfuse.core import IdIndex
 
 
 def dcg(rel: Sequence[float]) -> float:
@@ -79,3 +88,63 @@ def ndcg_model(lists: Mapping[str, Sequence[str]],
     if count == 0:
         raise ValueError("empty evaluation population")
     return total / count
+
+
+class HoldoutKeys(NamedTuple):
+    """A holdout over dense indices: sorted unique user * n_items + item
+    keys, and per user index whether the holdout is non-empty."""
+
+    keys: np.ndarray
+    nonempty: np.ndarray
+
+
+def holdout_keys(holdouts: Mapping[str, Iterable[str]], users: IdIndex,
+                 items: IdIndex) -> HoldoutKeys:
+    """Translate a {user_id: item ids} holdout to HoldoutKeys.
+
+    Users outside the user index own no list and are dropped. Items outside
+    the item index can never hit, but still make their user's holdout
+    non-empty.
+    """
+    nonempty = np.zeros(len(users), dtype=bool)
+    keys: list[int] = []
+    for user, held in holdouts.items():
+        if held and user in users:
+            row = users.index(user)
+            nonempty[row] = True
+            keys.extend(row * len(items) + items.index(i)
+                        for i in held if i in items)
+    return HoldoutKeys(np.unique(np.asarray(keys, dtype=np.int64)), nonempty)
+
+
+def list_ranks(indptr: np.ndarray) -> np.ndarray:
+    """0-based position of every entry of a CSR block within its own row."""
+    return (np.arange(indptr[-1], dtype=np.int64)
+            - np.repeat(indptr[:-1], np.diff(indptr)))
+
+
+def ndcg_rows(user_rows: np.ndarray, indptr: np.ndarray, items: np.ndarray,
+              n_items: int, holdout: HoldoutKeys, n: int,
+              include_empty_holdout_users: bool = False) -> float:
+    """ndcg_model over a CSR block: row r, for user user_rows[r] (ascending),
+    ranks items[indptr[r]:indptr[r + 1]]. Every row is a stored list, so it
+    takes part in the population rule even when it is empty."""
+    if n <= 0:
+        raise ValueError("invalid length")
+    users = user_rows.astype(np.int64)
+    scored = holdout.nonempty[users]
+    count = int(users.size if include_empty_holdout_users else scored.sum())
+    if count == 0:
+        raise ValueError("empty evaluation population")
+    rank = list_ranks(indptr)
+    head = rank < n
+    row = np.repeat(np.arange(users.size), np.diff(indptr))[head]
+    hit = np.isin(users[row] * n_items + items[head], holdout.keys)
+    # Same float operations in the same order as dcg/ndcg_user/ndcg_model:
+    # bincount adds each row's gains in rank order, and cumsum (unlike
+    # pairwise np.sum) adds the per-user scores in ascending user order.
+    discounts = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)])
+    gains = np.bincount(row[hit], weights=discounts[rank[head][hit]],
+                        minlength=users.size)
+    scores = np.cumsum(gains[scored] / idcg(n))
+    return (float(scores[-1]) if scores.size else 0.0) / count

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix
 from recfuse.fusion import FoldFuser, fuse_all
-from recfuse.metrics import ndcg_model
+from recfuse.metrics import holdout_keys, ndcg_model, ndcg_rows
 
 # Strict-improvement guard: a candidate must beat the incumbent by more than
 # this before greedy accepts it, so float noise cannot grow the ensemble.
@@ -62,19 +62,20 @@ def compute_weights(matrix: PredictionMatrix, folds: Sequence[FoldSplit],
     """
     splits = {f.fold_index: f for f in folds}
     model_roster = matrix.models()
+    n_items = len(matrix.item_index)
     table: dict[tuple[int, str], float] = {}
     for fold in matrix.folds():
         if fold not in splits:
             raise ValueError(f"no split provided for fold {fold}")
-        holdouts = splits[fold].holdout("validation")
+        holdout = holdout_keys(splits[fold].holdout("validation"),
+                               matrix.user_index, matrix.item_index)
         for model in model_roster:
             if not matrix.has_block(fold, model):
                 raise ValueError(f"no lists for model {model!r} in fold {fold}")
-            lists = {u: matrix.ranked_ids(fold, model, u, limit=n)
-                     for u in matrix.users(fold, model)}
-            table[(fold, model)] = ndcg_model(
-                lists, holdouts, n,
-                include_empty_holdout_users=include_empty_holdout_users)
+            block = matrix.block(fold, model)
+            table[(fold, model)] = ndcg_rows(
+                block.user_rows, block.indptr, block.items, n_items, holdout,
+                n, include_empty_holdout_users)
     return ModelWeights(table, n)
 
 
@@ -123,10 +124,11 @@ def fold_evaluator(matrix: PredictionMatrix, weights: ModelWeights,
     same normalized matrix (tested to 1e-12).
     """
     fuser = FoldFuser(matrix, split.fold_index, k)
-    holdouts = split.holdout(holdout_kind)
+    holdout = holdout_keys(split.holdout(holdout_kind), matrix.user_index,
+                           matrix.item_index)
 
     def _eval(members: frozenset[str]) -> float:
-        return fuser.ndcg(sorted(members), weights, holdouts, n,
+        return fuser.ndcg(sorted(members), weights, holdout, n,
                           include_empty_holdout_users=include_empty_holdout_users)
 
     return MemoizedEval(_eval)

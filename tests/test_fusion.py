@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.core import ModelWeights, PredictionMatrix, ScoredItem
+from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.fusion import (
     FoldFuser,
     FusedList,
@@ -12,7 +12,8 @@ from recfuse.fusion import (
     fuse_user,
     normalize_scores,
 )
-from recfuse.metrics import ndcg_model
+from recfuse.metrics import holdout_keys, ndcg_model
+from recfuse.selection import evaluate_ensemble
 
 
 def naive_fuse(per_model_lists, weights, k, n):
@@ -233,19 +234,22 @@ class TestFoldFuser:
         holdouts = {"u1": frozenset({"i2"}), "u2": frozenset({"i1", "i3"})}
         for fold in (0, 1):
             fuser = FoldFuser(normed, fold, k=3)
+            keys = holdout_keys(holdouts, normed.user_index, normed.item_index)
             for members in ({"A"}, {"B"}, {"A", "B"}):
                 fused = fuse_all(normed, weights, members, fold, k=3, n=2)
                 lists = {u: fl.item_ids() for u, fl in fused.items()}
                 want = ndcg_model(lists, holdouts, 2)
-                got = fuser.ndcg(sorted(members), weights, holdouts, 2)
+                got = fuser.ndcg(sorted(members), weights, keys, 2)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_k_below_n_rejected(self, tiny_matrix):
         normed = normalize_scores(tiny_matrix)
         weights = ModelWeights({(0, "A"): 0.3, (0, "B"): 0.9}, 2)
         fuser = FoldFuser(normed, 0, k=1)
+        keys = holdout_keys({"u1": frozenset({"i1"})}, normed.user_index,
+                            normed.item_index)
         with pytest.raises(ValueError, match="k must be ≥ N"):
-            fuser.ndcg(["A"], weights, {"u1": frozenset({"i1"})}, 2)
+            fuser.ndcg(["A"], weights, keys, 2)
 
     def test_user_with_only_empty_lists_counts_as_zero(self):
         m = PredictionMatrix.from_entries({
@@ -255,12 +259,71 @@ class TestFoldFuser:
         weights = ModelWeights({(0, "A"): 1.0}, 1)
         holdouts = {"u1": frozenset({"a"}), "u2": frozenset({"a"})}
         fuser = FoldFuser(m, 0, k=1)
-        got = fuser.ndcg(["A"], weights, holdouts, 1)
+        keys = holdout_keys(holdouts, m.user_index, m.item_index)
+        got = fuser.ndcg(["A"], weights, keys, 1)
         fused = fuse_all(m, weights, {"A"}, 0, k=1, n=1)
         lists = {u: fl.item_ids() for u, fl in fused.items()}
         assert got == pytest.approx(ndcg_model(lists, holdouts, 1), abs=1e-12)
         assert got == pytest.approx(0.5)
 
+
+
+@st.composite
+def fold_fuser_instances(draw):
+    """One fold of up to three models, normalized global-minmax.
+
+    Lists may be empty and users may have a list in only some models, so
+    some users are covered only by empty lists. Each model's lowest score
+    normalizes to 0 and weights may be 0, so covered items can fuse to 0.
+    """
+    catalog = [f"i{j:02d}" for j in range(12)]
+    entries = {}
+    for m in range(draw(st.integers(1, 3))):
+        users = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7,
+                              unique=True), label=f"users_m{m}")
+        for u in users:
+            items = draw(st.lists(st.sampled_from(catalog), unique=True,
+                                  max_size=12), label=f"items_m{m}_u{u}")
+            scores = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)),
+                                   min_size=len(items), max_size=len(items)),
+                          label=f"scores_m{m}_u{u}")
+            ranked = sorted(zip(items, scores), key=lambda p: (-p[1], p[0]))
+            entries[(0, f"m{m}", f"u{u}")] = [ScoredItem(i, s)
+                                              for i, s in ranked]
+    matrix = normalize_scores(PredictionMatrix.from_entries(entries))
+    models = matrix.models(0)
+    weights = ModelWeights(
+        {(0, m): draw(st.sampled_from((0.0, 0.3, 1.0)), label=f"w_{m}")
+         for m in models}, 1)
+    members = draw(st.lists(st.sampled_from(models), min_size=1, unique=True))
+    holdouts = {
+        f"u{u}": frozenset(draw(st.lists(st.sampled_from(catalog + ["x0"]),
+                                         max_size=5), label=f"holdout_u{u}"))
+        for u in range(8) if draw(st.booleans(), label=f"has_holdout_u{u}")}
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(n, n + 3))   # usually shorter than the lists
+    return matrix, weights, members, holdouts, k, n
+
+
+@given(fold_fuser_instances(), st.booleans())
+@settings(max_examples=200)
+def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
+    matrix, weights, members, holdouts, k, n = instance
+    split = FoldSplit(0, train={}, validation={}, test=holdouts)
+    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    fuser = FoldFuser(matrix, 0, k)
+
+    def got():
+        return fuser.ndcg(sorted(members), weights, keys, n, include_empty)
+
+    try:
+        want = evaluate_ensemble(members, matrix, weights, split, k, n,
+                                 "test", include_empty)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty evaluation population"):
+            got()
+        return
+    assert got() == pytest.approx(want, abs=1e-12)
 
 def test_fused_list_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):

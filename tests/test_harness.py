@@ -305,14 +305,6 @@ class TestRunSelection:
             singles = [s.ndcg for s in trace.steps if len(s.members) == 1]
             assert chosen_score >= max(singles)
 
-    def test_ensemble_result_assembly(self, toy_bundle):
-        cfg, bundle = toy_bundle
-        sel = run_selection(bundle, 5, 10)
-        res = sel.as_ensemble_result()
-        assert res.per_fold_ndcg == sel.test_per_fold
-        assert res.k == 10 and res.cutoff_n == 5
-        assert res.members
-
 
 class TestModelTable:
     def test_row_count_and_order(self, toy_bundle):

@@ -1,9 +1,17 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from recfuse.metrics import dcg, idcg, ndcg_model, ndcg_user
+from recfuse.core import PredictionMatrix, ScoredItem
+from recfuse.metrics import (
+    dcg,
+    holdout_keys,
+    idcg,
+    ndcg_model,
+    ndcg_rows,
+    ndcg_user,
+)
 
 # Frozen outputs of an independent high-precision script (mpmath, 50 digits).
 IDCG_2 = 1.6309297535714574
@@ -173,3 +181,70 @@ def test_ndcg_model_matches_bruteforce(data):
     expect = sum(brute(lists[u], holdouts[u], n) for u in sorted(evaluable))
     expect /= len(evaluable)
     assert ndcg_model(lists, holdouts, n) == pytest.approx(expect, abs=1e-12)
+
+
+# -- the integer kernel against the string-id reference -------------------------
+
+@st.composite
+def ranked_blocks(draw):
+    """One (fold, model) block plus a holdout mapping.
+
+    Scores come from three values, so ties straddle every cut-off n. Lists
+    may be empty. The holdout spans u0..u41, so it names users the matrix
+    lacks, skips others, gives some an empty set, and uses items no list
+    contains (every x item, and any i item nobody recommends).
+    """
+    catalog = [f"i{j:02d}" for j in range(25)]
+    entries = {}
+    for u in range(draw(st.integers(1, 40))):
+        items = draw(st.lists(st.sampled_from(catalog), unique=True,
+                              max_size=25), label=f"items_u{u}")
+        scores = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)),
+                               min_size=len(items), max_size=len(items)),
+                      label=f"scores_u{u}")
+        ranked = sorted(zip(items, scores), key=lambda p: (-p[1], p[0]))
+        entries[(0, "M", f"u{u}")] = [ScoredItem(i, s) for i, s in ranked]
+    matrix = PredictionMatrix.from_entries(entries)
+    pool = catalog + ["x0", "x1"]
+    holdouts = {
+        f"u{u}": frozenset(draw(st.lists(st.sampled_from(pool), max_size=10),
+                                label=f"holdout_u{u}"))
+        for u in range(42) if draw(st.booleans(), label=f"has_holdout_u{u}")}
+    return matrix, holdouts
+
+
+@given(ranked_blocks(), st.integers(1, 20), st.booleans())
+@settings(max_examples=150)
+def test_ndcg_rows_equals_ndcg_model_exactly(instance, n, include_empty):
+    matrix, holdouts = instance
+    block = matrix.block(0, "M")
+    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    lists = {u: matrix.ranked_ids(0, "M", u, limit=n)
+             for u in matrix.users(0, "M")}
+
+    def kernel():
+        return ndcg_rows(block.user_rows, block.indptr, block.items,
+                         len(matrix.item_index), keys, n, include_empty)
+
+    try:
+        want = ndcg_model(lists, holdouts, n, include_empty)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty evaluation population"):
+            kernel()
+        return
+    assert kernel() == want
+
+
+def test_holdout_keys_flag_users_whose_items_are_all_outside_the_catalog():
+    matrix = PredictionMatrix.from_entries({
+        (0, "M", "u1"): [ScoredItem("a", 1.0)],
+        (0, "M", "u2"): [ScoredItem("a", 1.0)],
+    })
+    keys = holdout_keys({"u1": frozenset({"a", "zz"}), "u2": frozenset({"zz"}),
+                         "u3": frozenset({"a"})},
+                        matrix.user_index, matrix.item_index)
+    assert keys.keys.tolist() == [0]
+    assert keys.nonempty.tolist() == [True, True]
+    block = matrix.block(0, "M")
+    assert ndcg_rows(block.user_rows, block.indptr, block.items, 1, keys,
+                     1) == 0.5
