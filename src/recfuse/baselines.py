@@ -303,28 +303,17 @@ def generate_matrix(models_by_fold: Mapping[int, Sequence[FittedModel]],
                         scores[row, model.items.index(item)] = -np.inf
             order = np.argsort(-scores, axis=1, kind="stable")
             top = order[:, :k_max]
-            row_idx = np.arange(len(target_users))[:, None]
-            top_scores = scores[row_idx, top]
+            top_scores = np.take_along_axis(scores, top, axis=1)
             valid = np.isfinite(top_scores)
-            lengths = valid.sum(axis=1)
-
             # Translate the model's local item indices to matrix-wide ones.
-            local_to_global = np.fromiter(
-                (item_index.index(i) for i in model.items.ids),
-                dtype=np.int64, count=len(model.items))
-
-            indptr = np.zeros(len(target_users) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            flat_items = np.empty(int(indptr[-1]), dtype=np.int32)
-            flat_scores = np.empty(int(indptr[-1]), dtype=np.float64)
-            for row in range(len(target_users)):
-                take = int(lengths[row])
-                start = int(indptr[row])
-                flat_items[start:start + take] = local_to_global[top[row, :take]]
-                flat_scores[start:start + take] = top_scores[row, :take]
-            user_rows = np.fromiter((user_index.index(u) for u in target_users),
-                                    dtype=np.int32, count=len(target_users))
+            local_to_global = np.array(
+                [item_index.index(i) for i in model.items.ids], dtype=np.int32)
+            # Each row's valid entries are a prefix, so a row-major masked
+            # gather lays the lists end to end.
+            indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+            user_rows = np.array([user_index.index(u) for u in target_users],
+                                 dtype=np.int32)
             blocks[(fold_index, model.model_id)] = _Block(
-                user_rows, indptr, flat_items, flat_scores)
+                user_rows, indptr, local_to_global[top[valid]], top_scores[valid])
 
     return PredictionMatrix(user_index, item_index, blocks)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -171,6 +172,37 @@ class FoldSplit:
         return sorted(set(self.train) | set(self.validation) | set(self.test))
 
 
+LIST_FAULTS = ("not contiguous", "non-increasing", "tie order", "duplicate item")
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Positions, ascending, whose value occurs at an earlier position."""
+    repeat = np.ones(values.size, dtype=bool)
+    repeat[np.unique(values, return_index=True)[1]] = False
+    return np.flatnonzero(repeat)
+
+
+def list_contract_fault(list_ids: np.ndarray, items: np.ndarray,
+                        scores: np.ndarray) -> tuple[int, str] | None:
+    """The first (position, reason) at which flat entries break the list
+    contract, or None. Entry j ranks item index items[j] (index order is id
+    order) with scores[j] in list list_ids[j] (int64). Lists must be
+    contiguous, with non-increasing scores, ties in ascending item order and
+    no repeated item; at one position, the reason first in LIST_FAULTS wins."""
+    if list_ids.size == 0:
+        return None
+    same = list_ids[1:] == list_ids[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    faulty = (starts[_repeats(list_ids[starts])],
+              np.flatnonzero(same & (scores[1:] > scores[:-1])) + 1,
+              np.flatnonzero(same & (scores[1:] == scores[:-1])
+                             & (items[1:] <= items[:-1])) + 1,
+              _repeats(list_ids * (int(items.max()) + 1) + items))
+    first = min(((int(positions[0]), rank) for rank, positions in enumerate(faulty)
+                 if positions.size), default=None)
+    return None if first is None else (first[0], LIST_FAULTS[first[1]])
+
+
 class _Block:
     """Ranked lists of one (fold, model), stored CSR-style over dense indices."""
 
@@ -188,10 +220,6 @@ class _Block:
         if self._row_of is None:
             self._row_of = {int(u): r for r, u in enumerate(self.user_rows)}
         return self._row_of
-
-    def slice_for_row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        start, end = int(self.indptr[row]), int(self.indptr[row + 1])
-        return self.items[start:end], self.scores[start:end]
 
 
 class PredictionMatrix:
@@ -217,72 +245,76 @@ class PredictionMatrix:
     def from_entries(cls, entries: Mapping[tuple[int, str, str], Sequence[ScoredItem]]
                      ) -> "PredictionMatrix":
         """Build from a plain {(fold, model, user): [ScoredItem, ...]} mapping."""
-        users = IdIndex(u for (_, _, u) in entries)
-        item_ids: set[str] = set()
-        for lst in entries.values():
-            item_ids.update(si.item_id for si in lst)
-        items = IdIndex(item_ids)
+        flat = [si for lst in entries.values() for si in lst]
+        items = IdIndex(si.item_id for si in flat)
+        return cls._from_lists(
+            [(int(fold), model, user) for (fold, model, user) in entries],
+            [len(lst) for lst in entries.values()],
+            np.array([items.index(si.item_id) for si in flat], dtype=np.int32),
+            np.array([si.score for si in flat], dtype=np.float64), items)
 
-        grouped: dict[tuple[int, str], list[tuple[str, Sequence[ScoredItem]]]] = {}
-        for (fold, model, user), lst in entries.items():
-            grouped.setdefault((int(fold), model), []).append((user, lst))
-
+    @classmethod
+    def _from_lists(cls, keys: Sequence[tuple[int, str, str]],
+                    lengths: Sequence[int], items: np.ndarray,
+                    scores: np.ndarray, item_index: IdIndex,
+                    validate: bool = True) -> "PredictionMatrix":
+        """Build from lists laid end to end: list r, with the unique key
+        keys[r] = (fold, model, user), owns the next lengths[r] entries of
+        the flat item-index and score arrays. Lists may be empty."""
+        users = IdIndex(user for (_, _, user) in keys)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        # Sorted keys group each block's lists, in user (= index) order.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         blocks: dict[tuple[int, str], _Block] = {}
-        for key, rows in grouped.items():
-            rows.sort(key=lambda pair: pair[0])
-            user_rows = np.fromiter((users.index(u) for u, _ in rows),
-                                    dtype=np.int32, count=len(rows))
-            lengths = [len(lst) for _, lst in rows]
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            flat_items = np.empty(int(indptr[-1]), dtype=np.int32)
-            flat_scores = np.empty(int(indptr[-1]), dtype=np.float64)
-            pos = 0
-            for _, lst in rows:
-                for si in lst:
-                    flat_items[pos] = items.index(si.item_id)
-                    flat_scores[pos] = si.score
-                    pos += 1
-            blocks[key] = _Block(user_rows, indptr, flat_items, flat_scores)
-        return cls(users, items, blocks)
+        for (fold, model), group in groupby(order, key=lambda r: keys[r][:2]):
+            rows = np.fromiter(group, dtype=np.int64)
+            indptr = np.concatenate(([0], np.cumsum(lengths[rows])))
+            take = (np.repeat(starts[rows] - indptr[:-1], lengths[rows])
+                    + np.arange(indptr[-1]))
+            user_rows = np.array([users.index(keys[r][2]) for r in rows],
+                                 dtype=np.int32)
+            blocks[(fold, model)] = _Block(user_rows, indptr, items[take],
+                                           scores[take])
+        return cls(users, item_index, blocks, validate=validate)
+
+    @classmethod
+    def union(cls, parts: Sequence["PredictionMatrix"]) -> "PredictionMatrix":
+        """Matrices with disjoint (fold, model) blocks as one, re-indexed onto
+        the union of their ids. The remaps keep index order, so every list
+        stays valid and is not checked again."""
+        users = IdIndex(u for part in parts for u in part._users.ids)
+        items = IdIndex(i for part in parts for i in part._items.ids)
+        blocks: dict[tuple[int, str], _Block] = {}
+        for part in parts:
+            user_map = np.array([users.index(u) for u in part._users.ids],
+                                dtype=np.int32)
+            item_map = np.array([items.index(i) for i in part._items.ids],
+                                dtype=np.int32)
+            for (fold, model), block in part._blocks.items():
+                if (fold, model) in blocks:
+                    raise ValueError(
+                        f"duplicate lists for fold {fold}, model {model!r}")
+                blocks[(fold, model)] = _Block(
+                    user_map[block.user_rows], block.indptr,
+                    item_map[block.items], block.scores)
+        return cls(users, items, blocks, validate=False)
 
     def _validate(self):
         for (fold, model), block in self._blocks.items():
-            if not np.all(np.isfinite(block.scores)):
-                bad = int(np.flatnonzero(~np.isfinite(block.scores))[0])
-                user = self._offending_user(block, bad)
-                raise ValueError(
-                    f"non-finite score in fold {fold}, model {model!r}, user {user!r}")
             if block.user_rows.size and np.any(np.diff(block.user_rows) <= 0):
                 raise ValueError(f"duplicate user lists in fold {fold}, model {model!r}")
-            # Adjacent-pair checks within each list: scores non-increasing,
-            # equal scores ordered by item index, no item repeated.
-            n = block.scores.size
-            if n:
-                same_list = np.ones(n - 1, dtype=bool)
-                boundaries = block.indptr[1:-1]
-                boundaries = boundaries[(boundaries > 0) & (boundaries < n)]
-                same_list[boundaries.astype(np.int64) - 1] = False
-                s0, s1 = block.scores[:-1], block.scores[1:]
-                i0, i1 = block.items[:-1], block.items[1:]
-                bad_order = same_list & ((s0 < s1) | ((s0 == s1) & (i0 >= i1)))
-                if np.any(bad_order):
-                    pos = int(np.flatnonzero(bad_order)[0])
-                    user = self._offending_user(block, pos)
-                    raise ValueError(
-                        f"list not sorted (score desc, ties by item id) in fold {fold}, "
-                        f"model {model!r}, user {user!r}")
-                # Duplicates that are not adjacent (same item, different score):
-                rows = np.repeat(np.arange(block.user_rows.size, dtype=np.int64),
-                                 np.diff(block.indptr))
-                keys = rows * (len(self._items) + 1) + block.items
-                if np.unique(keys).size != keys.size:
-                    raise ValueError(
-                        f"duplicate item within a list in fold {fold}, model {model!r}")
-
-    def _offending_user(self, block: _Block, flat_pos: int) -> str:
-        row = int(np.searchsorted(block.indptr, flat_pos, side="right")) - 1
-        return self._users.id(int(block.user_rows[row]))
+            rows = np.repeat(np.arange(block.user_rows.size), np.diff(block.indptr))
+            non_finite = np.flatnonzero(~np.isfinite(block.scores))
+            fault = ((int(non_finite[0]), "non-finite") if non_finite.size
+                     else list_contract_fault(rows, block.items, block.scores))
+            if fault is not None:
+                pos, reason = fault
+                what = {"non-finite": "non-finite score",
+                        "duplicate item": "duplicate item within a list"}.get(
+                    reason, "list not sorted (score desc, ties by item id)")
+                user = self._users.id(int(block.user_rows[rows[pos]]))
+                raise ValueError(f"{what} in fold {fold}, model {model!r}, user {user!r}")
 
     # -- accessors ---------------------------------------------------------
 
@@ -320,45 +352,28 @@ class PredictionMatrix:
         row = block.row_of().get(self._users.index(user))
         if row is None:
             raise KeyError(f"no list for user {user!r} in fold {fold}, model {model!r}")
-        items, scores = block.slice_for_row(row)
-        ids = self._items.ids
-        return [ScoredItem(ids[int(i)], float(s)) for i, s in zip(items, scores)]
+        return self._scored_row(block, row)
 
     def ranked_ids(self, fold: int, model: str, user: str, limit: int | None = None
                    ) -> list[str]:
         """Item ids of a stored list, optionally truncated, scores dropped."""
-        block = self.block(fold, model)
-        row = block.row_of().get(self._users.index(user))
-        if row is None:
-            raise KeyError(f"no list for user {user!r} in fold {fold}, model {model!r}")
-        items, _ = block.slice_for_row(row)
-        if limit is not None:
-            items = items[:limit]
-        ids = self._items.ids
-        return [ids[int(i)] for i in items]
+        return [si.item_id for si in self.scored_list(fold, model, user)[:limit]]
 
     def entries(self) -> Iterator[tuple[tuple[int, str, str], list[ScoredItem]]]:
         """Iterate ((fold, model, user), list) in (fold, model, user) order."""
-        ids = self._items.ids
         for (fold, model) in sorted(self._blocks):
             block = self._blocks[(fold, model)]
             for row, u in enumerate(block.user_rows):
-                items, scores = block.slice_for_row(row)
-                lst = [ScoredItem(ids[int(i)], float(s)) for i, s in zip(items, scores)]
-                yield (fold, model, self._users.id(int(u))), lst
+                yield (fold, model, self._users.id(int(u))), self._scored_row(block, row)
+
+    def _scored_row(self, block: _Block, row: int) -> list[ScoredItem]:
+        span = slice(block.indptr[row], block.indptr[row + 1])
+        ids = self._items.ids
+        return [ScoredItem(ids[i], s) for i, s in zip(block.items[span].tolist(),
+                                                      block.scores[span].tolist())]
 
     def n_lists(self) -> int:
         return sum(len(b.user_rows) for b in self._blocks.values())
-
-    def min_list_length(self) -> int:
-        shortest = None
-        for block in self._blocks.values():
-            if block.user_rows.size:
-                length = int(np.diff(block.indptr).min())
-                shortest = length if shortest is None else min(shortest, length)
-        if shortest is None:
-            raise ValueError("matrix has no lists")
-        return shortest
 
     def ensure_supports_k(self, k: int):
         """Raise if any stored list is shorter than k, naming the first gap."""

@@ -13,18 +13,22 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from recfuse.core import (
     FoldSplit,
+    IdIndex,
     Interaction,
     InteractionDataset,
     ModelWeights,
     PredictionMatrix,
-    ScoredItem,
     collapse_duplicates,
+    list_contract_fault,
 )
 from recfuse.fusion import FusedList
 
@@ -133,6 +137,29 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
     return folds
 
 
+# -- CSV helpers -------------------------------------------------------------
+
+@contextmanager
+def csv_writer(path: str | Path, header: Sequence[str], delimiter: str = ","
+               ) -> Iterator:
+    """A csv writer on a new UTF-8 file with LF line ends, header written."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
+
+
+def _data_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each data row of a CSV file that must
+    start with the given header line."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(
+                f"{path}: line 1: expected header {','.join(header)!r}")
+        yield from enumerate(reader, start=2)
+
+
 # -- interaction files -------------------------------------------------------
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
@@ -224,10 +251,8 @@ def write_interactions(dataset: InteractionDataset, path: str | Path,
     """Write a dataset with a user,item,rating,timestamp header."""
     if format not in _DELIMITERS:
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'tsv'")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=_DELIMITERS[format], lineterminator="\n")
-        writer.writerow(["user", "item", "rating", "timestamp"])
+    with csv_writer(path, ["user", "item", "rating", "timestamp"],
+                    _DELIMITERS[format]) as writer:
         ordered = sorted(dataset.records, key=lambda r: (r.user_id, r.item_id))
         for rec in ordered:
             writer.writerow([
@@ -249,80 +274,79 @@ MATRIX_HEADER = ["fold", "model", "user", "item", "score"]
 
 def write_matrix(matrix: PredictionMatrix, path: str | Path):
     """Write a matrix as CSV rows grouped by (fold, model, user)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MATRIX_HEADER)
+    with csv_writer(path, MATRIX_HEADER) as writer:
         for (fold, model, user), items in matrix.entries():
             for si in items:
                 writer.writerow([fold, model, user, si.item_id,
                                  format_score(si.score)])
 
 
+def _parse_matrix_row(row: list[str]) -> tuple[int, str, str, str, float]:
+    """One data row's fields, or ValueError naming the first bad field."""
+    if len(row) != 5:
+        raise ValueError(f"expected 5 fields, got {len(row)}")
+    fold_s, model, user, item, score_s = row
+    try:
+        fold = int(fold_s)
+    except ValueError:
+        raise ValueError(f"fold {fold_s!r} is not an integer") from None
+    if fold < 0:
+        raise ValueError("fold must be >= 0")
+    if not model or not user or not item:
+        raise ValueError("empty id field")
+    try:
+        score = float(score_s)
+    except ValueError:
+        raise ValueError(f"score {score_s!r} is not a number") from None
+    if not math.isfinite(score):
+        raise ValueError("non-finite score")
+    return fold, model, user, item, score
+
+
 def read_matrix(path: str | Path, min_length: int | None = None) -> PredictionMatrix:
     """Read and validate a prediction-matrix CSV.
 
-    Every contract violation is reported with its 1-based physical line
-    number (the header is line 1). With min_length set, every list must
-    hold at least that many items (the largest k the caller will request).
+    A bad file is rejected at its first violating line, by 1-based line
+    number (the header is line 1). With min_length set, every list must hold
+    at least that many items (the largest k the caller will request).
     """
     path = Path(path)
-    entries: dict[tuple[int, str, str], list[ScoredItem]] = {}
-    current_key = None
-    current_items: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MATRIX_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(MATRIX_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ValueError(f"{path}: line {line_no}: expected 5 fields, "
-                                 f"got {len(row)}")
-            fold_s, model, user, item, score_s = row
-            try:
-                fold = int(fold_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: fold {fold_s!r} "
-                                 f"is not an integer") from None
-            if fold < 0:
-                raise ValueError(f"{path}: line {line_no}: fold must be >= 0")
-            if not model or not user or not item:
-                raise ValueError(f"{path}: line {line_no}: empty id field")
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
-                                 f"is not a number") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: line {line_no}: non-finite score")
-            key = (fold, model, user)
-            if key != current_key:
-                if key in entries:
-                    raise ValueError(
-                        f"{path}: line {line_no}: rows for fold {fold}, model "
-                        f"{model!r}, user {user!r} are not contiguous")
-                entries[key] = []
-                current_key = key
-                current_items = set()
-            lst = entries[key]
-            if lst:
-                prev = lst[-1]
-                if score > prev.score:
-                    raise ValueError(f"{path}: line {line_no}: scores must be "
-                                     f"non-increasing within a list")
-                if score == prev.score and item <= prev.item_id:
-                    raise ValueError(f"{path}: line {line_no}: tied scores must "
-                                     f"be ordered by item id ascending")
-            if item in current_items:
-                raise ValueError(f"{path}: line {line_no}: duplicate item "
-                                 f"{item!r} in list")
-            current_items.add(item)
-            lst.append(ScoredItem(item, score))
-    if not entries:
+    list_of: dict[tuple[int, str, str], int] = {}   # list key -> list id
+    code_of: dict[str, int] = {}                    # item id -> first-seen code
+    list_ids, codes, scores = [], [], []            # one entry per data row
+    field_fault = None
+    for line_no, row in _data_rows(path, MATRIX_HEADER):
+        try:
+            fold, model, user, item, score = _parse_matrix_row(row)
+        except ValueError as exc:
+            field_fault = f"{path}: line {line_no}: {exc}"
+            break
+        list_ids.append(list_of.setdefault((fold, model, user), len(list_of)))
+        codes.append(code_of.setdefault(item, len(code_of)))
+        scores.append(score)
+    # The rows before a bad field may break the list contract first.
+    keys, item_ids, item_index = list(list_of), list(code_of), IdIndex(code_of)
+    ids = np.array(list_ids, dtype=np.int64)
+    items = np.array([item_index.index(i) for i in item_ids], dtype=np.int32)[codes]
+    flat_scores = np.array(scores, dtype=np.float64)
+    fault = list_contract_fault(ids, items, flat_scores)
+    if fault is not None:
+        pos, reason = fault
+        fold, model, user = keys[list_ids[pos]]
+        raise ValueError(f"{path}: line {pos + 2}: " + {
+            "not contiguous": f"rows for fold {fold}, model {model!r}, "
+                              f"user {user!r} are not contiguous",
+            "non-increasing": "scores must be non-increasing within a list",
+            "tie order": "tied scores must be ordered by item id ascending",
+            "duplicate item": f"duplicate item {item_ids[codes[pos]]!r} in list",
+        }[reason])
+    if field_fault is not None:
+        raise ValueError(field_fault)
+    if not list_ids:
         raise ValueError(f"{path}: no data rows")
-    matrix = PredictionMatrix.from_entries(entries)
+    # Contiguous lists, numbered by first appearance, lie end to end in order.
+    matrix = PredictionMatrix._from_lists(keys, np.bincount(ids), items,
+                                          flat_scores, item_index, validate=False)
     if min_length is not None:
         matrix.ensure_supports_k(min_length)
     return matrix
@@ -335,10 +359,7 @@ SPLITS_HEADER = ["fold", "user", "item", "subset"]
 
 def write_splits(folds: Sequence[FoldSplit], path: str | Path):
     """Audit export: one row per (fold, user, item) with its subset label."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SPLITS_HEADER)
+    with csv_writer(path, SPLITS_HEADER) as writer:
         for fold in folds:
             rows = []
             for subset in ("train", "validation", "test"):
@@ -354,26 +375,19 @@ def read_splits(path: str | Path) -> list[FoldSplit]:
     """Read a split audit CSV back into FoldSplit objects."""
     path = Path(path)
     per_fold: dict[int, dict[str, dict[str, set[str]]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SPLITS_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(SPLITS_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 fields")
-            fold_s, user, item, subset = row
-            try:
-                fold = int(fold_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: fold {fold_s!r} "
-                                 f"is not an integer") from None
-            if subset not in ("train", "validation", "test"):
-                raise ValueError(f"{path}: line {line_no}: unknown subset "
-                                 f"{subset!r}")
-            per_fold.setdefault(fold, {"train": {}, "validation": {}, "test": {}})
-            per_fold[fold][subset].setdefault(user, set()).add(item)
+    for line_no, row in _data_rows(path, SPLITS_HEADER):
+        if len(row) != 4:
+            raise ValueError(f"{path}: line {line_no}: expected 4 fields")
+        fold_s, user, item, subset = row
+        try:
+            fold = int(fold_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: fold {fold_s!r} "
+                             f"is not an integer") from None
+        if subset not in ("train", "validation", "test"):
+            raise ValueError(f"{path}: line {line_no}: unknown subset {subset!r}")
+        per_fold.setdefault(fold, {"train": {}, "validation": {}, "test": {}})
+        per_fold[fold][subset].setdefault(user, set()).add(item)
     if not per_fold:
         raise ValueError(f"{path}: no data rows")
     folds = []
@@ -394,10 +408,7 @@ WEIGHTS_HEADER = ["fold", "model", "n", "weight"]
 
 
 def write_weights(weights: ModelWeights, path: str | Path):
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WEIGHTS_HEADER)
+    with csv_writer(path, WEIGHTS_HEADER) as writer:
         for (fold, model) in sorted(weights.weights):
             writer.writerow([fold, model, weights.cutoff_n,
                              format_score(weights.weights[(fold, model)])])
@@ -407,31 +418,25 @@ def read_weights(path: str | Path) -> ModelWeights:
     path = Path(path)
     table: dict[tuple[int, str], float] = {}
     cutoff = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEIGHTS_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(WEIGHTS_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 fields")
-            fold_s, model, n_s, weight_s = row
-            try:
-                fold = int(fold_s)
-                n = int(n_s)
-                weight = float(weight_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: malformed row") from None
-            if cutoff is None:
-                cutoff = n
-            elif n != cutoff:
-                raise ValueError(f"{path}: line {line_no}: mixed cutoff n")
-            key = (fold, model)
-            if key in table:
-                raise ValueError(f"{path}: line {line_no}: duplicate weight "
-                                 f"for fold {fold}, model {model!r}")
-            table[key] = weight
+    for line_no, row in _data_rows(path, WEIGHTS_HEADER):
+        if len(row) != 4:
+            raise ValueError(f"{path}: line {line_no}: expected 4 fields")
+        fold_s, model, n_s, weight_s = row
+        try:
+            fold = int(fold_s)
+            n = int(n_s)
+            weight = float(weight_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: malformed row") from None
+        if cutoff is None:
+            cutoff = n
+        elif n != cutoff:
+            raise ValueError(f"{path}: line {line_no}: mixed cutoff n")
+        key = (fold, model)
+        if key in table:
+            raise ValueError(f"{path}: line {line_no}: duplicate weight "
+                             f"for fold {fold}, model {model!r}")
+        table[key] = weight
     if cutoff is None:
         raise ValueError(f"{path}: no data rows")
     return ModelWeights(table, cutoff)
@@ -445,10 +450,7 @@ FUSED_HEADER = ["fold", "user", "item", "score"]
 def write_fused(fused_by_fold: Mapping[int, Mapping[str, FusedList]],
                 path: str | Path):
     """Export fused top-n lists, ranked order preserved per user."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FUSED_HEADER)
+    with csv_writer(path, FUSED_HEADER) as writer:
         for fold in sorted(fused_by_fold):
             per_user = fused_by_fold[fold]
             for user in sorted(per_user):

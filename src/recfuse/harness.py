@@ -15,7 +15,6 @@ reproducibility contract.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -40,6 +39,7 @@ from recfuse.core import (
     PredictionMatrix,
 )
 from recfuse.data import (
+    csv_writer,
     format_score,
     load_interactions,
     read_matrix,
@@ -51,6 +51,7 @@ from recfuse.data import (
 from recfuse.fusion import NORMALIZATION_MODES, FoldFuser, normalize_scores
 from recfuse.metrics import HoldoutKeys, holdout_keys, ndcg_rows
 from recfuse.selection import (
+    EXHAUSTIVE_LIMIT,
     MemoizedEval,
     SelectionTrace,
     compute_weights,
@@ -294,6 +295,11 @@ class ExperimentConfig:
             raise ValueError("n_folds must be >= 2")
         if self.n_folds - 1 not in T_TABLE_95:
             raise ValueError("n_folds too large for the embedded t-table")
+        if (self.selection.mode == "exhaustive"
+                and len(self.models) > EXHAUSTIVE_LIMIT):
+            raise ValueError(
+                f"exhaustive selection takes at most {EXHAUSTIVE_LIMIT} "
+                f"models, got {len(self.models)}")
 
     def usable_ks(self, n: int) -> tuple[int, ...]:
         return tuple(k for k in self.k_values if k >= n)
@@ -442,16 +448,7 @@ def _fit_fold_models(config: ExperimentConfig, splits: Sequence[FoldSplit],
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
-    if len(parts) == 1:
-        return parts[0]
-    entries = {}
-    for part in parts:
-        for key, lst in part.entries():
-            if key in entries:
-                raise ValueError(
-                    f"duplicate lists for fold {key[0]}, model {key[1]!r}")
-            entries[key] = lst
-    return PredictionMatrix.from_entries(entries)
+    return parts[0] if len(parts) == 1 else PredictionMatrix.union(parts)
 
 
 def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
@@ -624,9 +621,7 @@ def _write_table_csv(path: Path, rows: Sequence[ReportRow], n_folds: int,
     header = (["dataset", "model", "n"]
               + [f"{TABLE_FOLD_PREFIX}{i}" for i in range(n_folds)]
               + ["mean", "pct_vs_ppl", "selection"])
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    with csv_writer(path, header) as writer:
         for row in rows:
             writer.writerow(
                 [row.dataset, row.model, row.n]
@@ -639,9 +634,7 @@ def _write_table_csv(path: Path, rows: Sequence[ReportRow], n_folds: int,
 def _write_sweep_csv(path: Path, rows: Sequence[dict]):
     header = ["dataset", "n", "k", "ens_mean", "ci_low", "ci_high",
               "best_model", "best_mean"]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    with csv_writer(path, header) as writer:
         for row in rows:
             writer.writerow([
                 row["dataset"], row["n"], row["k"],

@@ -8,7 +8,6 @@ per callable instance because greedy and exhaustive revisit candidates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -233,12 +232,9 @@ def write_traces(path: str | Path,
         extra_rows: (mode, fold, members, k, n, split, ndcg) rows appended
             after the traces (e.g. the chosen subset's test-split score).
     """
-    from recfuse.data import format_score
+    from recfuse.data import csv_writer, format_score
 
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+    with csv_writer(path, TRACE_HEADER) as writer:
         for trace, fold, k, n, split in rows:
             append_trace_rows(writer, trace, fold, k, n, split, format_score)
         for mode, fold, members, k, n, split, ndcg in extra_rows:

@@ -8,6 +8,7 @@ from recfuse.data import (
     SplitMix64,
     SplitSpec,
     fnv1a64,
+    format_score,
     load_interactions,
     read_matrix,
     read_splits,
@@ -169,6 +170,15 @@ class TestMatrixFiles:
         write_matrix(tiny_matrix, p)
         assert read_matrix(p) == tiny_matrix
 
+    def test_written_bytes(self, tmp_path):
+        p = tmp_path / "m.csv"
+        write_matrix(PredictionMatrix.from_entries({
+            (1, "B", "u2"): [ScoredItem("i1", 0.5), ScoredItem("i2", 0.5)],
+            (0, "A", "u1"): [ScoredItem("i1", 2.0)]}), p)
+        assert p.read_bytes() == (b"fold,model,user,item,score\n"
+                                  b"0,A,u1,i1,2\n"
+                                  b"1,B,u2,i1,0.5\n1,B,u2,i2,0.5\n")
+
     def test_nan_rejected_with_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("fold,model,user,item,score\n0,A,u1,a,1.0\n0,A,u1,b,nan\n")
@@ -279,3 +289,146 @@ def test_matrix_roundtrip_lossless(tmp_path_factory, m):
     p = tmp_path_factory.mktemp("rt") / "m.csv"
     write_matrix(m, p)
     assert read_matrix(p) == m
+
+
+# -- property: the first list-contract fault is reported, with its location ----
+
+CONTRACT_FAULTS = ("not contiguous", "non-increasing", "tie order",
+                   "duplicate item")
+# Each field fault rewrites one CSV row; the message read_matrix gives for it.
+FIELD_FAULTS = (
+    (lambda r: r[:4], "expected 5 fields, got 4"),
+    (lambda r: ["x"] + r[1:], "fold 'x' is not an integer"),
+    (lambda r: ["-1"] + r[1:], "fold must be >= 0"),
+    (lambda r: r[:2] + [""] + r[3:], "empty id field"),
+    (lambda r: r[:4] + ["abc"], "score 'abc' is not a number"),
+    (lambda r: r[:4] + ["nan"], "non-finite score"),
+)
+
+
+@st.composite
+def ranked_lists(draw, min_length):
+    """Valid lists keyed (fold, model, user), in a drawn order: scores from a
+    small set so ties are common, ties ordered by item id, and items shared
+    across lists. Entries are mutable [item, score] pairs. Item ids start
+    with 'i', so the injected id 'h' sorts before all of them."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from("AB"),
+                                   st.sampled_from(["u1", "u2", "u3", "u4"])),
+                         min_size=2, max_size=8, unique=True))
+    lists = {}
+    for key in keys:
+        items = draw(st.lists(st.sampled_from([f"i{j}" for j in range(10, 18)]),
+                              min_size=min_length, max_size=5, unique=True))
+        scores = [draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])) for _ in items]
+        lists[key] = [[i, s] for s, i in sorted(zip(scores, items),
+                                                key=lambda p: (-p[0], p[1]))]
+    return lists
+
+
+def _inject_in_place(draw, entries, kind):
+    """Break entry j >= 1 of one list, and nothing before it; return j."""
+    j = draw(st.integers(1, len(entries) - 1))
+    prev_score = entries[j - 1][1]
+    if kind == "non-increasing":
+        entries[j][1] = prev_score + 1.0
+    elif kind == "tie order":   # a smaller fresh id, or the same item again
+        entries[j] = [draw(st.sampled_from(["h", entries[j - 1][0]])), prev_score]
+    else:   # duplicate item: an earlier item, adjacent or not, scored lower
+        entries[j] = [entries[draw(st.integers(0, j - 1))][0], prev_score - 1.0]
+    return j
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_matrix_reports_the_first_faulty_line(tmp_path_factory, data):
+    draw = data.draw
+    lists = draw(ranked_lists(min_length=1))
+    order = list(lists)
+    targets = draw(st.lists(st.sampled_from(range(len(order))), min_size=1,
+                            max_size=2, unique=True))
+    faulty: dict[int, str] = {}     # id() of a faulty row -> its message
+    appended: dict[int, list] = {}  # list position -> rows put after it
+    for t in targets:
+        key = order[t]
+        entries = lists[key]
+        kinds = CONTRACT_FAULTS if len(entries) >= 2 else CONTRACT_FAULTS[:1]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "not contiguous":
+            if t == len(order) - 1:
+                continue
+            after = draw(st.integers(t + 1, len(order) - 1))
+            row = [*key, "h", 0.0]
+            appended.setdefault(after, []).append(row)
+            faulty[id(row)] = (f"rows for fold {key[0]}, model {key[1]!r}, "
+                               f"user {key[2]!r} are not contiguous")
+            continue
+        j = _inject_in_place(draw, entries, kind)
+        faulty[id(entries[j])] = {
+            "non-increasing": "scores must be non-increasing within a list",
+            "tie order": "tied scores must be ordered by item id ascending",
+            "duplicate item": f"duplicate item {entries[j][0]!r} in list",
+        }[kind]
+    # Rows in file order, each tagged with the id() its fault is keyed by.
+    rows = []
+    for pos, key in enumerate(order):
+        rows += [(id(e), [*key, *e]) for e in lists[key]]
+        rows += [(id(r), r) for r in appended.get(pos, [])]
+    lines = [[str(fold), model, user, item, format_score(score)]
+             for _, (fold, model, user, item, score) in rows]
+    expected = [(n + 2, faulty[tag]) for n, (tag, _) in enumerate(rows)
+                if tag in faulty]
+    if draw(st.booleans()):   # a field fault, before or after the others
+        n = draw(st.sampled_from([n for n, (tag, _) in enumerate(rows)
+                                  if tag not in faulty]))
+        rewrite, message = draw(st.sampled_from(FIELD_FAULTS))
+        lines[n] = rewrite(lines[n])
+        expected.append((n + 2, message))
+    p = tmp_path_factory.mktemp("faults") / "m.csv"
+    p.write_text("fold,model,user,item,score\n"
+                 + "".join(",".join(line) + "\n" for line in lines))
+    if not expected:
+        read_matrix(p)
+        return
+    line, message = min(expected)
+    with pytest.raises(ValueError) as err:
+        read_matrix(p)
+    assert str(err.value) == f"{p}: line {line}: {message}"
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_entries_names_the_faulty_list(data):
+    draw = data.draw
+    lists = draw(ranked_lists(min_length=1))
+    faults = []
+    for key in draw(st.lists(st.sampled_from(list(lists)), min_size=1,
+                             max_size=2, unique=True)):
+        kinds = ("non-finite",) + (CONTRACT_FAULTS[1:] if len(lists[key]) >= 2
+                                   else ())
+        kind = draw(st.sampled_from(kinds))
+        if kind == "non-finite":
+            j = draw(st.integers(0, len(lists[key]) - 1))
+            lists[key][j][1] = draw(st.sampled_from([math.nan, math.inf]))
+        else:
+            j = _inject_in_place(draw, lists[key], kind)
+        faults.append((key, j, kind))
+    # Empty lists, some ahead of the faulty ones in their block.
+    for key in draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from("AB"),
+                                       st.sampled_from(["u0", "u5"])),
+                             max_size=3)):
+        lists[key] = []
+    # Blocks are checked in (fold, model) order; within a block, non-finite
+    # scores first, then the first faulty entry in user order.
+    block = min(key[:2] for key, _, _ in faults)
+    in_block = sorted((kind != "non-finite", key[2], j, kind)
+                      for key, j, kind in faults if key[:2] == block)
+    _, user, _, kind = in_block[0]
+    what = {"non-finite": "non-finite score",
+            "non-increasing": "list not sorted (score desc, ties by item id)",
+            "tie order": "list not sorted (score desc, ties by item id)",
+            "duplicate item": "duplicate item within a list"}[kind]
+    with pytest.raises(ValueError) as err:
+        PredictionMatrix.from_entries(
+            {k: [ScoredItem(*e) for e in v] for k, v in lists.items()})
+    assert str(err.value) == (f"{what} in fold {block[0]}, model {block[1]!r}, "
+                              f"user {user!r}")

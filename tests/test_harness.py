@@ -3,7 +3,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recfuse.core import PredictionMatrix, ScoredItem
 from recfuse.harness import (
     DEFAULT_K_VALUES,
     T_TABLE_95,
@@ -11,6 +13,7 @@ from recfuse.harness import (
     ExperimentConfig,
     ModelConfig,
     SelectionConfig,
+    _merge_matrices,
     confidence_interval,
     k_sweep,
     model_table,
@@ -21,6 +24,7 @@ from recfuse.harness import (
     selection_label,
     sweep_rows,
 )
+from recfuse.selection import EXHAUSTIVE_LIMIT
 
 
 class TestConfidenceInterval:
@@ -228,6 +232,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="t-table"):
             ExperimentConfig.from_dict(toy_config_dict(n_folds=32))
 
+    def test_exhaustive_roster_limit_checked_up_front(self):
+        def roster(size):
+            return [{"kind": "popularity", "id": f"m{i:02d}"} for i in range(size)]
+
+        ok = ExperimentConfig.from_dict(toy_config_dict(
+            models=roster(EXHAUSTIVE_LIMIT), selection={"mode": "exhaustive"}))
+        assert len(ok.models) == EXHAUSTIVE_LIMIT == 20
+        with pytest.raises(ValueError, match="at most 20 models, got 21"):
+            ExperimentConfig.from_dict(toy_config_dict(
+                models=roster(EXHAUSTIVE_LIMIT + 1),
+                selection={"mode": "exhaustive"}))
+        # Greedy search has no roster limit.
+        ExperimentConfig.from_dict(toy_config_dict(
+            models=roster(EXHAUSTIVE_LIMIT + 1)))
+
     def test_usable_ks_and_table_k(self):
         cfg = ExperimentConfig.from_dict(toy_config_dict(
             n_values=[5, 10], k_values=[5, 10, 25]))
@@ -267,7 +286,7 @@ class TestPreparedBundle:
         cfg, bundle = toy_bundle
         assert bundle.raw.models() == ["cos", "ppl", "uknn"]
         assert bundle.raw.folds() == [0, 1, 2]
-        assert bundle.raw.min_list_length() >= 1
+        bundle.raw.ensure_supports_k(1)
         assert set(bundle.weights) == {5}
 
     def test_weights_are_validation_ndcg(self, toy_bundle):
@@ -470,3 +489,50 @@ def test_k_sweep_standalone_matches_run(tmp_path):
         k_sweep(cfg, "nope", 5)
     with pytest.raises(ValueError, match="not in the configured n_values"):
         k_sweep(cfg, "toy", 10)
+
+
+# -- merging matrix parts ----------------------------------------------------------
+
+@st.composite
+def matrix_parts(draw):
+    """One to three from_entries parts with disjoint (fold, model) blocks.
+    Users and items come from a shared pool plus ids private to each part, so
+    parts overlap in some ids and not in others; lists may be empty."""
+    n_parts = draw(st.integers(1, 3))
+    blocks = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from("ABCD")),
+                           min_size=n_parts, max_size=6, unique=True))
+    owner = [draw(st.integers(0, n_parts - 1)) for _ in blocks]
+    owner[:n_parts] = range(n_parts)   # no part is empty
+    parts: list[dict] = [{} for _ in range(n_parts)]
+    for (fold, model), part in zip(blocks, owner):
+        users = draw(st.lists(st.sampled_from(["u1", "u2", "u3", f"p{part}u"]),
+                              min_size=1, max_size=4, unique=True))
+        for user in users:
+            items = draw(st.lists(st.sampled_from(["i1", "i2", "i3", "i4",
+                                                   f"p{part}i"]),
+                                  max_size=5, unique=True))
+            scores = [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in items]
+            parts[part][(fold, model, user)] = [
+                ScoredItem(i, s) for s, i in sorted(zip(scores, items),
+                                                    key=lambda p: (-p[0], p[1]))]
+    return parts
+
+
+@given(matrix_parts())
+@settings(max_examples=60, deadline=None)
+def test_merge_matches_from_entries_over_the_union(parts):
+    merged = _merge_matrices([PredictionMatrix.from_entries(p) for p in parts])
+    union = {key: lst for p in parts for key, lst in p.items()}
+    assert merged == PredictionMatrix.from_entries(union)
+    assert set(merged.user_index.ids) == {u for (_, _, u) in union}
+    assert set(merged.item_index.ids) == {si.item_id for lst in union.values()
+                                          for si in lst}
+    merged._validate()
+
+
+def test_merge_rejects_a_repeated_block():
+    a = PredictionMatrix.from_entries({(0, "A", "u1"): [ScoredItem("i1", 1.0)],
+                                       (1, "B", "u1"): []})
+    b = PredictionMatrix.from_entries({(1, "B", "u2"): [ScoredItem("i2", 0.5)]})
+    with pytest.raises(ValueError, match="duplicate lists for fold 1, model 'B'"):
+        _merge_matrices([a, b])
