@@ -25,7 +25,7 @@ def main():
                                          ("user-knn", "uknn"))]
         for s in folds
     }
-    raw = generate_matrix(fold_models, folds, k_max=10)
+    raw = generate_matrix(fold_models, k_max=10)
     norm = normalize_scores(raw, "global-minmax")
     weights = compute_weights(raw, folds, n=5)
 

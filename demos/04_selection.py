@@ -31,7 +31,7 @@ def main():
                        for kind, mid in roster]
         for s in folds
     }
-    raw = generate_matrix(fold_models, folds, 10)
+    raw = generate_matrix(fold_models, 10)
     norm = normalize_scores(raw)
     weights = compute_weights(raw, folds, n=5)
     model_ids = [mid for _, mid in roster]

@@ -6,6 +6,9 @@ deliberate choice: the target scale is desk-sized experiment datasets, where
 the full item-item Gram matrix fits comfortably in memory and BLAS beats
 sparse indexing.
 
+`train_incidence` alone turns (user, item) string pairs into dense indices:
+one read-only incidence per fold, shared by every model fitted on the fold.
+
 Similarity conventions, shared by every kind that uses one:
   - vectors are cosine-normalized after any weighting (TF-IDF, BM25), so
     weighting changes the geometry, not the [0, 1] range on nonnegative data;
@@ -17,11 +20,12 @@ Similarity conventions, shared by every kind that uses one:
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from recfuse.core import FoldSplit, IdIndex, PredictionMatrix, ScoredItem
+from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
 from recfuse.core import _Block
 
 log = logging.getLogger(__name__)
@@ -67,16 +71,39 @@ def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class TrainIncidence:
+    """A train set as a read-only (users x items) 0/1 float64 matrix."""
+
+    users: IdIndex
+    items: IdIndex
+    matrix: np.ndarray
+
+
+def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
+    """Build the incidence of observed (user, item) pairs; repeats are fine."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("empty train set")
+    users = IdIndex(u for u, _ in pairs)
+    items = IdIndex(i for _, i in pairs)
+    rows, cols = zip(*[(users.index(u), items.index(i)) for u, i in pairs])
+    matrix = np.zeros((len(users), len(items)), dtype=np.float64)
+    matrix[rows, cols] = 1.0
+    matrix.flags.writeable = False
+    return TrainIncidence(users, items, matrix)
+
+
 class FittedModel:
     """A trained recommender bound to one fold's train split."""
 
-    def __init__(self, model_id: str, kind: str, users: IdIndex, items: IdIndex,
-                 incidence: np.ndarray, params: dict):
+    def __init__(self, model_id: str, kind: str, train: TrainIncidence,
+                 params: dict):
         self.model_id = model_id
         self.kind = kind
-        self.users = users
-        self.items = items
-        self._incidence = incidence
+        self.users = train.users
+        self.items = train.items
+        self._incidence = train.matrix
         self.params = params
 
     # Subclasses fill in a dense (len(user_rows), n_items) score array for
@@ -92,12 +119,6 @@ class FittedModel:
         for pos in range(user_rows.size):
             out[pos] = self._score_block(user_rows[pos:pos + 1])[0]
         return out
-
-    def score_all(self, user_ids: Sequence[str]) -> np.ndarray:
-        """Score every catalog item for the given known users."""
-        rows = np.fromiter((self.users.index(u) for u in user_ids),
-                           dtype=np.int64, count=len(user_ids))
-        return self._score_rows(rows)
 
     def popularity_scores(self) -> np.ndarray:
         """Train interaction count per item; the cold-start fallback ranking."""
@@ -133,9 +154,9 @@ class FittedModel:
 
 
 class _Popularity(FittedModel):
-    def __init__(self, model_id, users, items, incidence, params):
-        super().__init__(model_id, "popularity", users, items, incidence, params)
-        self._counts = incidence.sum(axis=0)
+    def __init__(self, model_id, kind, train, params):
+        super().__init__(model_id, kind, train, params)
+        self._counts = self._incidence.sum(axis=0)
 
     def _score_block(self, user_rows):
         return np.tile(self._counts, (user_rows.size, 1))
@@ -144,9 +165,9 @@ class _Popularity(FittedModel):
 class _ItemItem(FittedModel):
     """Full item-item cosine similarity over (optionally weighted) columns."""
 
-    def __init__(self, model_id, kind, users, items, incidence, params):
-        super().__init__(model_id, kind, users, items, incidence, params)
-        weighted = self._weight(incidence, params)
+    def __init__(self, model_id, kind, train, params):
+        super().__init__(model_id, kind, train, params)
+        weighted = self._weight(self._incidence, params)
         normalized = _cosine_normalize_columns(weighted)
         self.similarity = normalized.T @ normalized
 
@@ -188,9 +209,9 @@ class _ItemItemBm25(_ItemItem):
 
 
 class _ItemKnn(FittedModel):
-    def __init__(self, model_id, users, items, incidence, params):
-        super().__init__(model_id, "item-knn", users, items, incidence, params)
-        normalized = _cosine_normalize_columns(incidence)
+    def __init__(self, model_id, kind, train, params):
+        super().__init__(model_id, kind, train, params)
+        normalized = _cosine_normalize_columns(self._incidence)
         sim = normalized.T @ normalized
         self.similarity = _truncate_neighbors(sim, params["nn"])
 
@@ -201,9 +222,9 @@ class _ItemKnn(FittedModel):
 
 
 class _UserKnn(FittedModel):
-    def __init__(self, model_id, users, items, incidence, params):
-        super().__init__(model_id, "user-knn", users, items, incidence, params)
-        normalized = _cosine_normalize_columns(incidence.T)
+    def __init__(self, model_id, kind, train, params):
+        super().__init__(model_id, kind, train, params)
+        normalized = _cosine_normalize_columns(self._incidence.T)
         sim = normalized.T @ normalized
         self.similarity = _truncate_neighbors(sim, params["nn"])
 
@@ -212,34 +233,31 @@ class _UserKnn(FittedModel):
 
 
 _CONSTRUCTORS = {
-    "popularity": lambda mid, u, i, m, p: _Popularity(mid, u, i, m, p),
-    "user-knn": lambda mid, u, i, m, p: _UserKnn(mid, u, i, m, p),
-    "item-knn": lambda mid, u, i, m, p: _ItemKnn(mid, u, i, m, p),
-    "item-item-cosine": lambda mid, u, i, m, p: _ItemItem(
-        mid, "item-item-cosine", u, i, m, p),
-    "item-item-tfidf": lambda mid, u, i, m, p: _ItemItemTfidf(
-        mid, "item-item-tfidf", u, i, m, p),
-    "item-item-bm25": lambda mid, u, i, m, p: _ItemItemBm25(
-        mid, "item-item-bm25", u, i, m, p),
+    "popularity": _Popularity,
+    "user-knn": _UserKnn,
+    "item-knn": _ItemKnn,
+    "item-item-cosine": _ItemItem,
+    "item-item-tfidf": _ItemItemTfidf,
+    "item-item-bm25": _ItemItemBm25,
 }
 
 
-def fit(kind: str, train: Iterable[tuple[str, str]],
+def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
         params: Mapping[str, float] | None = None,
         model_id: str | None = None) -> FittedModel:
-    """Fit one recommender on a train set of (user, item) pairs.
+    """Fit one recommender on a train set.
 
     Args:
         kind: one of MODEL_KINDS.
-        train: observed pairs; ratings are already binarized upstream.
+        train: a shared TrainIncidence, or observed (user, item) pairs;
+            ratings are already binarized upstream.
         params: overrides for DEFAULT_PARAMS (nn, k1, b).
         model_id: defaults to the kind name.
     """
     if kind not in _CONSTRUCTORS:
         raise ValueError(f"unknown model kind {kind!r}")
-    pairs = list(train)
-    if not pairs:
-        raise ValueError("empty train set")
+    if not isinstance(train, TrainIncidence):
+        train = train_incidence(train)
     merged = dict(DEFAULT_PARAMS)
     if params:
         unknown = set(params) - set(DEFAULT_PARAMS)
@@ -252,14 +270,7 @@ def fit(kind: str, train: Iterable[tuple[str, str]],
         raise ValueError("k1 must be > 0")
     if not 0.0 <= merged["b"] <= 1.0:
         raise ValueError("b must be in [0, 1]")
-
-    users = IdIndex(u for u, _ in pairs)
-    items = IdIndex(i for _, i in pairs)
-    incidence = np.zeros((len(users), len(items)), dtype=np.float64)
-    for u, i in pairs:
-        incidence[users.index(u), items.index(i)] = 1.0
-    return _CONSTRUCTORS[kind](model_id or kind, users, items, incidence,
-                               merged)
+    return _CONSTRUCTORS[kind](model_id or kind, kind, train, merged)
 
 
 def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]]:
@@ -267,53 +278,40 @@ def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]
     return [(u, i) for u in sorted(train) for i in sorted(train[u])]
 
 
-def generate_matrix(models_by_fold: Mapping[int, Sequence[FittedModel]],
-                    folds: Sequence[FoldSplit], k_max: int) -> PredictionMatrix:
+def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
+                    k_max: int) -> PredictionMatrix:
     """Batch-produce the prediction matrix for fitted per-fold models.
 
-    Covers every user with train data in each fold. Lists hold the top
-    min(k_max, recommendable) items, identical to per-user recommend()
-    output (asserted in tests).
+    Covers every user of each model's train incidence, which for a model
+    fitted on a fold's train split is every user with train items. Lists
+    hold the top min(k_max, recommendable) items, identical to per-user
+    recommend() output (asserted in tests).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    fold_by_index = {f.fold_index: f for f in folds}
-    all_users: set[str] = set()
-    all_items: set[str] = set()
-    for fold_index, models in models_by_fold.items():
-        if fold_index not in fold_by_index:
-            raise ValueError(f"no split provided for fold {fold_index}")
-        for model in models:
-            all_users.update(model.users.ids)
-            all_items.update(model.items.ids)
-    user_index = IdIndex(all_users)
-    item_index = IdIndex(all_items)
+    fitted = [(fold, model) for fold in sorted(models_by_fold)
+              for model in models_by_fold[fold]]
+    user_index = IdIndex(u for _, model in fitted for u in model.users.ids)
+    item_index = IdIndex(i for _, model in fitted for i in model.items.ids)
 
     blocks: dict[tuple[int, str], _Block] = {}
-    for fold_index in sorted(models_by_fold):
-        split = fold_by_index[fold_index]
-        train = split.train
-        for model in models_by_fold[fold_index]:
-            target_users = sorted(u for u in train if train[u] and u in model.users)
-            scores = model.score_all(target_users)
-            # Mask consumed items so they can never be recommended back.
-            for row, user in enumerate(target_users):
-                for item in train[user]:
-                    if item in model.items:
-                        scores[row, model.items.index(item)] = -np.inf
-            order = np.argsort(-scores, axis=1, kind="stable")
-            top = order[:, :k_max]
-            top_scores = np.take_along_axis(scores, top, axis=1)
-            valid = np.isfinite(top_scores)
-            # Translate the model's local item indices to matrix-wide ones.
-            local_to_global = np.array(
-                [item_index.index(i) for i in model.items.ids], dtype=np.int32)
-            # Each row's valid entries are a prefix, so a row-major masked
-            # gather lays the lists end to end.
-            indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-            user_rows = np.array([user_index.index(u) for u in target_users],
-                                 dtype=np.int32)
-            blocks[(fold_index, model.model_id)] = _Block(
-                user_rows, indptr, local_to_global[top[valid]], top_scores[valid])
+    for fold_index, model in fitted:
+        scores = model._score_rows(np.arange(len(model.users)))
+        # Mask consumed items so they can never be recommended back.
+        scores[model._incidence != 0] = -np.inf
+        order = np.argsort(-scores, axis=1, kind="stable")
+        top = order[:, :k_max]
+        top_scores = np.take_along_axis(scores, top, axis=1)
+        valid = np.isfinite(top_scores)
+        # Translate the model's local item indices to matrix-wide ones.
+        local_to_global = np.array(
+            [item_index.index(i) for i in model.items.ids], dtype=np.int32)
+        # Each row's valid entries are a prefix, so a row-major masked
+        # gather lays the lists end to end.
+        indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+        user_rows = np.array([user_index.index(u) for u in model.users.ids],
+                             dtype=np.int32)
+        blocks[(fold_index, model.model_id)] = _Block(
+            user_rows, indptr, local_to_global[top[valid]], top_scores[valid])
 
     return PredictionMatrix(user_index, item_index, blocks)

@@ -199,6 +199,10 @@ def load_interactions(path: str | Path, format: str = "csv",
     by_pos = all(isinstance(v, int) for v in column_map.values())
     if not (by_name or by_pos):
         raise ValueError("column_map values must be all names or all positions")
+    if by_pos and any(isinstance(v, bool) or v < 0
+                      for v in column_map.values()):
+        raise ValueError("column_map positions must be non-negative integers, "
+                         f"got {dict(column_map)}")
 
     path = Path(path)
     records: list[Interaction] = []

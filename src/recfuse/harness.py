@@ -31,6 +31,7 @@ from recfuse.baselines import (
     binarized_pairs,
     fit,
     generate_matrix,
+    train_incidence,
 )
 from recfuse.core import (
     FoldSplit,
@@ -124,6 +125,19 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {context} key(s): {', '.join(unknown)}")
+
+
+def _json_typed(value, key: str, kind: type):
+    # bool is an int subclass: JSON true/false must not pass as 1/0.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _json_ints(values, key: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(sorted({_json_typed(v, f"{key} entry", int) for v in values}))
 
 
 @dataclass(frozen=True)
@@ -241,19 +255,22 @@ class ExperimentConfig:
         datasets = tuple(DatasetConfig.from_dict(d) for d in raw["datasets"])
         models = tuple(ModelConfig.from_dict(m) for m in raw["models"])
         selection = SelectionConfig.from_dict(raw.get("selection", {}))
+        table_k = raw.get("table_k")
         cfg = cls(
-            seed=int(raw["seed"]),
+            seed=_json_typed(raw["seed"], "seed", int),
             output_dir=str(raw["output_dir"]),
             datasets=datasets,
             models=models,
-            n_values=tuple(sorted(set(raw.get("n_values", (5, 10, 20))))),
-            k_values=tuple(sorted(set(raw.get("k_values", DEFAULT_K_VALUES)))),
-            table_k=raw.get("table_k"),
+            n_values=_json_ints(raw.get("n_values", (5, 10, 20)), "n_values"),
+            k_values=_json_ints(raw.get("k_values", DEFAULT_K_VALUES),
+                                "k_values"),
+            table_k=None if table_k is None else _json_typed(table_k, "table_k", int),
             selection=selection,
             normalization=raw.get("normalization", "global-minmax"),
-            n_folds=int(raw.get("n_folds", 5)),
-            include_empty_holdout_users=bool(
-                raw.get("include_empty_holdout_users", False)),
+            n_folds=_json_typed(raw.get("n_folds", 5), "n_folds", int),
+            include_empty_holdout_users=_json_typed(
+                raw.get("include_empty_holdout_users", False),
+                "include_empty_holdout_users", bool),
         )
         cfg.validate()
         return cfg
@@ -415,36 +432,31 @@ def _load_dataset(config: ExperimentConfig, ds: DatasetConfig
 
 def _fit_fold_models(config: ExperimentConfig, splits: Sequence[FoldSplit],
                      threads: int | None) -> dict[int, list]:
-    """Fit every built-in roster model on every fold's train split."""
-    builtin = [m for m in config.models if m.kind is not None]
+    """Fit every built-in roster model on every fold's train split; each
+    fold's models are in model-id order."""
+    builtin = sorted((m for m in config.models if m.kind is not None),
+                     key=lambda m: m.model_id)
+    if not builtin:
+        return {s.fold_index: [] for s in splits}
     jobs = []
     for split in splits:
-        pairs = binarized_pairs(split.train)
-        for model_cfg in builtin:
-            jobs.append((split.fold_index, model_cfg, pairs))
+        # One read-only incidence per fold, shared by all of its models.
+        train = train_incidence(binarized_pairs(split.train))
+        jobs.extend((m, train) for m in builtin)
 
     def _run(job):
-        fold_index, model_cfg, pairs = job
-        fitted = fit(model_cfg.kind, pairs, model_cfg.params,
-                     model_id=model_cfg.model_id)
-        return fold_index, fitted
+        model_cfg, train = job
+        return fit(model_cfg.kind, train, model_cfg.params,
+                   model_id=model_cfg.model_id)
 
-    results: dict[tuple[int, str], object] = {}
-    if threads is not None and threads == 1:
-        done = map(_run, jobs)
+    if threads == 1:
+        fitted = list(map(_run, jobs))
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            done = list(pool.map(_run, jobs))
-        finally:
-            pool.shutdown()
-    for fold_index, fitted in done:
-        results[(fold_index, fitted.model_id)] = fitted
-
-    by_fold: dict[int, list] = {s.fold_index: [] for s in splits}
-    for (fold_index, _), fitted in sorted(results.items()):
-        by_fold[fold_index].append(fitted)
-    return by_fold
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            fitted = list(pool.map(_run, jobs))
+    size = len(builtin)
+    return {s.fold_index: fitted[i * size:(i + 1) * size]
+            for i, s in enumerate(splits)}
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
@@ -461,7 +473,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
     parts = []
     if any(m.kind is not None for m in config.models):
         by_fold = _fit_fold_models(config, splits, threads)
-        parts.append(generate_matrix(by_fold, splits, config.max_k()))
+        parts.append(generate_matrix(by_fold, config.max_k()))
     for model_cfg in config.models:
         if model_cfg.matrix is not None:
             external = read_matrix(model_cfg.matrix, min_length=config.max_k())

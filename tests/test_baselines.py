@@ -10,6 +10,7 @@ from recfuse.baselines import (
     binarized_pairs,
     fit,
     generate_matrix,
+    train_incidence,
 )
 from recfuse.data import SplitSpec, split_folds
 
@@ -242,6 +243,8 @@ class TestFit:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty train set"):
             fit("popularity", [])
+        with pytest.raises(ValueError, match="empty train set"):
+            train_incidence([])
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
@@ -274,23 +277,43 @@ def test_no_train_leakage_property(data):
         assert not (got & train_items)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_train_incidence_matches_per_pair_loop(data):
+    ids = st.text(alphabet="ab9Z", min_size=1, max_size=3)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
+    repeats = pairs[:data.draw(st.integers(0, len(pairs)))]
+    pairs = data.draw(st.permutations(pairs + repeats))
+    got = train_incidence(pairs)
+    users = sorted({u for u, _ in pairs})
+    items = sorted({i for _, i in pairs})
+    expected = np.zeros((len(users), len(items)))
+    for u, i in pairs:
+        expected[users.index(u), items.index(i)] = 1.0
+    assert got.users.ids == tuple(users)
+    assert got.items.ids == tuple(items)
+    assert got.matrix.dtype == np.float64
+    assert np.array_equal(got.matrix, expected)
+    assert not got.matrix.flags.writeable
+
+
 class TestGenerateMatrix:
     @pytest.fixture()
     def fold_models(self, small_dataset, small_folds):
         folds = small_folds[:2]
         by_fold = {}
         for fold in folds:
-            pairs = binarized_pairs(fold.train)
+            train = train_incidence(binarized_pairs(fold.train))
             by_fold[fold.fold_index] = [
-                fit("popularity", pairs, model_id="ppl"),
-                fit("item-item-cosine", pairs, params={"nn": 5}, model_id="cos"),
-                fit("user-knn", pairs, params={"nn": 5}, model_id="uknn"),
+                fit("popularity", train, model_id="ppl"),
+                fit("item-item-cosine", train, params={"nn": 5}, model_id="cos"),
+                fit("user-knn", train, params={"nn": 5}, model_id="uknn"),
             ]
         return by_fold, folds
 
     def test_matches_per_user_recommend(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, folds, k_max=8)
+        matrix = generate_matrix(by_fold, k_max=8)
         split_by_index = {f.fold_index: f for f in folds}
         checked = 0
         for (fold, model_id, user), stored in matrix.entries():
@@ -302,24 +325,19 @@ class TestGenerateMatrix:
 
     def test_k_max_caps_list_length(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, folds, k_max=3)
+        matrix = generate_matrix(by_fold, k_max=3)
         for _, stored in matrix.entries():
             assert len(stored) <= 3
 
     def test_covers_every_train_user(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, folds, k_max=5)
+        matrix = generate_matrix(by_fold, k_max=5)
         for fold in folds:
             expected = sorted(u for u in fold.train if fold.train[u])
             for model in by_fold[fold.fold_index]:
                 assert matrix.users(fold.fold_index, model.model_id) == expected
 
-    def test_missing_fold_split_rejected(self, fold_models):
-        by_fold, folds = fold_models
-        with pytest.raises(ValueError, match="no split provided for fold"):
-            generate_matrix(by_fold, folds[:1], k_max=5)
-
     def test_k_max_below_one_rejected(self, fold_models):
         by_fold, folds = fold_models
         with pytest.raises(ValueError, match="k_max must be >= 1"):
-            generate_matrix(by_fold, folds, k_max=0)
+            generate_matrix(by_fold, k_max=0)

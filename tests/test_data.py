@@ -134,6 +134,17 @@ class TestInteractionFiles:
         assert len(ds) == 2
         assert ds.records[0].user_id == "196"
 
+    @pytest.mark.parametrize("column_map", [
+        {"user": -1, "item": 0},
+        {"user": True, "item": False},
+        {"user": 0, "item": 1, "rating": -2},
+    ])
+    def test_bad_positions_rejected(self, tmp_path, column_map):
+        p = tmp_path / "x.csv"
+        p.write_text("196,242,3\n186,302,3\n")
+        with pytest.raises(ValueError, match="non-negative integers"):
+            load_interactions(p, "csv", column_map)
+
     def test_malformed_rows_skipped_and_counted(self, tmp_path, caplog):
         p = tmp_path / "x.csv"
         p.write_text("user,item,rating\nu1,a,1\nu2,,1\nbroken\nu3,c,notanumber\n")

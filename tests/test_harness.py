@@ -13,6 +13,7 @@ from recfuse.harness import (
     ExperimentConfig,
     ModelConfig,
     SelectionConfig,
+    _fit_fold_models,
     _merge_matrices,
     confidence_interval,
     k_sweep,
@@ -247,6 +248,21 @@ class TestExperimentConfig:
         ExperimentConfig.from_dict(toy_config_dict(
             models=roster(EXHAUSTIVE_LIMIT + 1)))
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "1234"), ("seed", 12.0), ("seed", True),
+        ("n_folds", "3"), ("n_folds", 3.0), ("n_folds", False),
+        ("table_k", "20"), ("table_k", 20.0), ("table_k", True),
+        ("n_values", [10.0]), ("n_values", ["10"]), ("n_values", [True]),
+        ("n_values", 10),
+        ("k_values", ["10"]), ("k_values", [10.5]), ("k_values", "10"),
+        ("include_empty_holdout_users", "false"),
+        ("include_empty_holdout_users", 0),
+        ("include_empty_holdout_users", None),
+    ])
+    def test_scalar_types_checked(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(toy_config_dict(**{key: value}))
+
     def test_usable_ks_and_table_k(self):
         cfg = ExperimentConfig.from_dict(toy_config_dict(
             n_values=[5, 10], k_values=[5, 10, 25]))
@@ -298,6 +314,18 @@ class TestPreparedBundle:
                  for u in bundle.raw.users(0, "ppl")}
         expected = ndcg_model(lists, split.holdout("validation"), 5)
         assert w.weight(0, "ppl") == expected
+
+
+def test_fold_models_share_one_read_only_incidence(small_folds):
+    cfg = ExperimentConfig.from_dict(toy_config_dict())
+    by_fold = _fit_fold_models(cfg, small_folds[:2], threads=2)
+    for models in by_fold.values():
+        assert [m.model_id for m in models] == ["cos", "ppl", "uknn"]
+        shared = models[0]._incidence
+        assert all(m._incidence is shared for m in models)
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 0.0
+    assert by_fold[0][0]._incidence is not by_fold[1][0]._incidence
 
 
 class TestRunSelection:

@@ -327,7 +327,7 @@ def small_bundle(small_folds):
             fit("item-item-cosine", pairs, params={"nn": 5}, model_id="cos"),
             fit("user-knn", pairs, params={"nn": 5}, model_id="uknn"),
         ]
-    raw = generate_matrix(by_fold, folds, k_max=10)
+    raw = generate_matrix(by_fold, k_max=10)
     normalized = normalize_scores(raw)
     weights = compute_weights(raw, folds, n=5)
     return normalized, weights, folds
