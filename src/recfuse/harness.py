@@ -387,7 +387,6 @@ class DatasetBundle:
 
     config: ExperimentConfig
     name: str
-    dataset: InteractionDataset
     splits: list[FoldSplit]
     raw: PredictionMatrix
     norm: PredictionMatrix
@@ -467,9 +466,8 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
                     threads: int | None = None) -> DatasetBundle:
     """Load, split, fit, ingest, normalize, and weight one dataset."""
     t0 = time.perf_counter()
-    dataset = _load_dataset(config, ds)
-    splits = split_folds(dataset, SplitSpec(seed=config.seed,
-                                            n_folds=config.n_folds))
+    splits = split_folds(_load_dataset(config, ds),
+                         SplitSpec(seed=config.seed, n_folds=config.n_folds))
     parts = []
     if any(m.kind is not None for m in config.models):
         by_fold = _fit_fold_models(config, splits, threads)
@@ -496,7 +494,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
         for n in config.n_values
     }
     log.info("prepared dataset %s in %.1fs", ds.name, time.perf_counter() - t0)
-    return DatasetBundle(config, ds.name, dataset, splits, raw, norm, weights,
+    return DatasetBundle(config, ds.name, splits, raw, norm, weights,
                          [m.model_id for m in config.models])
 
 

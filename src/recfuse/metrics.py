@@ -8,7 +8,8 @@ is deliberate and every consumer in this package relies on it.
 The per-user functions (ndcg_user, ndcg_model) are the reference over string
 ids. The pipeline scores CSR blocks of dense indices with ndcg_rows, which
 performs the same float operations in the same order, so both give
-bit-identical results.
+bit-identical results. It finds hits by binary search (np.searchsorted) of
+each scored user * n_items + item key in the holdout's sorted keys.
 """
 
 from __future__ import annotations
@@ -123,6 +124,16 @@ def list_ranks(indptr: np.ndarray) -> np.ndarray:
             - np.repeat(indptr[:-1], np.diff(indptr)))
 
 
+def _holdout_hits(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each query key is in the sorted unique holdout keys."""
+    if keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.searchsorted(keys, queries)
+    # A query past the last key lands at keys.size; that slot cannot hit.
+    np.minimum(pos, keys.size - 1, out=pos)
+    return keys[pos] == queries
+
+
 def ndcg_rows(user_rows: np.ndarray, indptr: np.ndarray, items: np.ndarray,
               n_items: int, holdout: HoldoutKeys, n: int,
               include_empty_holdout_users: bool = False) -> float:
@@ -139,7 +150,7 @@ def ndcg_rows(user_rows: np.ndarray, indptr: np.ndarray, items: np.ndarray,
     rank = list_ranks(indptr)
     head = rank < n
     row = np.repeat(np.arange(users.size), np.diff(indptr))[head]
-    hit = np.isin(users[row] * n_items + items[head], holdout.keys)
+    hit = _holdout_hits(users[row] * n_items + items[head], holdout.keys)
     # Same float operations in the same order as dcg/ndcg_user/ndcg_model:
     # bincount adds each row's gains in rank order, and cumsum (unlike
     # pairwise np.sum) adds the per-user scores in ascending user order.

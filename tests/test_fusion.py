@@ -12,7 +12,7 @@ from recfuse.fusion import (
     fuse_user,
     normalize_scores,
 )
-from recfuse.metrics import holdout_keys, ndcg_model
+from recfuse.metrics import holdout_keys, idcg, ndcg_model
 from recfuse.selection import evaluate_ensemble
 
 
@@ -266,6 +266,61 @@ class TestFoldFuser:
         assert got == pytest.approx(ndcg_model(lists, holdouts, 1), abs=1e-12)
         assert got == pytest.approx(0.5)
 
+    def test_cut_inside_a_cross_member_tie_keeps_the_lower_item_id(self):
+        # u1 fuses to p 1.0, then b and z tied at exactly 0.5, one from each
+        # member (1.0 * 0.5 == 0.5 * 1.0), then q 0.1, so the n=2 cut falls
+        # inside the tie and keeps b. u2's row is narrower than n.
+        m = PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("p", 1.0), ScoredItem("z", 0.5)],
+            (0, "B", "u1"): [ScoredItem("b", 1.0), ScoredItem("q", 0.2)],
+            (0, "A", "u2"): [ScoredItem("z", 1.0)],
+        })
+        weights = ModelWeights({(0, "A"): 1.0, (0, "B"): 0.5}, 2)
+        fused = fuse_all(m, weights, {"A", "B"}, 0, k=2, n=2)
+        assert fused["u1"].item_ids() == ["p", "b"]
+        fuser = FoldFuser(m, 0, k=2)
+        for held, want in (("b", 1 / math.log2(3) / idcg(2)), ("z", 0.0)):
+            holdouts = {"u1": frozenset({held})}
+            split = FoldSplit(0, train={}, validation={}, test=holdouts)
+            keys = holdout_keys(holdouts, m.user_index, m.item_index)
+            got = fuser.ndcg(["A", "B"], weights, keys, 2)
+            assert got == want
+            assert got == evaluate_ensemble(["A", "B"], m, weights, split,
+                                            2, 2, "test")
+
+    def test_fused_sums_add_in_member_order(self):
+        # b fuses to (0.1 + 0.2) + 0.3 == 0.6000000000000001 and so ranks
+        # above a's 0.6; summed in reverse member order it would tie a at
+        # 0.6 and lose the tie on item id.
+        m = PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("b", 0.1)],
+            (0, "B", "u1"): [ScoredItem("b", 0.2)],
+            (0, "C", "u1"): [ScoredItem("a", 0.6), ScoredItem("b", 0.3)],
+        })
+        weights = ModelWeights({(0, "A"): 1.0, (0, "B"): 1.0, (0, "C"): 1.0},
+                               1)
+        keys = holdout_keys({"u1": frozenset({"b"})}, m.user_index,
+                            m.item_index)
+        assert FoldFuser(m, 0, k=2).ndcg(["A", "B", "C"], weights, keys,
+                                         1) == 1.0
+
+    def test_member_without_lists_rejected(self, tiny_matrix):
+        weights = ModelWeights({(0, "A"): 0.3, (0, "Z"): 0.9}, 2)
+        fuser = FoldFuser(tiny_matrix, 0, k=3)
+        keys = holdout_keys({"u1": frozenset({"i1"})}, tiny_matrix.user_index,
+                            tiny_matrix.item_index)
+        with pytest.raises(ValueError, match="no lists for model 'Z' in fold 0"):
+            fuser.ndcg(["A", "Z"], weights, keys, 2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, tiny_matrix, n):
+        weights = ModelWeights({(0, "A"): 0.3}, 2)
+        fuser = FoldFuser(tiny_matrix, 0, k=3)
+        keys = holdout_keys({"u1": frozenset({"i1"})}, tiny_matrix.user_index,
+                            tiny_matrix.item_index)
+        with pytest.raises(ValueError, match="invalid length"):
+            fuser.ndcg(["A"], weights, keys, n)
+
 
 
 @st.composite
@@ -301,7 +356,10 @@ def fold_fuser_instances(draw):
                                          max_size=5), label=f"holdout_u{u}"))
         for u in range(8) if draw(st.booleans(), label=f"has_holdout_u{u}")}
     n = draw(st.integers(1, 6))
-    k = draw(st.integers(n, n + 3))   # usually shorter than the lists
+    # Up to 3n (and at least n + 3), so fused rows are often wider than n
+    # and the top-n prefilter drops entries; at k near n the lists are
+    # usually truncated.
+    k = draw(st.integers(n, max(3 * n, n + 3)))
     return matrix, weights, members, holdouts, k, n
 
 
@@ -323,7 +381,8 @@ def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
         with pytest.raises(ValueError, match="empty evaluation population"):
             got()
         return
-    assert got() == pytest.approx(want, abs=1e-12)
+    assert got() == want
+
 
 def test_fused_list_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):

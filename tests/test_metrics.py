@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recfuse.core import PredictionMatrix, ScoredItem
 from recfuse.metrics import (
+    HoldoutKeys,
     dcg,
     holdout_keys,
     idcg,
@@ -248,3 +250,18 @@ def test_holdout_keys_flag_users_whose_items_are_all_outside_the_catalog():
     block = matrix.block(0, "M")
     assert ndcg_rows(block.user_rows, block.indptr, block.items, 1, keys,
                      1) == 0.5
+
+
+def test_ndcg_rows_with_no_holdout_keys_or_queries_past_the_last_key():
+    # Two users, three items; each ranks items 2 then 0.
+    user_rows = np.array([0, 1])
+    indptr = np.array([0, 2, 4])
+    items = np.array([2, 0, 2, 0])
+    nonempty = np.array([True, True])
+    none = HoldoutKeys(np.array([], dtype=np.int64), nonempty)
+    assert ndcg_rows(user_rows, indptr, items, 3, none, 2) == 0.0
+    # The only key is user 0's item 0 (key 0): every query of user 1
+    # (keys 5 and 3) lies past it, and user 0's item 2 (key 2) too.
+    first = HoldoutKeys(np.array([0], dtype=np.int64), nonempty)
+    assert ndcg_rows(user_rows, indptr, items, 3, first, 2) == (
+        (1 / math.log2(3)) / idcg(2) / 2)
