@@ -1,10 +1,11 @@
 """Built-in neighborhood and popularity recommenders.
 
-All models operate on the binarized user-item incidence matrix (any rating
-above 0 counts as an interaction) held dense in float64. Dense is a
-deliberate choice: the target scale is desk-sized experiment datasets, where
-the full item-item Gram matrix fits comfortably in memory and BLAS beats
-sparse indexing.
+All models operate on the binarized user-item incidence matrix held dense
+in float64: every distinct (user, item) train row counts as one
+interaction. Ratings are never read after load; a rating only decides
+whether its row parses. Dense is a deliberate choice: the target scale is
+desk-sized experiment datasets, where the full item-item Gram matrix fits
+comfortably in memory and BLAS beats sparse indexing.
 
 `train_incidence` alone turns (user, item) string pairs into dense indices:
 one read-only incidence per fold, shared by every model fitted on the fold.
@@ -242,22 +243,8 @@ _CONSTRUCTORS = {
 }
 
 
-def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
-        params: Mapping[str, float] | None = None,
-        model_id: str | None = None) -> FittedModel:
-    """Fit one recommender on a train set.
-
-    Args:
-        kind: one of MODEL_KINDS.
-        train: a shared TrainIncidence, or observed (user, item) pairs;
-            ratings are already binarized upstream.
-        params: overrides for DEFAULT_PARAMS (nn, k1, b).
-        model_id: defaults to the kind name.
-    """
-    if kind not in _CONSTRUCTORS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if not isinstance(train, TrainIncidence):
-        train = train_incidence(train)
+def fit_params(params: Mapping[str, float] | None) -> dict:
+    """DEFAULT_PARAMS overridden by `params`, checked (nn, k1, b)."""
     merged = dict(DEFAULT_PARAMS)
     if params:
         unknown = set(params) - set(DEFAULT_PARAMS)
@@ -270,7 +257,26 @@ def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
         raise ValueError("k1 must be > 0")
     if not 0.0 <= merged["b"] <= 1.0:
         raise ValueError("b must be in [0, 1]")
-    return _CONSTRUCTORS[kind](model_id or kind, kind, train, merged)
+    return merged
+
+
+def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
+        params: Mapping[str, float] | None = None,
+        model_id: str | None = None) -> FittedModel:
+    """Fit one recommender on a train set.
+
+    Args:
+        kind: one of MODEL_KINDS.
+        train: a shared TrainIncidence, or observed (user, item) pairs.
+        params: overrides for DEFAULT_PARAMS (nn, k1, b).
+        model_id: defaults to the kind name.
+    """
+    if kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(train, TrainIncidence):
+        train = train_incidence(train)
+    return _CONSTRUCTORS[kind](model_id or kind, kind, train,
+                               fit_params(params))
 
 
 def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]]:
@@ -282,36 +288,33 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
                     k_max: int) -> PredictionMatrix:
     """Batch-produce the prediction matrix for fitted per-fold models.
 
-    Covers every user of each model's train incidence, which for a model
-    fitted on a fold's train split is every user with train items. Lists
-    hold the top min(k_max, recommendable) items, identical to per-user
-    recommend() output (asserted in tests).
+    A fold's models must share one train set (and so one index space);
+    folds are joined by PredictionMatrix.union. Covers every train user.
+    Lists hold the top min(k_max, recommendable) items, identical to
+    per-user recommend() output (asserted in tests).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    fitted = [(fold, model) for fold in sorted(models_by_fold)
-              for model in models_by_fold[fold]]
-    user_index = IdIndex(u for _, model in fitted for u in model.users.ids)
-    item_index = IdIndex(i for _, model in fitted for i in model.items.ids)
-
-    blocks: dict[tuple[int, str], _Block] = {}
-    for fold_index, model in fitted:
-        scores = model._score_rows(np.arange(len(model.users)))
-        # Mask consumed items so they can never be recommended back.
-        scores[model._incidence != 0] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")
-        top = order[:, :k_max]
-        top_scores = np.take_along_axis(scores, top, axis=1)
-        valid = np.isfinite(top_scores)
-        # Translate the model's local item indices to matrix-wide ones.
-        local_to_global = np.array(
-            [item_index.index(i) for i in model.items.ids], dtype=np.int32)
-        # Each row's valid entries are a prefix, so a row-major masked
-        # gather lays the lists end to end.
-        indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-        user_rows = np.array([user_index.index(u) for u in model.users.ids],
-                             dtype=np.int32)
-        blocks[(fold_index, model.model_id)] = _Block(
-            user_rows, indptr, local_to_global[top[valid]], top_scores[valid])
-
-    return PredictionMatrix(user_index, item_index, blocks)
+    parts = []
+    for fold in sorted(models_by_fold):
+        models = models_by_fold[fold]
+        users, items = models[0].users, models[0].items
+        blocks: dict[tuple[int, str], _Block] = {}
+        for model in models:
+            if (model.users.ids, model.items.ids) != (users.ids, items.ids):
+                raise ValueError(f"fold {fold}: model {model.model_id!r} was "
+                                 f"fitted on another train set")
+            scores = model._score_rows(np.arange(len(users)))
+            # Mask consumed items so they can never be recommended back.
+            scores[model._incidence != 0] = -np.inf
+            top = np.argsort(-scores, axis=1, kind="stable")[:, :k_max]
+            top_scores = np.take_along_axis(scores, top, axis=1)
+            valid = np.isfinite(top_scores)
+            # Each row's valid entries are a prefix, so a row-major masked
+            # gather lays the lists end to end.
+            indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+            blocks[(fold, model.model_id)] = _Block(
+                np.arange(len(users), dtype=np.int32), indptr,
+                top[valid].astype(np.int32), top_scores[valid])
+        parts.append(PredictionMatrix(users, items, blocks))
+    return PredictionMatrix.union(parts)

@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from recfuse import harness
-from recfuse.data import (SplitSpec, split_folds, write_fused, write_matrix,
-                          write_splits, write_weights)
+from recfuse.data import write_fused, write_matrix, write_splits, write_weights
 from recfuse.fusion import fuse_all
 from recfuse.harness import ExperimentConfig
 
@@ -91,53 +90,57 @@ def _outdir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _bundles(config, threads):
-    for ds in config.datasets:
-        yield harness.prepare_dataset(config, ds, threads)
+def _per_n_command(prefix, write):
+    """A command writing <prefix>_<dataset>_<n>.csv with write(path,
+    bundle, n) for every dataset and n."""
+    def command(config, args):
+        out = _outdir(config)
+        for ds in config.datasets:
+            bundle = harness.prepare_dataset(config, ds, args.threads)
+            for n in config.n_values:
+                path = out / f"{prefix}_{ds.name}_{n}.csv"
+                write(path, bundle, n)
+                log.info("wrote %s", path)
+        return 0
+    return command
 
 
 def _cmd_split(config, args):
     out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        path = out / f"splits_{bundle.name}.csv"
-        write_splits(bundle.splits, path)
+    for ds in config.datasets:
+        path = out / f"splits_{ds.name}.csv"
+        write_splits(harness.split_dataset(config, ds), path)
         log.info("wrote %s", path)
     return 0
 
 
 def _cmd_fit(config, args):
     roster = [m.model_id for m in config.models if m.kind is not None]
-    for ds in config.datasets:
-        splits = split_folds(harness._load_dataset(config, ds),
-                             SplitSpec(seed=config.seed, n_folds=config.n_folds))
-        by_fold = harness._fit_fold_models(config, splits, args.threads)
-        for split in splits:
-            fitted = {f.model_id: f for f in by_fold[split.fold_index]}
-            for model_id in roster:
-                model = fitted[model_id]
-                print(f"{ds.name} fold={split.fold_index} "
-                      f"model={model_id} users={len(model.users)} "
-                      f"items={len(model.items)}")
+    with harness._fit_pool(args.threads) as pool:
+        for ds in config.datasets:
+            for split in harness.split_dataset(config, ds):
+                fitted = {f.model_id: f for f in
+                          harness._fit_fold_models(config, split, pool)}
+                for model_id in roster:
+                    model = fitted[model_id]
+                    print(f"{ds.name} fold={split.fold_index} "
+                          f"model={model_id} users={len(model.users)} "
+                          f"items={len(model.items)}")
     return 0
 
 
 def _cmd_predict(config, args):
     out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        path = out / f"matrix_{bundle.name}.csv"
-        write_matrix(bundle.raw, path)
+    for ds in config.datasets:
+        path = out / f"matrix_{ds.name}.csv"
+        write_matrix(harness.prepare_dataset(config, ds, args.threads).raw,
+                     path)
         log.info("wrote %s", path)
     return 0
 
 
-def _cmd_weights(config, args):
-    out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        for n in config.n_values:
-            path = out / f"weights_{bundle.name}_{n}.csv"
-            write_weights(bundle.weights[n], path)
-            log.info("wrote %s", path)
-    return 0
+_cmd_weights = _per_n_command(
+    "weights", lambda path, bundle, n: write_weights(bundle.weights[n], path))
 
 
 def _cmd_fuse(config, args):
@@ -168,37 +171,14 @@ def _cmd_fuse(config, args):
     return 0
 
 
-def _cmd_select(config, args):
-    out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        for n in config.n_values:
-            path = out / f"trace_{bundle.name}_{n}.csv"
-            harness._write_trace_csv(path, bundle, n)
-            log.info("wrote %s", path)
-    return 0
-
-
-def _cmd_sweep(config, args):
-    out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        for n in config.n_values:
-            rows = harness.sweep_rows(bundle, n)
-            path = out / f"sweep_{bundle.name}_{n}.csv"
-            harness._write_sweep_csv(path, rows)
-            log.info("wrote %s", path)
-    return 0
-
-
-def _cmd_report(config, args):
-    out = _outdir(config)
-    for bundle in _bundles(config, args.threads):
-        for n in config.n_values:
-            rows = harness.model_table(bundle, n)
-            path = out / f"tables_{bundle.name}_{n}.csv"
-            harness._write_table_csv(path, rows, config.n_folds,
-                                     harness.selection_label(config, n))
-            log.info("wrote %s", path)
-    return 0
+_cmd_select = _per_n_command("trace", harness._write_trace_csv)
+_cmd_sweep = _per_n_command(
+    "sweep", lambda path, bundle, n: harness._write_sweep_csv(
+        path, harness.sweep_rows(bundle, n)))
+_cmd_report = _per_n_command(
+    "tables", lambda path, bundle, n: harness._write_table_csv(
+        path, harness.model_table(bundle, n), bundle.config.n_folds,
+        harness.selection_label(bundle.config, n)))
 
 
 def _cmd_run(config, args):

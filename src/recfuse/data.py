@@ -165,6 +165,29 @@ def _data_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
 
+def check_interaction_format(format: str, column_map: Mapping | None
+                             ) -> Mapping[str, str | int]:
+    """The column map of load_interactions, checked with the format."""
+    if format not in _DELIMITERS:
+        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'tsv'")
+    if column_map is None:
+        return {"user": "user", "item": "item"}
+    if "user" not in column_map or "item" not in column_map:
+        raise ValueError("column_map must map 'user' and 'item'")
+    unknown = set(column_map) - {"user", "item", "rating", "timestamp"}
+    if unknown:
+        raise ValueError(f"unknown column_map keys {sorted(unknown)}")
+    by_name = all(isinstance(v, str) for v in column_map.values())
+    by_pos = all(isinstance(v, int) for v in column_map.values())
+    if not (by_name or by_pos):
+        raise ValueError("column_map values must be all names or all positions")
+    if by_pos and any(isinstance(v, bool) or v < 0
+                      for v in column_map.values()):
+        raise ValueError("column_map positions must be non-negative integers, "
+                         f"got {dict(column_map)}")
+    return column_map
+
+
 def load_interactions(path: str | Path, format: str = "csv",
                       column_map: Mapping[str, str | int] | None = None
                       ) -> InteractionDataset:
@@ -186,23 +209,8 @@ def load_interactions(path: str | Path, format: str = "csv",
             valid rows.
         OSError: unreadable file.
     """
-    if format not in _DELIMITERS:
-        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'tsv'")
-    if column_map is None:
-        column_map = {"user": "user", "item": "item"}
-    if "user" not in column_map or "item" not in column_map:
-        raise ValueError("column_map must map 'user' and 'item'")
-    unknown = set(column_map) - {"user", "item", "rating", "timestamp"}
-    if unknown:
-        raise ValueError(f"unknown column_map keys {sorted(unknown)}")
-    by_name = all(isinstance(v, str) for v in column_map.values())
-    by_pos = all(isinstance(v, int) for v in column_map.values())
-    if not (by_name or by_pos):
-        raise ValueError("column_map values must be all names or all positions")
-    if by_pos and any(isinstance(v, bool) or v < 0
-                      for v in column_map.values()):
-        raise ValueError("column_map positions must be non-negative integers, "
-                         f"got {dict(column_map)}")
+    column_map = check_interaction_format(format, column_map)
+    by_name = isinstance(column_map["user"], str)
 
     path = Path(path)
     records: list[Interaction] = []

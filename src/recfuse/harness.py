@@ -21,6 +21,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,6 +31,7 @@ from recfuse.baselines import (
     MODEL_KINDS,
     binarized_pairs,
     fit,
+    fit_params,
     generate_matrix,
     train_incidence,
 )
@@ -40,7 +42,9 @@ from recfuse.core import (
     PredictionMatrix,
 )
 from recfuse.data import (
+    check_interaction_format,
     csv_writer,
+    fnv1a64,
     format_score,
     load_interactions,
     read_matrix,
@@ -53,7 +57,6 @@ from recfuse.fusion import NORMALIZATION_MODES, FoldFuser, normalize_scores
 from recfuse.metrics import HoldoutKeys, holdout_keys, ndcg_rows
 from recfuse.selection import (
     EXHAUSTIVE_LIMIT,
-    MemoizedEval,
     SelectionTrace,
     compute_weights,
     exhaustive_select,
@@ -128,9 +131,12 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str):
 
 
 def _json_typed(value, key: str, kind: type):
-    # bool is an int subclass: JSON true/false must not pass as 1/0.
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    # bool is an int subclass: JSON true/false must not pass as 1/0. A JSON
+    # number (kind float) may be written without a fraction.
+    name = "number" if kind is float else kind.__name__
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+            kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{key} must be a JSON {name}, got {value!r}")
     return value
 
 
@@ -151,8 +157,9 @@ class DatasetConfig:
     synthetic: Mapping[str, int | float] | None = None
 
     _KEYS = ("name", "path", "format", "columns", "synthetic")
-    _SYN_KEYS = ("n_users", "n_items", "n_interactions", "seed", "n_factors",
-                 "popularity_weight", "noise_scale")
+    _SYN_TYPES = {"n_users": int, "n_items": int, "n_interactions": int,
+                  "seed": int, "n_factors": int, "popularity_weight": float,
+                  "noise_scale": float}
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "DatasetConfig":
@@ -163,13 +170,16 @@ class DatasetConfig:
         if (cfg.path is None) == (cfg.synthetic is None):
             raise ValueError(
                 f"dataset {cfg.name!r} needs exactly one of 'path' or 'synthetic'")
-        if cfg.synthetic is not None:
-            _reject_unknown(cfg.synthetic, cls._SYN_KEYS,
-                            f"dataset {cfg.name!r} synthetic")
-            for key in ("n_users", "n_items", "n_interactions"):
-                if key not in cfg.synthetic:
-                    raise ValueError(
-                        f"dataset {cfg.name!r} synthetic needs {key!r}")
+        if cfg.synthetic is None:
+            check_interaction_format(cfg.format, cfg.columns)
+            return cfg
+        context = f"dataset {cfg.name!r} synthetic"
+        _reject_unknown(cfg.synthetic, cls._SYN_TYPES, context)
+        for key in ("n_users", "n_items", "n_interactions"):
+            if key not in cfg.synthetic:
+                raise ValueError(f"{context} needs {key!r}")
+        for key, value in cfg.synthetic.items():
+            _json_typed(value, f"{context} {key}", cls._SYN_TYPES[key])
         return cfg
 
 
@@ -195,6 +205,8 @@ class ModelConfig:
             raise ValueError(f"unknown model kind {kind!r}")
         if matrix is not None and "params" in raw:
             raise ValueError("external matrix models take no params")
+        if kind is not None:
+            fit_params(raw.get("params"))
         model_id = raw.get("id") or kind
         if not model_id:
             raise ValueError("external matrix model needs an 'id'")
@@ -416,62 +428,56 @@ class DatasetBundle:
 def _load_dataset(config: ExperimentConfig, ds: DatasetConfig
                   ) -> InteractionDataset:
     if ds.synthetic is not None:
-        syn = dict(ds.synthetic)
-        seed = syn.pop("seed", None)
-        if seed is None:
-            # Stable per-dataset default stream, decoupled from the split seed.
-            from recfuse.data import fnv1a64
-            seed = (config.seed ^ fnv1a64(ds.name.encode("utf-8"))) & (2**64 - 1)
-        return generate_interactions(seed=int(seed), **syn)
-    columns = ds.columns
-    if columns is None:
-        columns = {"user": "user", "item": "item"}
-    return load_interactions(ds.path, ds.format, columns)
+        # Stable per-dataset default stream, decoupled from the split seed.
+        seed = (config.seed ^ fnv1a64(ds.name.encode("utf-8"))) & (2**64 - 1)
+        return generate_interactions(**{"seed": seed, **ds.synthetic})
+    return load_interactions(ds.path, ds.format, ds.columns)
 
 
-def _fit_fold_models(config: ExperimentConfig, splits: Sequence[FoldSplit],
-                     threads: int | None) -> dict[int, list]:
-    """Fit every built-in roster model on every fold's train split; each
-    fold's models are in model-id order."""
+def split_dataset(config: ExperimentConfig, ds: DatasetConfig
+                  ) -> list[FoldSplit]:
+    """Load or generate one dataset and split it into the config's folds."""
+    return split_folds(_load_dataset(config, ds),
+                       SplitSpec(seed=config.seed, n_folds=config.n_folds))
+
+
+def _fit_pool(threads: int | None):
+    """The fit executor as a context manager; None for threads == 1."""
+    return nullcontext() if threads == 1 else ThreadPoolExecutor(threads)
+
+
+def _fit_fold_models(config: ExperimentConfig, split: FoldSplit,
+                     pool: ThreadPoolExecutor | None) -> list:
+    """Fit every built-in roster model on one fold's train split, in
+    model-id order; all of them share one read-only train incidence."""
     builtin = sorted((m for m in config.models if m.kind is not None),
                      key=lambda m: m.model_id)
-    if not builtin:
-        return {s.fold_index: [] for s in splits}
-    jobs = []
-    for split in splits:
-        # One read-only incidence per fold, shared by all of its models.
-        train = train_incidence(binarized_pairs(split.train))
-        jobs.extend((m, train) for m in builtin)
+    train = train_incidence(binarized_pairs(split.train))
 
-    def _run(job):
-        model_cfg, train = job
+    def _run(model_cfg):
         return fit(model_cfg.kind, train, model_cfg.params,
                    model_id=model_cfg.model_id)
 
-    if threads == 1:
-        fitted = list(map(_run, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fitted = list(pool.map(_run, jobs))
-    size = len(builtin)
-    return {s.fold_index: fitted[i * size:(i + 1) * size]
-            for i, s in enumerate(splits)}
+    return list((pool.map if pool else map)(_run, builtin))
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
-    return parts[0] if len(parts) == 1 else PredictionMatrix.union(parts)
+    return PredictionMatrix.union(parts)
 
 
 def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
                     threads: int | None = None) -> DatasetBundle:
-    """Load, split, fit, ingest, normalize, and weight one dataset."""
+    """Load, split, fit and score (one fold at a time), ingest, normalize,
+    and weight one dataset."""
     t0 = time.perf_counter()
-    splits = split_folds(_load_dataset(config, ds),
-                         SplitSpec(seed=config.seed, n_folds=config.n_folds))
+    splits = split_dataset(config, ds)
     parts = []
     if any(m.kind is not None for m in config.models):
-        by_fold = _fit_fold_models(config, splits, threads)
-        parts.append(generate_matrix(by_fold, config.max_k()))
+        with _fit_pool(threads) as pool:
+            for split in splits:
+                parts.append(generate_matrix(
+                    {split.fold_index: _fit_fold_models(config, split, pool)},
+                    config.max_k()))
     for model_cfg in config.models:
         if model_cfg.matrix is not None:
             external = read_matrix(model_cfg.matrix, min_length=config.max_k())
@@ -556,13 +562,14 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     folds = [s.fold_index for s in bundle.splits]
     traces: list[tuple[str | int, SelectionTrace]]
     if sel.scope == "per-fold":
-        traces = [(fold, search(bundle.model_ids, MemoizedEval(
-            lambda m, _f=fold: score(_f, m, sel_holdout)))) for fold in folds]
+        traces = [(fold, search(bundle.model_ids,
+                                lambda m, _f=fold: score(_f, m, sel_holdout)))
+                  for fold in folds]
         picks = [trace for _, trace in traces]
     else:
         # Fixed-subset selection scores are cross-fold means.
-        trace = search(bundle.model_ids, MemoizedEval(lambda m: sum(
-            [score(fold, m, sel_holdout) for fold in folds]) / len(folds)))
+        trace = search(bundle.model_ids, lambda m: sum(
+            [score(fold, m, sel_holdout) for fold in folds]) / len(folds))
         traces = [("all", trace)]
         picks = [trace] * len(folds)
     members_per_fold = [trace.chosen_members for trace in picks]

@@ -2,8 +2,9 @@
 
 Both search modes consume an evaluation callable mapping a candidate member
 set to its selection-split NDCG, so the same code drives real fold
-evaluations and synthetic score tables in tests. Evaluations are memoized
-per callable instance because greedy and exhaustive revisit candidates.
+evaluations and synthetic score tables in tests. Neither search scores a
+member set twice; MemoizedEval serves callers that reuse one evaluator
+across searches.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from recfuse.baselines import (
     generate_matrix,
     train_incidence,
 )
+from recfuse.core import PredictionMatrix
 from recfuse.data import SplitSpec, split_folds
 
 
@@ -341,3 +342,25 @@ class TestGenerateMatrix:
         by_fold, folds = fold_models
         with pytest.raises(ValueError, match="k_max must be >= 1"):
             generate_matrix(by_fold, k_max=0)
+
+    def test_models_of_one_fold_on_different_train_sets_rejected(
+            self, small_folds):
+        pairs = binarized_pairs(small_folds[0].train)
+        first_user = pairs[0][0]
+        fewer_users = [(u, i) for u, i in pairs if u != first_user]
+        models = [fit("popularity", pairs, model_id="ppl"),
+                  fit("popularity", fewer_users, model_id="ppl2")]
+        with pytest.raises(ValueError, match="model 'ppl2' was fitted on "
+                                             "another train set"):
+            generate_matrix({0: models}, k_max=5)
+
+    def test_folds_scored_apart_join_into_the_same_matrix(self, fold_models):
+        by_fold, folds = fold_models
+        whole = generate_matrix(by_fold, k_max=5)
+        per_fold = [generate_matrix({f: by_fold[f]}, k_max=5)
+                    for f in sorted(by_fold)]
+        assert PredictionMatrix.union(per_fold) == whole
+        for part in per_fold:
+            fold = part.folds()[0]
+            assert list(part.entries()) == [
+                (key, lst) for key, lst in whole.entries() if key[0] == fold]

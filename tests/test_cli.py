@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from recfuse import harness
 from recfuse.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,21 @@ class TestChainedSubcommands:
             b = hashlib.sha256((chained / name).read_bytes()).hexdigest()
             assert a == b, name
 
+    def test_split_neither_fits_nor_scores(self, tmp_path, run_dir,
+                                           monkeypatch):
+        run_out, config_path = run_dir
+
+        def boom(*args, **kwargs):
+            raise AssertionError("split must not fit or score models")
+
+        monkeypatch.setattr(harness, "fit", boom)
+        monkeypatch.setattr(harness, "generate_matrix", boom)
+        out = tmp_path / "split"
+        assert main(["split", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        assert ((out / "splits_toy.csv").read_bytes()
+                == (run_out / "splits_toy.csv").read_bytes())
+
     def test_predict_writes_matrix(self, tmp_path, run_dir):
         _, config_path = run_dir
         out = tmp_path / "pred"
@@ -169,6 +186,38 @@ class TestErrors:
         code = main(["run", "--config", str(bad)])
         assert code == 1
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset,model,message", [
+        ({"format": "xlsx"}, None, "unknown format 'xlsx'"),
+        ({"columns": {"user": "user"}}, None, "must map 'user' and 'item'"),
+        ({"synthetic": {"n_users": 30.5}}, None, "n_users must be a JSON int"),
+        ({"synthetic": {"n_users": "30"}}, None, "n_users must be a JSON int"),
+        (None, {"params": {"knn": 5}}, r"unknown parameters \['knn'\]"),
+        (None, {"params": {"nn": 0}}, "nn must be >= 1"),
+    ], ids=["format", "columns", "float-count", "string-count",
+            "unknown-param", "bad-param"])
+    def test_bad_entry_rejected_at_load(self, tmp_path, capsys, dataset,
+                                        model, message):
+        config_path, raw = make_config(tmp_path)
+        if dataset is not None:
+            entry = {"name": "bad"}
+            if "synthetic" in dataset:
+                entry["synthetic"] = {**raw["datasets"][0]["synthetic"],
+                                      **dataset["synthetic"]}
+            else:
+                data = tmp_path / "events.csv"
+                data.write_text("user,item\nu1,i1\nu2,i1\n")
+                entry.update(path=str(data), **dataset)
+            raw["datasets"].append(entry)
+        if model is not None:
+            raw["models"].append({"kind": "user-knn", "id": "uk2", **model})
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path),
+                     "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config" in err
+        assert re.search(message, err)
+        assert not (tmp_path / "out").exists()
 
     def test_no_command(self, capsys):
         assert main([]) == 1

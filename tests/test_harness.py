@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recfuse import harness
 from recfuse.core import PredictionMatrix, ScoredItem
 from recfuse.harness import (
     DEFAULT_K_VALUES,
@@ -14,6 +17,7 @@ from recfuse.harness import (
     ModelConfig,
     SelectionConfig,
     _fit_fold_models,
+    _fit_pool,
     _merge_matrices,
     confidence_interval,
     k_sweep,
@@ -263,6 +267,45 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(toy_config_dict(**{key: value}))
 
+    @pytest.mark.parametrize("value", [0.5, 1, 0])
+    def test_synthetic_numbers_accept_ints_and_floats(self, value):
+        ExperimentConfig.from_dict(toy_config_dict(datasets=[
+            {"name": "s", "synthetic": {"n_users": 30, "n_items": 40,
+                                        "n_interactions": 500,
+                                        "popularity_weight": value,
+                                        "noise_scale": value}}]))
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 3.0), ("n_factors", "4"), ("n_interactions", True),
+        ("popularity_weight", True), ("noise_scale", "0.1"),
+    ])
+    def test_synthetic_types_checked(self, key, value):
+        recipe = {"n_users": 30, "n_items": 40, "n_interactions": 500,
+                  key: value}
+        with pytest.raises(ValueError, match=f"synthetic {key} must be"):
+            ExperimentConfig.from_dict(toy_config_dict(datasets=[
+                {"name": "s", "synthetic": recipe}]))
+
+    def test_hash_of_valid_configs_unchanged_by_load_checks(self):
+        # Pinned values: checking entries at load must not alter what is
+        # hashed.
+        syn = {"n_users": 30, "n_items": 40, "n_interactions": 500, "seed": 3,
+               "n_factors": 4, "popularity_weight": 0.5, "noise_scale": 1}
+        file_models = [{"kind": "item-item-bm25", "id": "b",
+                        "params": {"k1": 1.5, "b": 0.5, "nn": 3}},
+                       {"id": "ext", "matrix": "m.csv"}]
+        cases = [
+            (toy_config_dict(), "3296ee823b273487"),
+            (toy_config_dict(datasets=[{"name": "s", "synthetic": syn}]),
+             "eebe10650e8a86b3"),
+            (toy_config_dict(datasets=[{
+                "name": "f", "path": "x.csv", "format": "tsv",
+                "columns": {"user": 0, "item": 1, "rating": 2}}],
+                models=file_models), "f0b4df7f4ea22567"),
+        ]
+        for raw, prefix in cases:
+            assert ExperimentConfig.from_dict(raw).config_hash()[:16] == prefix
+
     def test_usable_ks_and_table_k(self):
         cfg = ExperimentConfig.from_dict(toy_config_dict(
             n_values=[5, 10], k_values=[5, 10, 25]))
@@ -318,14 +361,40 @@ class TestPreparedBundle:
 
 def test_fold_models_share_one_read_only_incidence(small_folds):
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    by_fold = _fit_fold_models(cfg, small_folds[:2], threads=2)
-    for models in by_fold.values():
+    with _fit_pool(2) as pool:
+        by_fold = [_fit_fold_models(cfg, split, pool)
+                   for split in small_folds[:2]]
+    for models in by_fold:
         assert [m.model_id for m in models] == ["cos", "ppl", "uknn"]
         shared = models[0]._incidence
         assert all(m._incidence is shared for m in models)
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 0.0
     assert by_fold[0][0]._incidence is not by_fold[1][0]._incidence
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_prepare_fits_one_fold_at_a_time(monkeypatch, threads):
+    # Every fit call records the live models of other folds' incidences;
+    # prepare_dataset must have dropped a fold's models before the next
+    # fold's first fit.
+    live = weakref.WeakSet()
+    lock = threading.Lock()
+    seen = []
+    real_fit = harness.fit
+
+    def spy(kind, train, params=None, model_id=None):
+        with lock:
+            seen.append(sum(m._incidence is not train.matrix for m in live))
+        model = real_fit(kind, train, params, model_id)
+        with lock:
+            live.add(model)
+        return model
+
+    monkeypatch.setattr(harness, "fit", spy)
+    cfg = ExperimentConfig.from_dict(toy_config_dict())
+    prepare_dataset(cfg, cfg.datasets[0], threads=threads)
+    assert seen == [0] * (3 * 3)
 
 
 class TestRunSelection:
