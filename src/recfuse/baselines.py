@@ -5,7 +5,10 @@ in float64: every distinct (user, item) train row counts as one
 interaction. Ratings are never read after load; a rating only decides
 whether its row parses. Dense is a deliberate choice: the target scale is
 desk-sized experiment datasets, where the full item-item Gram matrix fits
-comfortably in memory and BLAS beats sparse indexing.
+comfortably in memory. Only the fits call BLAS (the Gram products).
+Scoring is a fixed-order row sum: a user's scores add up the score rows the
+user touches in ascending index order, so they never depend on how users
+are batched (see `FittedModel._score_rows`).
 
 `train_incidence` alone turns (user, item) string pairs into dense indices:
 one read-only incidence per fold, shared by every model fitted on the fold.
@@ -27,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
-from recfuse.core import _Block
+from recfuse.core import _Block, _json_typed
 
 log = logging.getLogger(__name__)
 
@@ -53,22 +56,44 @@ def _cosine_normalize_columns(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's top-k column indices, score descending, index ascending.
+
+    Equal to `np.argsort(-scores, axis=1, kind="stable")[:, :k]`, without
+    sorting whole rows: a partition finds each row's k-th largest value,
+    the entries above it and the lowest-index entries equal to it make up
+    exactly k per row (ties straddling the cut resolve by index), and only
+    those k are stable-argsorted.
+    """
+    n_rows, n_cols = scores.shape
+    width = min(k, n_cols)
+    if width < 1:
+        return np.empty((n_rows, 0), dtype=np.intp)
+    cut = np.partition(scores, n_cols - width, axis=1)[:, n_cols - width, None]
+    keep = scores > cut
+    rows, cols = np.nonzero(scores == cut)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    fill = rank < width - np.count_nonzero(keep, axis=1)[rows]
+    keep[rows[fill], cols[fill]] = True
+    top = np.nonzero(keep)[1].reshape(n_rows, width)
+    order = np.argsort(-np.take_along_axis(scores, top, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(top, order, axis=1)
+
+
 def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
     """Keep each row's top-nn off-diagonal entries, zero the rest.
 
-    Stable argsort on the negated row orders by similarity descending with
-    index-ascending ties, matching the package-wide tie rule.
+    `_top_k` orders by similarity descending with index-ascending ties,
+    matching the package-wide tie rule.
     """
     out = np.zeros_like(sim)
-    n = sim.shape[0]
     work = sim.copy()
     np.fill_diagonal(work, -np.inf)
-    order = np.argsort(-work, axis=1, kind="stable")
-    keep = order[:, :min(nn, n - 1)]
-    rows = np.arange(n)[:, None]
-    vals = work[rows, keep]
-    mask = np.isfinite(vals) & (vals != 0.0)
-    out[np.repeat(rows, keep.shape[1], axis=1)[mask], keep[mask]] = vals[mask]
+    keep = _top_k(work, nn)  # the -inf diagonal only if nn >= n
+    vals = np.take_along_axis(work, keep, axis=1)
+    np.put_along_axis(out, keep, np.where(
+        np.isfinite(vals) & (vals != 0.0), vals, 0.0), axis=1)
     return out
 
 
@@ -95,8 +120,18 @@ def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
     return TrainIncidence(users, items, matrix)
 
 
+# Users per pass of the scorer: small passes keep its buffers in cache (64
+# was fastest of 16-1024 at 700 x 1300). No score depends on it.
+_SCORE_CHUNK = 64
+
+
 class FittedModel:
-    """A trained recommender bound to one fold's train split."""
+    """A trained recommender bound to one fold's train split.
+
+    A user's scores sum the rows of `_rows` that the nonzero entries of its
+    row of `_touched` name, each times that entry (by default: the rows of
+    its train items, times 1).
+    """
 
     def __init__(self, model_id: str, kind: str, train: TrainIncidence,
                  params: dict):
@@ -105,20 +140,39 @@ class FittedModel:
         self.users = train.users
         self.items = train.items
         self._incidence = train.matrix
+        self._touched = train.matrix
         self.params = params
 
-    # Subclasses fill in a dense (len(user_rows), n_items) score array for
-    # one batch of user rows.
-    def _score_block(self, user_rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _score_rows(self, user_rows: np.ndarray) -> np.ndarray:
-        # One BLAS call per row, never one per batch: GEMM results vary at
-        # the last ulp with the batch shape, and scoring must not depend on
-        # how callers group users (batch output == per-user recommend()).
-        out = np.empty((user_rows.size, len(self.items)), dtype=np.float64)
-        for pos in range(user_rows.size):
-            out[pos] = self._score_block(user_rows[pos:pos + 1])[0]
+        """Dense (len(user_rows), n_items) scores of the given users.
+
+        Each user's sum starts at 0.0 and adds its rows in ascending index
+        order. Users advance in lockstep, longest list first. Elementwise
+        IEEE adds in a fixed order give the same bits however callers group
+        users (batch output == per-user recommend()), and no BLAS call is
+        made, so the BLAS thread count changes no score either.
+        """
+        out = np.empty((user_rows.size, self._rows.shape[1]))
+        for start in range(0, user_rows.size, _SCORE_CHUNK):
+            touched = self._touched[user_rows[start:start + _SCORE_CHUNK]]
+            lengths = np.count_nonzero(touched, axis=1)
+            order = np.argsort(-lengths, kind="stable")
+            touched, lengths = touched[order], lengths[order]
+            users, rows = np.nonzero(touched)  # by user, rows ascending
+            weights = touched[users, rows][:, None]
+            if np.all(weights == 1.0):
+                weights = None  # a product with 1.0 is exact: skip it
+            firsts = np.cumsum(lengths) - lengths
+            acc = np.zeros((order.size, out.shape[1]))
+            # Step t adds a row to each of the first active[t] users.
+            active = np.searchsorted(-lengths, -np.arange(lengths[0]))
+            for step, n_active in enumerate(active):
+                at = firsts[:n_active] + step
+                term = self._rows[rows[at]]
+                if weights is not None:
+                    term *= weights[at]
+                acc[:n_active] += term
+            out[start + order] = acc
         return out
 
     def popularity_scores(self) -> np.ndarray:
@@ -139,14 +193,12 @@ class FittedModel:
             log.warning("cold-start user %r: popularity fallback (%s)",
                         user, self.model_id)
             scores = self.popularity_scores().astype(np.float64)
-        scores = scores.copy()
         for item in train_items:
             if item in self.items:
                 scores[self.items.index(item)] = -np.inf
-        order = np.argsort(-scores, kind="stable")
         ids = self.items.ids
         out = []
-        for idx in order[:k]:
+        for idx in _top_k(scores[None, :], k)[0]:
             s = scores[idx]
             if s == -np.inf:
                 break
@@ -157,10 +209,9 @@ class FittedModel:
 class _Popularity(FittedModel):
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
-        self._counts = self._incidence.sum(axis=0)
-
-    def _score_block(self, user_rows):
-        return np.tile(self._counts, (user_rows.size, 1))
+        # Every user touches the one row of train counts.
+        self._rows = self._incidence.sum(axis=0)[None, :]
+        self._touched = np.ones((len(self.users), 1))
 
 
 class _ItemItem(FittedModel):
@@ -171,13 +222,11 @@ class _ItemItem(FittedModel):
         weighted = self._weight(self._incidence, params)
         normalized = _cosine_normalize_columns(weighted)
         self.similarity = normalized.T @ normalized
+        self._rows = self.similarity
 
     @staticmethod
     def _weight(incidence: np.ndarray, params: dict) -> np.ndarray:
         return incidence
-
-    def _score_block(self, user_rows):
-        return self._incidence[user_rows] @ self.similarity
 
 
 def _idf(incidence: np.ndarray) -> np.ndarray:
@@ -214,12 +263,12 @@ class _ItemKnn(FittedModel):
         super().__init__(model_id, kind, train, params)
         normalized = _cosine_normalize_columns(self._incidence)
         sim = normalized.T @ normalized
-        self.similarity = _truncate_neighbors(sim, params["nn"])
-
-    def _score_block(self, user_rows):
         # score(u, i) sums sim(i, j) over the user's train items j that are
-        # among i's kept neighbors.
-        return self._incidence[user_rows] @ self.similarity.T
+        # among i's kept neighbors: row j of the transposed truncation, the
+        # one orientation stored (`similarity` is a view of it).
+        self._rows = np.ascontiguousarray(
+            _truncate_neighbors(sim, params["nn"]).T)
+        self.similarity = self._rows.T
 
 
 class _UserKnn(FittedModel):
@@ -228,9 +277,10 @@ class _UserKnn(FittedModel):
         normalized = _cosine_normalize_columns(self._incidence.T)
         sim = normalized.T @ normalized
         self.similarity = _truncate_neighbors(sim, params["nn"])
-
-    def _score_block(self, user_rows):
-        return self.similarity[user_rows] @ self._incidence
+        # A user adds the train rows of its kept neighbors, each weighted by
+        # its similarity.
+        self._rows = self._incidence
+        self._touched = self.similarity
 
 
 _CONSTRUCTORS = {
@@ -244,13 +294,15 @@ _CONSTRUCTORS = {
 
 
 def fit_params(params: Mapping[str, float] | None) -> dict:
-    """DEFAULT_PARAMS overridden by `params`, checked (nn, k1, b)."""
+    """DEFAULT_PARAMS overridden by `params`, type- and range-checked."""
     merged = dict(DEFAULT_PARAMS)
     if params:
         unknown = set(params) - set(DEFAULT_PARAMS)
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")
         merged.update(params)
+    for key, kind in (("nn", int), ("k1", float), ("b", float)):
+        _json_typed(merged[key], key, kind)
     if merged["nn"] < 1:
         raise ValueError("nn must be >= 1")
     if merged["k1"] <= 0:
@@ -307,7 +359,7 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
             scores = model._score_rows(np.arange(len(users)))
             # Mask consumed items so they can never be recommended back.
             scores[model._incidence != 0] = -np.inf
-            top = np.argsort(-scores, axis=1, kind="stable")[:, :k_max]
+            top = _top_k(scores, k_max)
             top_scores = np.take_along_axis(scores, top, axis=1)
             valid = np.isfinite(top_scores)
             # Each row's valid entries are a prefix, so a row-major masked

@@ -175,6 +175,16 @@ class FoldSplit:
 LIST_FAULTS = ("not contiguous", "non-increasing", "tie order", "duplicate item")
 
 
+def _json_typed(value, key: str, kind: type):
+    # bool is an int subclass: JSON true/false must not pass as 1/0. A JSON
+    # number (kind float) may be written without a fraction.
+    name = "number" if kind is float else kind.__name__
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+            kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{key} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _repeats(values: np.ndarray) -> np.ndarray:
     """Positions, ascending, whose value occurs at an earlier position."""
     repeat = np.ones(values.size, dtype=bool)

@@ -40,6 +40,7 @@ from recfuse.core import (
     InteractionDataset,
     ModelWeights,
     PredictionMatrix,
+    _json_typed,
 )
 from recfuse.data import (
     check_interaction_format,
@@ -128,16 +129,6 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {context} key(s): {', '.join(unknown)}")
-
-
-def _json_typed(value, key: str, kind: type):
-    # bool is an int subclass: JSON true/false must not pass as 1/0. A JSON
-    # number (kind float) may be written without a fraction.
-    name = "number" if kind is float else kind.__name__
-    if not isinstance(value, (int, float) if kind is float else kind) or (
-            kind is not bool and isinstance(value, bool)):
-        raise ValueError(f"{key} must be a JSON {name}, got {value!r}")
-    return value
 
 
 def _json_ints(values, key: str) -> tuple[int, ...]:

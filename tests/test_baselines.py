@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recfuse import baselines
 from recfuse.baselines import (
     DEFAULT_PARAMS,
     MODEL_KINDS,
+    _top_k,
     binarized_pairs,
     fit,
     generate_matrix,
@@ -254,6 +257,12 @@ class TestFit:
             fit("user-knn", [("u1", "a")], params={"nn": 0})
         with pytest.raises(ValueError, match="b must be in"):
             fit("item-item-bm25", [("u1", "a")], params={"b": 1.5})
+        for key, value, name in (("nn", "5", "int"), ("nn", 2.5, "int"),
+                                 ("nn", True, "int"), ("k1", "1.2", "number"),
+                                 ("b", None, "number")):
+            with pytest.raises(ValueError,
+                               match=f"{key} must be a JSON {name}, got"):
+                fit("item-item-bm25", [("u1", "a")], params={key: value})
 
     def test_default_params(self):
         assert DEFAULT_PARAMS == {"nn": 20, "k1": 1.2, "b": 0.75}
@@ -276,6 +285,78 @@ def test_no_train_leakage_property(data):
     for u, train_items in consumed.items():
         got = {si.item_id for si in model.recommend(u, n_items, train_items)}
         assert not (got & train_items)
+
+
+def fixed_order_scores(model, user: int) -> np.ndarray:
+    """Reference: 0.0 plus each row the user touches, in ascending index."""
+    inc = model._incidence
+    acc = np.zeros(inc.shape[1])
+    if model.kind == "popularity":
+        return acc + model.popularity_scores()
+    if model.kind == "user-knn":
+        for v in range(inc.shape[0]):
+            if model.similarity[user, v] != 0.0:
+                acc += model.similarity[user, v] * inc[v]
+        return acc
+    # item-knn adds item j's column of the truncation: the sim(i, j) of
+    # every item i that keeps j as a neighbor.
+    rows = model.similarity.T if model.kind == "item-knn" else model.similarity
+    for j in range(inc.shape[1]):
+        if inc[user, j]:
+            acc += rows[j]
+    return acc
+
+
+@st.composite
+def fitted_models(draw):
+    n_users = draw(st.integers(1, 30))
+    n_items = draw(st.integers(1, 40))
+    pool = [(f"u{u}", f"i{i}") for u in range(n_users) for i in range(n_items)]
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=400,
+                          unique=True))
+    return fit(draw(st.sampled_from(MODEL_KINDS)), pairs,
+               params={"nn": draw(st.integers(1, 5))})
+
+
+@given(fitted_models())
+@settings(max_examples=120, deadline=None)
+def test_batch_scores_are_fixed_order_row_sums(model):
+    users = np.arange(len(model.users))
+    want = np.array([fixed_order_scores(model, u) for u in users])
+    assert np.array_equal(model._score_rows(users), want)
+
+
+@given(fitted_models(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_scores_do_not_depend_on_the_batch(model, data):
+    full = model._score_rows(np.arange(len(model.users)))
+    rows = data.draw(st.permutations(range(len(model.users))))
+    rows = np.array(rows[:data.draw(st.integers(0, len(rows)))], dtype=np.intp)
+    with mock.patch.object(baselines, "_SCORE_CHUNK",
+                           data.draw(st.integers(1, 4))):
+        got = model._score_rows(rows)
+    assert got.shape == (rows.size, len(model.items))
+    assert got.tobytes() == full[rows].tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_equals_stable_argsort(data):
+    n_rows = data.draw(st.integers(1, 6))
+    n_cols = data.draw(st.integers(1, 10))
+    # Three finite values force ties across the cut; -inf fills whole rows
+    # or leaves fewer finite entries than k.
+    values = st.sampled_from([0.25, 0.5, 1.0, -np.inf])
+    scores = np.array(data.draw(st.lists(
+        st.lists(values, min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)))
+    if data.draw(st.booleans()):
+        scores[data.draw(st.integers(0, n_rows - 1))] = -np.inf
+    k = data.draw(st.integers(1, n_cols + 3))
+    want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    got = _top_k(scores, k)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @given(st.data())

@@ -194,8 +194,9 @@ class TestErrors:
         ({"synthetic": {"n_users": "30"}}, None, "n_users must be a JSON int"),
         (None, {"params": {"knn": 5}}, r"unknown parameters \['knn'\]"),
         (None, {"params": {"nn": 0}}, "nn must be >= 1"),
+        (None, {"params": {"nn": "5"}}, "nn must be a JSON int, got '5'"),
     ], ids=["format", "columns", "float-count", "string-count",
-            "unknown-param", "bad-param"])
+            "unknown-param", "bad-param", "string-param"])
     def test_bad_entry_rejected_at_load(self, tmp_path, capsys, dataset,
                                         model, message):
         config_path, raw = make_config(tmp_path)
