@@ -165,36 +165,68 @@ def fuse_all(matrix: PredictionMatrix, weights: ModelWeights,
     return out
 
 
+def rank_major(matrix: PredictionMatrix, fold: int, k: int
+               ) -> dict[str, tuple[np.ndarray, ...]]:
+    """(order, scores, ends) per model of a fold: its entries ranked below
+    k, in rank order; order holds their positions in the block and ends[j]
+    counts those ranked below j. Every top-j truncation (j <= k) is thus a
+    prefix: one store serves all of the fold's FoldFusers, as score views."""
+    store = {}
+    for model in matrix.models(fold):
+        block = matrix.block(fold, model)
+        rank = list_ranks(block.indptr)
+        ends = np.cumsum(np.bincount(rank + 1, minlength=k + 1)[:k + 1])
+        order = np.argsort(rank, kind="stable")[:ends[-1]]
+        store[model] = (order.astype(np.int32), block.scores[order], ends)
+    return store
+
+
 class FoldFuser:
     """Vectorized fuse-and-score engine for one (fold, k) evaluation context.
 
     Candidate evaluations during selection dominate the pipeline's cost, so
-    each model's truncated entries are extracted once, sorted by key
-    user * n_items + item. A candidate then costs one stable argsort that
-    merges the members' runs, a bincount of the weighted scores per key, a
-    lexsort of only the entries at or above each user's n-th largest fused
-    score (found by np.partition), and one metrics.ndcg_rows call.
+    the build maps every model's top-k entries (a prefix of the fold's
+    rank_major store, scores as views) to slots of one universe: the sorted
+    union of their (user, item) keys, marked in a dense users x items mask.
+    A candidate then costs one scatter-add per member into zeroed slots plus
+    a presence mask, a lexsort of only the entries at or above each user's
+    n-th largest fused score (found by np.partition), and one
+    metrics.ndcg_rows call; nothing is sorted before that top-n prefix.
 
     Results equal fuse_all + ndcg_model bit for bit (asserted in tests):
-    equal keys keep member order, so each fused sum adds in fuse_user's
-    order, and entries tied at the n-th score all survive the prefilter.
+    slots are unique within a model, so each fused sum is 0.0 plus one term
+    per member in sorted member order, as in fuse_user; present slots come
+    out by user, items ascending, which the stable lexsort keeps at ties;
+    and entries tied at the n-th score all survive the prefilter. Presence,
+    not a nonzero sum, decides coverage: an item fused to 0.0 still ranks.
     """
 
-    def __init__(self, matrix: PredictionMatrix, fold: int, k: int):
-        self._fold = fold
-        self._k = k
+    def __init__(self, matrix: PredictionMatrix, fold: int, k: int,
+                 store: dict[str, tuple[np.ndarray, ...]] | None = None):
+        store = rank_major(matrix, fold, k) if store is None else store
+        self._fold, self._k = fold, k
+        self._n_users = len(matrix.user_index)
         self._n_items = len(matrix.item_index)
-        self._per_model: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._model_users: dict[str, np.ndarray] = {}
-        for model in matrix.models(fold):
-            block = matrix.block(fold, model)
-            user_rows = block.user_rows.astype(np.int64)
-            head = list_ranks(block.indptr) < k
-            users = np.repeat(user_rows, np.diff(block.indptr))[head]
-            keys = users * self._n_items + block.items[head]
-            order = np.argsort(keys, kind="stable")
-            self._model_users[model] = user_rows
-            self._per_model[model] = (keys[order], block.scores[head][order])
+        heads = {}
+        universe = np.zeros(self._n_users * self._n_items, dtype=bool)
+        for m, (order, _, ends) in store.items():
+            block = matrix.block(fold, m)
+            order = order[:ends[k]]
+            users = np.repeat(block.user_rows.astype(np.int64),
+                              np.diff(block.indptr))[order]
+            keys = users * self._n_items + block.items[order]
+            universe[keys] = True
+            heads[m] = (keys, block.user_rows)
+        keys = np.flatnonzero(universe)
+        self._slot_users = (keys // self._n_items).astype(np.int32)
+        self._slot_items = (keys % self._n_items).astype(np.int32)
+        # int32 halves this U x I transient; cast to intp once, not per use.
+        slot_of = np.empty(universe.size, dtype=np.int32)
+        slot_of[keys] = np.arange(keys.size, dtype=np.int32)
+        self._per_model = {
+            m: (slot_of[model_keys].astype(np.intp),
+                store[m][1][:model_keys.size], rows)
+            for m, (model_keys, rows) in heads.items()}
 
     def ndcg(self, members: Sequence[str], weights: ModelWeights,
              holdout: HoldoutKeys, n: int,
@@ -213,46 +245,31 @@ class FoldFuser:
             raise ValueError("invalid length")
         if self._k < n:
             raise ValueError("k must be ≥ N")
+        fused = np.zeros(self._slot_users.size)
+        present = np.zeros(self._slot_users.size, dtype=bool)
+        covered = np.zeros(self._n_users, dtype=bool)
         for model in member_list:
             if model not in self._per_model:
                 raise ValueError(
                     f"no lists for model {model!r} in fold {self._fold}")
-        keys, fused = self._fuse(member_list, weights)
-        users = keys // self._n_items
-        items = keys % self._n_items
-        users, items, fused = _top_n_prefix(users, items, fused, n)
-        # np.lexsort sorts by last key first: user asc, fused desc, item asc.
-        order = np.lexsort((items, -fused, users))
+            slots, scores, rows = self._per_model[model]
+            fused[slots] += scores * weights.weight(self._fold, model)
+            present[slots] = True
+            covered[rows] = True
+        kept = np.flatnonzero(present)
+        users, items, fused = _top_n_prefix(
+            self._slot_users[kept], self._slot_items[kept], fused[kept], n)
+        # Stable, so equal (user, fused) keep their ascending item order.
+        order = np.lexsort((-fused, users))
         sorted_users = users[order]
 
         # One row per covered user. Users covered only by empty stored lists
         # get an empty row: they still belong to the population (score 0).
-        covered = np.unique(np.concatenate(
-            [self._model_users[m] for m in member_list]))
+        covered = np.flatnonzero(covered)
         indptr = np.append(np.searchsorted(sorted_users, covered),
                            sorted_users.size)
         return ndcg_rows(covered, indptr, items[order], self._n_items,
                          holdout, n, include_empty_holdout_users)
-
-    def _fuse(self, member_list: list[str], weights: ModelWeights
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique keys of the members' entries and each key's fused
-        score, summed in sorted member order."""
-        parts = [(self._per_model[m][0],
-                  self._per_model[m][1] * weights.weight(self._fold, m))
-                 for m in member_list]
-        keys = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        # Each member's run is sorted, so the stable sort is a merge (a single
-        # run is already in order); equal keys keep member order, and bincount
-        # adds them in that order.
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.empty(keys.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-        group = np.cumsum(starts) - 1
-        return keys[starts], np.bincount(group, weights=scores[order])
 
 
 def _top_n_prefix(users: np.ndarray, items: np.ndarray, fused: np.ndarray,
@@ -263,8 +280,6 @@ def _top_n_prefix(users: np.ndarray, items: np.ndarray, fused: np.ndarray,
     (fused desc, item asc) ranking at least n long, or the whole list when
     it is shorter, so its first n ranks are those of the full ranking.
     """
-    if users.size == 0:
-        return users, items, fused
     firsts = np.flatnonzero(np.append(True, users[1:] != users[:-1]))
     lengths = np.diff(np.append(firsts, users.size))
     width = int(lengths.max())

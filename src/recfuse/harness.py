@@ -54,7 +54,8 @@ from recfuse.data import (
     write_splits,
     write_weights,
 )
-from recfuse.fusion import NORMALIZATION_MODES, FoldFuser, normalize_scores
+from recfuse.fusion import (NORMALIZATION_MODES, FoldFuser, normalize_scores,
+                            rank_major)
 from recfuse.metrics import HoldoutKeys, holdout_keys, ndcg_rows
 from recfuse.selection import (
     EXHAUSTIVE_LIMIT,
@@ -397,14 +398,18 @@ class DatasetBundle:
     model_ids: list[str]
     _selections: dict = field(default_factory=dict)
     _fusers: dict = field(default_factory=dict)
+    _stores: dict = field(default_factory=dict)      # rank_major per fold
     _holdouts: dict = field(default_factory=dict)
     _test_tables: dict = field(default_factory=dict)
 
     def fuser(self, fold: int, k: int) -> FoldFuser:
-        key = (fold, k)
-        if key not in self._fusers:
-            self._fusers[key] = FoldFuser(self.norm, fold, k)
-        return self._fusers[key]
+        if (fold, k) not in self._fusers:
+            if fold not in self._stores:
+                self._stores[fold] = rank_major(self.norm, fold,
+                                                self.config.max_k())
+            self._fusers[fold, k] = FoldFuser(self.norm, fold, k,
+                                              self._stores[fold])
+        return self._fusers[fold, k]
 
     def holdout(self, fold: int, kind: str) -> HoldoutKeys:
         """A fold's holdout over the indices that raw and norm share."""
@@ -760,6 +765,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
                 log.error("cell %s/n=%d failed: %s", ds.name, n, exc)
                 failed.append(f"{ds.name}/n={n}: {exc}")
             timings[f"cell_{ds.name}_n{n}"] = time.perf_counter() - t1
+        del bundle      # free it before the next dataset is prepared
 
     manifest = {
         "config_sha256": config.config_hash(),

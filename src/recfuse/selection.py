@@ -2,9 +2,9 @@
 
 Both search modes consume an evaluation callable mapping a candidate member
 set to its selection-split NDCG, so the same code drives real fold
-evaluations and synthetic score tables in tests. Neither search scores a
-member set twice; MemoizedEval serves callers that reuse one evaluator
-across searches.
+evaluations (harness.run_selection, over fusion.FoldFuser) and synthetic
+score tables in tests. Neither search scores a member set twice;
+MemoizedEval serves callers that reuse one evaluator across searches.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix
-from recfuse.fusion import FoldFuser, fuse_all
+from recfuse.fusion import fuse_all
 from recfuse.metrics import holdout_keys, ndcg_model, ndcg_rows
 
 # Strict-improvement guard: a candidate must beat the incumbent by more than
@@ -87,8 +87,8 @@ def evaluate_ensemble(members: Sequence[str] | frozenset[str],
     """NDCG@n of the fused member lists against one fold's holdout.
 
     The matrix must already be normalized (see fusion.normalize_scores);
-    this is the reference implementation that the vectorized fold evaluator
-    is tested against.
+    this is the reference implementation that fusion.FoldFuser is tested
+    against.
     """
     fused = fuse_all(matrix, weights, members, split.fold_index, k, n)
     lists = {user: fl.item_ids() for user, fl in fused.items()}
@@ -112,27 +112,6 @@ class MemoizedEval:
         value = self._fn(members)
         self._cache[members] = value
         return value
-
-
-def fold_evaluator(matrix: PredictionMatrix, weights: ModelWeights,
-                   split: FoldSplit, k: int, n: int,
-                   holdout_kind: str = "validation",
-                   include_empty_holdout_users: bool = False) -> MemoizedEval:
-    """Memoized candidate evaluator over one fold's holdout.
-
-    Backed by the vectorized FoldFuser, which merges the members'
-    key-sorted entries and sorts only each user's top-n candidates; equal
-    to evaluate_ensemble on the same normalized matrix (tested bit for bit).
-    """
-    fuser = FoldFuser(matrix, split.fold_index, k)
-    holdout = holdout_keys(split.holdout(holdout_kind), matrix.user_index,
-                           matrix.item_index)
-
-    def _eval(members: frozenset[str]) -> float:
-        return fuser.ndcg(sorted(members), weights, holdout, n,
-                          include_empty_holdout_users=include_empty_holdout_users)
-
-    return MemoizedEval(_eval)
 
 
 def greedy_select(models: Sequence[str],

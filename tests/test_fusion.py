@@ -11,6 +11,7 @@ from recfuse.fusion import (
     fuse_all,
     fuse_user,
     normalize_scores,
+    rank_major,
 )
 from recfuse.metrics import holdout_keys, idcg, ndcg_model
 from recfuse.selection import evaluate_ensemble
@@ -240,7 +241,7 @@ class TestFoldFuser:
                 lists = {u: fl.item_ids() for u, fl in fused.items()}
                 want = ndcg_model(lists, holdouts, 2)
                 got = fuser.ndcg(sorted(members), weights, keys, 2)
-                assert got == pytest.approx(want, abs=1e-12)
+                assert got == want
 
     def test_k_below_n_rejected(self, tiny_matrix):
         normed = normalize_scores(tiny_matrix)
@@ -263,8 +264,8 @@ class TestFoldFuser:
         got = fuser.ndcg(["A"], weights, keys, 1)
         fused = fuse_all(m, weights, {"A"}, 0, k=1, n=1)
         lists = {u: fl.item_ids() for u, fl in fused.items()}
-        assert got == pytest.approx(ndcg_model(lists, holdouts, 1), abs=1e-12)
-        assert got == pytest.approx(0.5)
+        assert got == ndcg_model(lists, holdouts, 1)
+        assert got == 0.5
 
     def test_cut_inside_a_cross_member_tie_keeps_the_lower_item_id(self):
         # u1 fuses to p 1.0, then b and z tied at exactly 0.5, one from each
@@ -303,6 +304,25 @@ class TestFoldFuser:
                             m.item_index)
         assert FoldFuser(m, 0, k=2).ndcg(["A", "B", "C"], weights, keys,
                                          1) == 1.0
+
+    def test_items_fused_to_zero_still_take_their_rank(self):
+        # Global min-max maps A's lowest score (z) to 0.0, and B has weight
+        # 0.0, so y fuses to 0.0 too. Both are covered, so they rank after
+        # x, tied at 0.0 and in item id order, inside the top n.
+        m = normalize_scores(PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("x", 3.0), ScoredItem("z", 1.0)],
+            (0, "B", "u1"): [ScoredItem("y", 5.0)],
+        }))
+        weights = ModelWeights({(0, "A"): 1.0, (0, "B"): 0.0}, 3)
+        fuser = FoldFuser(m, 0, k=3)
+        for held, rank in (("y", 2), ("z", 3)):
+            holdouts = {"u1": frozenset({held})}
+            split = FoldSplit(0, train={}, validation={}, test=holdouts)
+            keys = holdout_keys(holdouts, m.user_index, m.item_index)
+            got = fuser.ndcg(["A", "B"], weights, keys, 3)
+            assert got == 1 / math.log2(rank + 1) / idcg(3)
+            assert got == evaluate_ensemble(["A", "B"], m, weights, split,
+                                            3, 3, "test")
 
     def test_member_without_lists_rejected(self, tiny_matrix):
         weights = ModelWeights({(0, "A"): 0.3, (0, "Z"): 0.9}, 2)
@@ -382,6 +402,37 @@ def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
             got()
         return
     assert got() == want
+
+
+@given(fold_fuser_instances(), st.data())
+@settings(max_examples=100)
+def test_fold_fuser_carries_no_state_between_calls(instance, data):
+    # One fuser per k, its entries a prefix of a store built deeper than k,
+    # answers a drawn sequence of (members, n, population rule) calls with
+    # repeats and in any order exactly as a fresh fuser and the oracle do.
+    matrix, weights, _, holdouts, k, _ = instance
+    split = FoldSplit(0, train={}, validation={}, test=holdouts)
+    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    deeper = data.draw(st.integers(k + 1, k + 4), label="store_k")
+    fuser = FoldFuser(matrix, 0, k, rank_major(matrix, 0, deeper))
+    calls = data.draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(matrix.models(0)), min_size=1, unique=True),
+        st.integers(1, k), st.booleans()), min_size=1, max_size=4),
+        label="calls")
+    order = data.draw(st.lists(st.integers(0, len(calls) - 1), min_size=1,
+                               max_size=10), label="order")
+    for members, n, include_empty in (calls[i] for i in order):
+        try:
+            want = evaluate_ensemble(members, matrix, weights, split, k, n,
+                                     "test", include_empty)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty evaluation population"):
+                fuser.ndcg(sorted(members), weights, keys, n, include_empty)
+            continue
+        fresh = FoldFuser(matrix, 0, k).ndcg(sorted(members), weights, keys,
+                                             n, include_empty)
+        assert fuser.ndcg(sorted(members), weights, keys, n,
+                          include_empty) == fresh == want
 
 
 def test_fused_list_rejects_duplicates():

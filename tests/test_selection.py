@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from recfuse.baselines import binarized_pairs, fit, generate_matrix
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
-from recfuse.fusion import normalize_scores
+from recfuse.fusion import FoldFuser, normalize_scores
+from recfuse.metrics import holdout_keys
 from recfuse.selection import (
     EXHAUSTIVE_LIMIT,
     GREEDY_TOLERANCE,
@@ -15,7 +16,6 @@ from recfuse.selection import (
     compute_weights,
     evaluate_ensemble,
     exhaustive_select,
-    fold_evaluator,
     format_members,
     greedy_select,
     write_traces,
@@ -337,18 +337,19 @@ ALL_SUBSETS = [frozenset(c) for size in (1, 2, 3)
                for c in itertools.combinations(("cos", "ppl", "uknn"), size)]
 
 
-def test_fold_evaluator_matches_reference(small_bundle):
+def test_fold_fuser_matches_reference(small_bundle):
     normalized, weights, folds = small_bundle
     for split in folds:
+        fuser = FoldFuser(normalized, split.fold_index, 10)
         for holdout in ("validation", "test"):
-            memo = fold_evaluator(normalized, weights, split, k=10, n=5,
-                                  holdout_kind=holdout)
+            keys = holdout_keys(split.holdout(holdout), normalized.user_index,
+                                normalized.item_index)
             for members in ALL_SUBSETS:
                 reference = evaluate_ensemble(
                     sorted(members), normalized, weights, split, k=10, n=5,
                     holdout_kind=holdout)
-                assert memo(members) == pytest.approx(reference, abs=1e-12), \
-                    (split.fold_index, holdout, sorted(members))
+                assert fuser.ndcg(sorted(members), weights, keys, 5) \
+                    == reference, (split.fold_index, holdout, sorted(members))
 
 
 def test_write_traces_format(tmp_path):
