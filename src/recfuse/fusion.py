@@ -4,7 +4,8 @@ The fusion rule: truncate each member model's ranked list to its top k,
 then for every item that survives in at least one list, sum
 weight(model) * normalized_score(model, item) across the lists that
 contain it. The fused top-n is that sum sorted descending, ties broken
-by item id ascending.
+by item id ascending. FoldFuser computes it for selection on a fixed
+users x width grid per (fold, k), with hits read from one mask per holdout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from recfuse.core import ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.core import _Block
-from recfuse.metrics import HoldoutKeys, list_ranks, ndcg_rows
+from recfuse.metrics import HoldoutKeys, _holdout_hits, list_ranks, mean_ndcg
 
 NORMALIZATION_MODES = ("global-minmax", "per-user-minmax")
 
@@ -184,21 +185,20 @@ def rank_major(matrix: PredictionMatrix, fold: int, k: int
 class FoldFuser:
     """Vectorized fuse-and-score engine for one (fold, k) evaluation context.
 
-    Candidate evaluations during selection dominate the pipeline's cost, so
-    the build maps every model's top-k entries (a prefix of the fold's
-    rank_major store, scores as views) to slots of one universe: the sorted
-    union of their (user, item) keys, marked in a dense users x items mask.
-    A candidate then costs one scatter-add per member into zeroed slots plus
-    a presence mask, a lexsort of only the entries at or above each user's
-    n-th largest fused score (found by np.partition), and one
-    metrics.ndcg_rows call; nothing is sorted before that top-n prefix.
+    The build lays the union of every model's top-k (user, item) pairs (a
+    prefix of the fold's rank_major store; scores are views) out as a fixed
+    grid: a row per user, items ascending, padded to the widest row. Models
+    keep the grid cells of their entries; each holdout gets a bool hit mask
+    over the grid on first use. A candidate costs a scatter-add per member
+    into a zeroed grid plus a presence mask, one np.partition for each row's
+    n-th best fused score, a lexsort of only the present cells at or above
+    it, and metrics.mean_ndcg over the hits read from the mask.
 
     Results equal fuse_all + ndcg_model bit for bit (asserted in tests):
-    slots are unique within a model, so each fused sum is 0.0 plus one term
-    per member in sorted member order, as in fuse_user; present slots come
-    out by user, items ascending, which the stable lexsort keeps at ties;
-    and entries tied at the n-th score all survive the prefilter. Presence,
-    not a nonzero sum, decides coverage: an item fused to 0.0 still ranks.
+    cells are unique within a model, so each fused sum is 0.0 plus one term
+    per member in sorted member order, as in fuse_user; the stable lexsort
+    keeps item order at ties; ties at the n-th score all survive the
+    prefilter; and presence, not a nonzero sum, decides coverage.
     """
 
     def __init__(self, matrix: PredictionMatrix, fold: int, k: int,
@@ -218,15 +218,22 @@ class FoldFuser:
             universe[keys] = True
             heads[m] = (keys, block.user_rows)
         keys = np.flatnonzero(universe)
-        self._slot_users = (keys // self._n_items).astype(np.int32)
-        self._slot_items = (keys % self._n_items).astype(np.int32)
+        self._users, widths = np.unique(keys // self._n_items,
+                                        return_counts=True)  # row -> user
+        self._width = int(widths.max(initial=1))
+        # Slots come grouped by user: cell = row start + rank within the row.
+        cells = (np.repeat(np.arange(widths.size) * self._width, widths)
+                 + list_ranks(np.append(0, np.cumsum(widths))))
+        self._items = np.zeros(self._users.size * self._width, dtype=np.int32)
+        self._items[cells] = keys % self._n_items
         # int32 halves this U x I transient; cast to intp once, not per use.
-        slot_of = np.empty(universe.size, dtype=np.int32)
-        slot_of[keys] = np.arange(keys.size, dtype=np.int32)
+        cell_of = np.empty(universe.size, dtype=np.int32)
+        cell_of[keys] = cells
         self._per_model = {
-            m: (slot_of[model_keys].astype(np.intp),
+            m: (cell_of[model_keys].astype(np.intp),
                 store[m][1][:model_keys.size], rows)
             for m, (model_keys, rows) in heads.items()}
+        self._hit_masks: dict[int, tuple[HoldoutKeys, np.ndarray]] = {}
 
     def ndcg(self, members: Sequence[str], weights: ModelWeights,
              holdout: HoldoutKeys, n: int,
@@ -245,49 +252,37 @@ class FoldFuser:
             raise ValueError("invalid length")
         if self._k < n:
             raise ValueError("k must be ≥ N")
-        fused = np.zeros(self._slot_users.size)
-        present = np.zeros(self._slot_users.size, dtype=bool)
+        fused = np.zeros(self._items.size)
+        present = np.zeros(self._items.size, dtype=bool)
         covered = np.zeros(self._n_users, dtype=bool)
         for model in member_list:
             if model not in self._per_model:
                 raise ValueError(
                     f"no lists for model {model!r} in fold {self._fold}")
-            slots, scores, rows = self._per_model[model]
-            fused[slots] += scores * weights.weight(self._fold, model)
-            present[slots] = True
+            cells, scores, rows = self._per_model[model]
+            fused[cells] += scores * weights.weight(self._fold, model)
+            present[cells] = True
             covered[rows] = True
+        width = self._width
+        if width > n:
+            # Clear, through a view of present, every cell below its row's
+            # n-th largest fused score (none in a row with fewer than n).
+            nth = np.where(present, fused, -np.inf).reshape(-1, width)
+            nth.partition(width - n, axis=1)
+            top = present.reshape(-1, width)
+            top &= fused.reshape(-1, width) >= nth[:, width - n, None]
         kept = np.flatnonzero(present)
-        users, items, fused = _top_n_prefix(
-            self._slot_users[kept], self._slot_items[kept], fused[kept], n)
-        # Stable, so equal (user, fused) keep their ascending item order.
-        order = np.lexsort((-fused, users))
-        sorted_users = users[order]
-
-        # One row per covered user. Users covered only by empty stored lists
-        # get an empty row: they still belong to the population (score 0).
-        covered = np.flatnonzero(covered)
-        indptr = np.append(np.searchsorted(sorted_users, covered),
-                           sorted_users.size)
-        return ndcg_rows(covered, indptr, items[order], self._n_items,
-                         holdout, n, include_empty_holdout_users)
-
-
-def _top_n_prefix(users: np.ndarray, items: np.ndarray, fused: np.ndarray,
-                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop every entry below its user's n-th largest fused score.
-
-    Entries come grouped by user. What is kept is a prefix of each user's
-    (fused desc, item asc) ranking at least n long, or the whole list when
-    it is shorter, so its first n ranks are those of the full ranking.
-    """
-    firsts = np.flatnonzero(np.append(True, users[1:] != users[:-1]))
-    lengths = np.diff(np.append(firsts, users.size))
-    width = int(lengths.max())
-    if width <= n:
-        return users, items, fused
-    row = np.repeat(np.arange(firsts.size), lengths)
-    padded = np.full((firsts.size, width), -np.inf)
-    padded[row, np.arange(users.size) - firsts[row]] = fused
-    nth = np.partition(padded, width - n, axis=1)[:, width - n]
-    keep = fused >= nth[row]
-    return users[keep], items[keep], fused[keep]
+        rows = kept // width
+        # Stable, so equal (row, fused) keep their ascending item order; rows
+        # were ascending already, so they stay in step with the sorted cells.
+        kept = kept[np.lexsort((-fused[kept], rows))]
+        rank = list_ranks(np.append(0, np.cumsum(np.bincount(rows))))
+        if id(holdout) not in self._hit_masks:
+            # The entry keeps the holdout alive, so no other takes its id.
+            keys = np.repeat(self._users, width) * self._n_items + self._items
+            self._hit_masks[id(holdout)] = (
+                holdout, _holdout_hits(keys, holdout.keys))
+        hit = (rank < n) & self._hit_masks[id(holdout)][1][kept]
+        # Users covered only by empty lists still count (score 0).
+        return mean_ndcg(np.flatnonzero(covered), self._users[rows[hit]],
+                         rank[hit], holdout, n, include_empty_holdout_users)

@@ -6,14 +6,14 @@ holdout items and a perfect length-3 list therefore scores below 1.0. That
 is deliberate and every consumer in this package relies on it.
 
 The per-user functions (ndcg_user, ndcg_model) are the reference over string
-ids. The pipeline scores CSR blocks of dense indices with ndcg_rows, which
-performs the same float operations in the same order, so both give
-bit-identical results. It finds hits by binary search (np.searchsorted) of
-each scored user * n_items + item key in the holdout's sorted keys.
+ids. The pipeline's paths over dense indices (ndcg_rows over CSR blocks,
+fusion.FoldFuser over its grid) find hits, then share mean_ndcg, which
+repeats ndcg_model's float operations in order: all are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -126,12 +126,8 @@ def list_ranks(indptr: np.ndarray) -> np.ndarray:
 
 def _holdout_hits(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each query key is in the sorted unique holdout keys."""
-    if keys.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    pos = np.searchsorted(keys, queries)
-    # A query past the last key lands at keys.size; that slot cannot hit.
-    np.minimum(pos, keys.size - 1, out=pos)
-    return keys[pos] == queries
+    # A query past the last key lands on the sentinel, which cannot hit.
+    return np.append(keys, -1)[np.searchsorted(keys, queries)] == queries
 
 
 def ndcg_rows(user_rows: np.ndarray, indptr: np.ndarray, items: np.ndarray,
@@ -142,20 +138,36 @@ def ndcg_rows(user_rows: np.ndarray, indptr: np.ndarray, items: np.ndarray,
     takes part in the population rule even when it is empty."""
     if n <= 0:
         raise ValueError("invalid length")
-    users = user_rows.astype(np.int64)
-    scored = holdout.nonempty[users]
-    count = int(users.size if include_empty_holdout_users else scored.sum())
-    if count == 0:
-        raise ValueError("empty evaluation population")
     rank = list_ranks(indptr)
     head = rank < n
-    row = np.repeat(np.arange(users.size), np.diff(indptr))[head]
-    hit = _holdout_hits(users[row] * n_items + items[head], holdout.keys)
+    entry_users = np.repeat(user_rows.astype(np.int64), np.diff(indptr))[head]
+    hit = _holdout_hits(entry_users * n_items + items[head], holdout.keys)
+    return mean_ndcg(user_rows, entry_users[hit], rank[head][hit], holdout, n,
+                     include_empty_holdout_users)
+
+
+@functools.lru_cache(maxsize=None)
+def _discounts(n: int) -> np.ndarray:
+    """1 / log2(i + 1) for 1-based positions i = 1..n, read-only."""
+    out = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def mean_ndcg(population: np.ndarray, hit_users: np.ndarray,
+              hit_ranks: np.ndarray, holdout: HoldoutKeys, n: int,
+              include_empty_holdout_users: bool = False) -> float:
+    """ndcg_model's tail: population holds the ascending user indices of
+    the stored lists (empty ones included); hit_users and hit_ranks the user
+    and 0-based rank (< n) of every hit, each user's hits in rank order."""
+    scored = population[holdout.nonempty[population]]
+    count = population.size if include_empty_holdout_users else scored.size
+    if count == 0:
+        raise ValueError("empty evaluation population")
     # Same float operations in the same order as dcg/ndcg_user/ndcg_model:
-    # bincount adds each row's gains in rank order, and cumsum (unlike
+    # bincount adds each user's gains in rank order, and cumsum (unlike
     # pairwise np.sum) adds the per-user scores in ascending user order.
-    discounts = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)])
-    gains = np.bincount(row[hit], weights=discounts[rank[head][hit]],
-                        minlength=users.size)
+    gains = np.bincount(hit_users, weights=_discounts(n)[hit_ranks],
+                        minlength=holdout.nonempty.size)
     scores = np.cumsum(gains[scored] / idcg(n))
     return (float(scores[-1]) if scores.size else 0.0) / count

@@ -410,9 +410,20 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
     # One fuser per k, its entries a prefix of a store built deeper than k,
     # answers a drawn sequence of (members, n, population rule) calls with
     # repeats and in any order exactly as a fresh fuser and the oracle do.
+    # The calls alternate between two holdouts built before the fuser, then
+    # three more use holdouts built after it, a new object per call, so a
+    # hit mask cached for one holdout is never read for another.
     matrix, weights, _, holdouts, k, _ = instance
-    split = FoldSplit(0, train={}, validation={}, test=holdouts)
-    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    catalog = [f"i{j:02d}" for j in range(12)] + ["x0"]
+    other = {f"u{u}": frozenset(data.draw(
+                 st.lists(st.sampled_from(catalog), max_size=5),
+                 label=f"other_u{u}"))
+             for u in range(8) if data.draw(st.booleans(), label=f"other_{u}")}
+
+    def keyed(held):
+        return holdout_keys(held, matrix.user_index, matrix.item_index)
+
+    before = [(holdouts, keyed(holdouts)), (other, keyed(other))]
     deeper = data.draw(st.integers(k + 1, k + 4), label="store_k")
     fuser = FoldFuser(matrix, 0, k, rank_major(matrix, 0, deeper))
     calls = data.draw(st.lists(st.tuples(
@@ -421,7 +432,12 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
         label="calls")
     order = data.draw(st.lists(st.integers(0, len(calls) - 1), min_size=1,
                                max_size=10), label="order")
-    for members, n, include_empty in (calls[i] for i in order):
+    steps = [(before[i % 2], calls[c]) for i, c in enumerate(order)]
+    steps += [((held, None), calls[c])
+              for held, c in zip((holdouts, other, holdouts), order * 3)]
+    for (held, keys), (members, n, include_empty) in steps:
+        keys = keyed(held) if keys is None else keys
+        split = FoldSplit(0, train={}, validation={}, test=held)
         try:
             want = evaluate_ensemble(members, matrix, weights, split, k, n,
                                      "test", include_empty)
@@ -433,6 +449,95 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
                                              n, include_empty)
         assert fuser.ndcg(sorted(members), weights, keys, n,
                           include_empty) == fresh == want
+
+
+@st.composite
+def grid_edge_instances(draw):
+    """Fold 0 of members a, b and non-member z, laid out so that one store
+    serves a fuser at k = n whose grid is at most n wide and one at a deeper
+    k whose grid is wider than n; fold 1 holds only empty lists.
+
+    - w0, w1: only in a, with n + extra and n + deeper entries (extra <
+      deeper), so at k = n + deeper row w0 holds more than n entries and
+      padded cells; its n-th and (n+1)-th raw scores are equal, a tie at
+      the n-th fused score.
+    - s, t: lists in a and b over one item set of at most n items; t's top
+      raw score is each model's highest value and all of s's are its lowest,
+      so s's entries normalize to 0.0 and rank in its fused top n.
+    - e: empty lists in a and b, entries in z: in the universe, covered
+      only by empty lists.
+    - x: only in z, so in the universe but never covered.
+    """
+    catalog = [f"i{j:02d}" for j in range(12)]
+    values = (0.0, 0.25, 1.0, 3.0)
+    n = draw(st.integers(1, 5))
+    extra = draw(st.integers(1, 3))
+    deeper = draw(st.integers(extra + 1, 4))
+
+    def ranked(items, scores):
+        return [ScoredItem(i, sc) for i, sc in
+                sorted(zip(items, scores), key=lambda p: (-p[1], p[0]))]
+
+    def drawn_scores(size, label):
+        return draw(st.lists(st.sampled_from(values), min_size=size,
+                             max_size=size), label=label)
+
+    entries = {}
+    for u, length in (("w0", n + extra), ("w1", n + deeper)):
+        items = draw(st.permutations(catalog), label=f"items_{u}")[:length]
+        scores = sorted(drawn_scores(length, f"scores_{u}"), reverse=True)
+        scores[n] = scores[n - 1]
+        entries[(0, "a", u)] = ranked(items, scores)
+    for u in ("s", "t"):
+        items = draw(st.lists(st.sampled_from(catalog), min_size=1,
+                              max_size=n, unique=True), label=f"items_{u}")
+        for m in ("a", "b"):
+            scores = ([0.0] * len(items) if u == "s" else
+                      [values[-1]] + drawn_scores(len(items) - 1,
+                                                  f"scores_{m}_{u}"))
+            entries[(0, m, u)] = ranked(items, scores)
+    entries[(0, "a", "e")] = entries[(0, "b", "e")] = []
+    for u in ("e", "x"):
+        items = draw(st.lists(st.sampled_from(catalog), max_size=n,
+                              unique=True), label=f"items_z_{u}")
+        entries[(0, "z", u)] = ranked(items, drawn_scores(len(items),
+                                                          f"scores_z_{u}"))
+    for m in ("a", "b"):
+        entries[(1, m, "s")] = entries[(1, m, "e")] = []
+    matrix = normalize_scores(PredictionMatrix.from_entries(entries))
+    weights = ModelWeights({(f, m): draw(st.sampled_from((0.0, 0.3, 1.0)),
+                                         label=f"w_{f}_{m}")
+                            for f in (0, 1) for m in matrix.models(f)}, 1)
+    members = draw(st.sampled_from((["a"], ["b"], ["a", "b"])),
+                   label="members")
+    holdouts = {u: frozenset(draw(st.lists(st.sampled_from(catalog + ["x0"]),
+                                           max_size=5), label=f"holdout_{u}"))
+                for u in ("w0", "w1", "s", "t", "e", "x")
+                if draw(st.booleans(), label=f"has_holdout_{u}")}
+    return matrix, weights, members, holdouts, n, deeper
+
+
+@given(grid_edge_instances(), st.booleans())
+@settings(max_examples=150)
+def test_fold_fuser_grid_edge_cases(instance, include_empty):
+    matrix, weights, members, holdouts, n, deeper = instance
+    store = rank_major(matrix, 0, n + deeper)
+    narrow = FoldFuser(matrix, 0, n, store)
+    wide = FoldFuser(matrix, 0, n + deeper, store)
+    empty = FoldFuser(matrix, 1, n + deeper)
+    assert narrow._width <= n < wide._width and empty._items.size == 0
+    for fold, fuser, k in ((0, narrow, n), (0, wide, n + deeper),
+                           (1, empty, n + deeper)):
+        split = FoldSplit(fold, train={}, validation={}, test=holdouts)
+        keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+        try:
+            want = evaluate_ensemble(members, matrix, weights, split, k, n,
+                                     "test", include_empty)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty evaluation population"):
+                fuser.ndcg(members, weights, keys, n, include_empty)
+            continue
+        assert fuser.ndcg(members, weights, keys, n, include_empty) == want
 
 
 def test_fused_list_rejects_duplicates():

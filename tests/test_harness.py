@@ -633,3 +633,79 @@ def test_merge_rejects_a_repeated_block():
     b = PredictionMatrix.from_entries({(1, "B", "u2"): [ScoredItem("i2", 0.5)]})
     with pytest.raises(ValueError, match="duplicate lists for fold 1, model 'B'"):
         _merge_matrices([a, b])
+
+
+# -- pinned bundle bytes ---------------------------------------------------------
+
+def _pinned_inputs(root):
+    """An interaction CSV and two external matrices, all from integer
+    arithmetic: popularity is the only fitted model, so no BLAS call and no
+    random stream decides a byte. Scores are multiples of 1/4 from a small
+    residue, so ties are common inside lists and at the n and k cut-offs."""
+    users = [f"u{u:02d}" for u in range(24)]
+    items = [f"i{i:02d}" for i in range(40)]
+    lines = ["user,item"]
+    for u in range(24):
+        lines += [f"{users[u]},{items[(u * 7 + j * 5 + j * j) % 40]}"
+                  for j in range(6 + u % 7)]
+    (root / "events.csv").write_text("\n".join(lines) + "\n")
+    models = [{"kind": "popularity", "id": "ppl"}]
+    for m, (a, b, mod) in enumerate([(13, 7, 17), (5, 11, 9)], start=1):
+        lines = ["fold,model,user,item,score"]
+        for fold in range(3):
+            for u in range(24):
+                scores = [((u * a + i * b + fold * 3) % mod) / 4
+                          for i in range(40)]
+                ranked = sorted(range(40), key=lambda i: (-scores[i], i))
+                lines += [f"{fold},ext{m},{users[u]},{items[i]},{scores[i]!r}"
+                          for i in ranked[:20 + (u + m) % 9]]
+        (root / f"ext{m}.csv").write_text("\n".join(lines) + "\n")
+        models.append({"id": f"ext{m}", "matrix": str(root / f"ext{m}.csv")})
+    return models
+
+
+PINNED_DIGESTS = {
+    "greedy": {
+        "sweep_pin_10.csv": "5a36b024f80792a507a7220fb0ba9d315c38fdb8ca5dcb19350de930d81da741",
+        "sweep_pin_5.csv": "05360e92c22cd8fa8e6c28e4d10874c27f57edad6c2cbf9b978afe20ccfe7d8a",
+        "tables_pin_10.csv": "f3621f5f50c2c718f2ce2209048cf18c9ef3c1e3ff84862a6a2f0636220946c9",
+        "tables_pin_5.csv": "a8184eec676404cbeae8df859038b6ebed8d08a105bf71b9c963fd1d3b1a9dca",
+        "trace_pin_10.csv": "85e6e020edb8b9283439b2ac1b4502e34974c047b859eb66095f949cd4f2d020",
+        "trace_pin_5.csv": "39814ee30cf90f43821fc6b1ea97b1cd9699a78231d77e153811f1624d7eac71",
+        "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
+        "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
+    },
+    "exhaustive": {
+        "sweep_pin_10.csv": "5a36b024f80792a507a7220fb0ba9d315c38fdb8ca5dcb19350de930d81da741",
+        "sweep_pin_5.csv": "05360e92c22cd8fa8e6c28e4d10874c27f57edad6c2cbf9b978afe20ccfe7d8a",
+        "tables_pin_10.csv": "c03b79c9bbdb1adcea8b9252c568b9d6ddabeab9b08e635500183c2cd262536b",
+        "tables_pin_5.csv": "4f1ac178d618507b7ba0ab0ca821884182bb0adf6f8c755cdf1893dd27f40fb4",
+        "trace_pin_10.csv": "231d3c3ab142ade2f028d0b1efb65056fb24d05eaa4d15a44855fcc901735d4a",
+        "trace_pin_5.csv": "c679426e4803a8f4bd8cb7f9e3b3414d50072fae666d2da68160051d49407223",
+        "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
+        "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_bundle_bytes_are_pinned(tmp_path, mode):
+    # A change to fusion, selection or the writers that moves one byte of
+    # these files fails here; the digests were taken before any such change.
+    cfg = ExperimentConfig.from_dict({
+        "seed": 5,
+        "output_dir": str(tmp_path / "out"),
+        "datasets": [{"name": "pin", "path": str(tmp_path / "events.csv")}],
+        "models": _pinned_inputs(tmp_path),
+        "n_values": [5, 10],
+        "k_values": [5, 10, 15, 20],
+        "n_folds": 3,
+        "selection": {"mode": mode},
+    })
+    result = run_experiment(cfg, threads=1)
+    assert result.failed_cells == []
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(result.output_dir.iterdir())
+               if p.name.split("_")[0] in ("trace", "tables", "sweep",
+                                           "weights")}
+    assert digests == PINNED_DIGESTS[mode]
