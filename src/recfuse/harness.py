@@ -56,7 +56,7 @@ from recfuse.data import (
 )
 from recfuse.fusion import (NORMALIZATION_MODES, FoldFuser, normalize_scores,
                             rank_major)
-from recfuse.metrics import HoldoutKeys, holdout_keys, ndcg_rows
+from recfuse.metrics import HoldoutKeys, holdout_keys, left_sum, ndcg_rows
 from recfuse.selection import (
     EXHAUSTIVE_LIMIT,
     SelectionTrace,
@@ -100,8 +100,8 @@ def confidence_interval(values: Sequence[float], level: float = 0.95
     if df not in T_TABLE_95:
         raise ValueError(f"no critical value embedded for df={df}")
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / df
+    mean = left_sum(values) / n
+    var = left_sum((v - mean) ** 2 for v in values) / df
     half = T_TABLE_95[df] * math.sqrt(var) / math.sqrt(n)
     return (mean - half, mean + half)
 
@@ -564,8 +564,8 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
         picks = [trace for _, trace in traces]
     else:
         # Fixed-subset selection scores are cross-fold means.
-        trace = search(bundle.model_ids, lambda m: sum(
-            [score(fold, m, sel_holdout) for fold in folds]) / len(folds))
+        trace = search(bundle.model_ids, lambda m: left_sum(
+            score(fold, m, sel_holdout) for fold in folds) / len(folds))
         traces = [("all", trace)]
         picks = [trace] * len(folds)
     members_per_fold = [trace.chosen_members for trace in picks]
@@ -576,7 +576,7 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     ci = confidence_interval(test_scores)
     result = CellSelection(
         n, k, tuple(traces), tuple(members_per_fold), tuple(sel_scores),
-        tuple(test_scores), sum(test_scores) / len(test_scores), ci)
+        tuple(test_scores), left_sum(test_scores) / len(test_scores), ci)
     bundle._selections[key] = result
     return result
 
@@ -590,11 +590,11 @@ def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:
     ppl_mean = None
     if ppl_ids:
         scores = per_model_scores[ppl_ids[0]]
-        ppl_mean = sum(scores) / len(scores)
+        ppl_mean = left_sum(scores) / len(scores)
     selection = run_selection(bundle, n, config.cell_table_k(n))
     for model in bundle.model_ids:
         scores = per_model_scores[model]
-        mean = sum(scores) / len(scores)
+        mean = left_sum(scores) / len(scores)
         rows.append(ReportRow(bundle.name, model, n, scores, mean,
                               None if ppl_mean is None
                               else pct_vs_ppl(mean, ppl_mean)))
@@ -609,7 +609,7 @@ def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:
 def sweep_rows(bundle: DatasetBundle, n: int) -> list[dict]:
     """One aggregate row per usable k for the (dataset, n) cell."""
     config = bundle.config
-    means = {m: sum(v) / len(v)
+    means = {m: left_sum(v) / len(v)
              for m, v in per_model_test_ndcg(bundle, n).items()}
     best_model = min(means, key=lambda m: (-means[m], m))
     rows = []

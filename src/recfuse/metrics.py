@@ -22,6 +22,19 @@ import numpy as np
 from recfuse.core import IdIndex
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right, starting at 0.0.
+
+    Builtin sum() adds floats with compensated summation from Python 3.12
+    on, so its last bit depends on the interpreter; every float total in
+    the package goes through this instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def dcg(rel: Sequence[float]) -> float:
     """Discounted cumulative gain of a relevance vector.
 
@@ -33,14 +46,15 @@ def dcg(rel: Sequence[float]) -> float:
     """
     if len(rel) == 0:
         raise ValueError("empty list")
-    return sum(r / math.log2(i + 1) for i, r in enumerate(rel, start=1))
+    return left_sum(r / math.log2(i + 1)
+                    for i, r in enumerate(rel, start=1))
 
 
 def idcg(n: int) -> float:
     """Ideal DCG for a list of length n: every position relevant."""
     if n <= 0:
         raise ValueError("invalid length")
-    return sum(1.0 / math.log2(i + 1) for i in range(1, n + 1))
+    return left_sum(1.0 / math.log2(i + 1) for i in range(1, n + 1))
 
 
 def ndcg_user(ranked_items: Sequence[str], holdout: Iterable[str], n: int) -> float:

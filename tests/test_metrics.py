@@ -10,6 +10,7 @@ from recfuse.metrics import (
     dcg,
     holdout_keys,
     idcg,
+    left_sum,
     ndcg_model,
     ndcg_rows,
     ndcg_user,
@@ -19,6 +20,18 @@ from recfuse.metrics import (
 IDCG_2 = 1.6309297535714574
 IDCG_3 = 2.1309297535714574
 NDCG_1_0_1 = 0.70391808903413475
+
+
+def test_idcg_and_left_sum_add_left_to_right():
+    # Builtin sum() is compensated from Python 3.12 on; these must not be.
+    for n in range(1, 201):
+        terms = [1.0 / math.log2(i + 1) for i in range(1, n + 1)]
+        total = 0.0
+        for term in terms:
+            total += term
+        assert idcg(n) == total
+        assert left_sum(terms) == total
+        assert dcg([1.0] * n) == total
 
 
 class TestDcg:
