@@ -4,18 +4,21 @@ All models operate on the binarized user-item incidence matrix held dense
 in float64: every distinct (user, item) train row counts as one
 interaction. Ratings are never read after load; a rating only decides
 whether its row parses. Dense is a deliberate choice: the target scale is
-desk-sized experiment datasets, where the full item-item Gram matrix fits
-comfortably in memory. Only the fits call BLAS (the Gram products).
-Scoring is a fixed-order row sum: a user's scores add up the score rows the
-user touches in ascending index order, so they never depend on how users
-are batched (see `FittedModel._score_rows`).
-
-`train_incidence` alone turns (user, item) string pairs into dense indices:
-one read-only incidence per fold, shared by every model fitted on the fold.
+desk-sized experiment datasets, where a full item-item similarity fits
+comfortably in memory. No BLAS call is made: fits and scoring are
+fixed-order row sums (`_row_sums`), so no value depends on how rows are
+batched or on the BLAS thread count. `train_incidence` alone turns
+(user, item) string pairs into dense indices: one read-only incidence per
+fold, shared with its item cosine by every model fitted on the fold.
 
 Similarity conventions, shared by every kind that uses one:
-  - vectors are cosine-normalized after any weighting (TF-IDF, BM25), so
-    weighting changes the geometry, not the [0, 1] range on nonnegative data;
+  - the cosine of 0/1 vectors after any weighting (`_cosine`);
+  - item-item-tfidf is the item cosine with the rows and columns of items
+    held by every train user zeroed: on 0/1 data IDF scales an item's
+    column by a constant the cosine cancels, and is log(1) = 0 for those;
+  - item-item-bm25 weights user u's row by rf(L_u)^2, where rf(L) =
+    (k1 + 1) / (1 + k1 (1 - b + b L / mean L)) is BM25's tf = 1 saturation
+    at train length L, and zeroes the same items, as its IDF cancels too;
   - kNN kinds truncate to the top `nn` neighbors excluding self, ties broken
     by index (= id) ascending;
   - item-item kinds keep the full similarity matrix, self included.
@@ -24,7 +27,8 @@ Similarity conventions, shared by every kind that uses one:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,12 +52,6 @@ DEFAULT_PARAMS = {
     "k1": 1.2,     # BM25 term-frequency saturation
     "b": 0.75,     # BM25 length normalization
 }
-
-
-def _cosine_normalize_columns(matrix: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((matrix * matrix).sum(axis=0))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return matrix / safe
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -97,6 +95,53 @@ def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
     return out
 
 
+# Rows per `_row_sums` pass, score or Gram: small passes stay in cache (64
+# was fastest of 16-1024 scoring 700 x 1300). No value depends on it.
+_SCORE_CHUNK = 64
+
+
+def _row_sums(source: np.ndarray, touched: np.ndarray,
+              targets: np.ndarray) -> np.ndarray:
+    """Row t: 0.0 plus touched[targets[t], r] * source[r] over the nonzero
+    touched[targets[t], r] in ascending r, however targets are grouped."""
+    out = np.empty((targets.size, source.shape[1]))
+    for start in range(0, targets.size, _SCORE_CHUNK):
+        chunk = touched[targets[start:start + _SCORE_CHUNK]]
+        lengths = np.count_nonzero(chunk, axis=1)
+        order = np.argsort(-lengths, kind="stable")
+        chunk, lengths = chunk[order], lengths[order]
+        owners, rows = np.nonzero(chunk)  # by target, rows ascending
+        weights = chunk[owners, rows][:, None]
+        if np.all(weights == 1.0):
+            weights = None  # a product with 1.0 is exact: skip it
+        firsts = np.cumsum(lengths) - lengths
+        acc = np.zeros((order.size, out.shape[1]))
+        gathered = np.empty_like(acc)
+        # Step t adds a row to each of the first active[t] targets.
+        active = np.searchsorted(-lengths, -np.arange(lengths[0]))
+        for step, n_active in enumerate(active):
+            at = firsts[:n_active] + step
+            term = np.take(source, rows[at], axis=0, out=gathered[:n_active],
+                           mode="clip")  # unbuffered; rows are in range
+            if weights is not None:
+                term *= weights[at]
+            acc[:n_active] += term
+        out[start + order] = acc
+    return out
+
+
+def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
+    """Cosine of the columns of 0/1 V, row u weighted by w_u: the Gram
+    V^T diag(w) V, whose (i, j) and (j, i) both add w_u over the u holding i
+    and j in ascending u, times outer(inv, inv), inv = 1 / norm or 0."""
+    touched = vectors.T if weights is None else vectors.T * weights
+    gram = _row_sums(vectors, touched, np.arange(vectors.shape[1]))
+    norms = np.sqrt(np.diag(gram))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    gram *= np.outer(inv, inv)
+    return gram
+
+
 @dataclass(frozen=True, eq=False)
 class TrainIncidence:
     """A train set as a read-only (users x items) 0/1 float64 matrix."""
@@ -104,6 +149,17 @@ class TrainIncidence:
     users: IdIndex
     items: IdIndex
     matrix: np.ndarray
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False)
+    _cache: list = field(default_factory=list, init=False, repr=False)
+
+    def item_cosine(self) -> np.ndarray:
+        """The read-only item cosine, built once under a lock and shared."""
+        with self._lock:
+            if not self._cache:
+                self._cache.append(_cosine(self.matrix))
+                self._cache[0].flags.writeable = False
+            return self._cache[0]
 
 
 def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
@@ -120,17 +176,12 @@ def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
     return TrainIncidence(users, items, matrix)
 
 
-# Users per pass of the scorer: small passes keep its buffers in cache (64
-# was fastest of 16-1024 at 700 x 1300). No score depends on it.
-_SCORE_CHUNK = 64
-
-
 class FittedModel:
     """A trained recommender bound to one fold's train split.
 
-    A user's scores sum the rows of `_rows` that the nonzero entries of its
-    row of `_touched` name, each times that entry (by default: the rows of
-    its train items, times 1).
+    A user's scores are `_row_sums` of the rows of `_rows` that the nonzero
+    entries of its row of `_touched` name, each times that entry (by
+    default: the rows of its train items, times 1).
     """
 
     def __init__(self, model_id: str, kind: str, train: TrainIncidence,
@@ -142,38 +193,6 @@ class FittedModel:
         self._incidence = train.matrix
         self._touched = train.matrix
         self.params = params
-
-    def _score_rows(self, user_rows: np.ndarray) -> np.ndarray:
-        """Dense (len(user_rows), n_items) scores of the given users.
-
-        Each user's sum starts at 0.0 and adds its rows in ascending index
-        order. Users advance in lockstep, longest list first. Elementwise
-        IEEE adds in a fixed order give the same bits however callers group
-        users (batch output == per-user recommend()), and no BLAS call is
-        made, so the BLAS thread count changes no score either.
-        """
-        out = np.empty((user_rows.size, self._rows.shape[1]))
-        for start in range(0, user_rows.size, _SCORE_CHUNK):
-            touched = self._touched[user_rows[start:start + _SCORE_CHUNK]]
-            lengths = np.count_nonzero(touched, axis=1)
-            order = np.argsort(-lengths, kind="stable")
-            touched, lengths = touched[order], lengths[order]
-            users, rows = np.nonzero(touched)  # by user, rows ascending
-            weights = touched[users, rows][:, None]
-            if np.all(weights == 1.0):
-                weights = None  # a product with 1.0 is exact: skip it
-            firsts = np.cumsum(lengths) - lengths
-            acc = np.zeros((order.size, out.shape[1]))
-            # Step t adds a row to each of the first active[t] users.
-            active = np.searchsorted(-lengths, -np.arange(lengths[0]))
-            for step, n_active in enumerate(active):
-                at = firsts[:n_active] + step
-                term = self._rows[rows[at]]
-                if weights is not None:
-                    term *= weights[at]
-                acc[:n_active] += term
-            out[start + order] = acc
-        return out
 
     def popularity_scores(self) -> np.ndarray:
         """Train interaction count per item; the cold-start fallback ranking."""
@@ -188,7 +207,8 @@ class FittedModel:
         if k < 1:
             raise ValueError("k must be >= 1")
         if user in self.users:
-            scores = self._score_rows(np.array([self.users.index(user)]))[0]
+            scores = _row_sums(self._rows, self._touched,
+                               np.array([self.users.index(user)]))[0]
         else:
             log.warning("cold-start user %r: popularity fallback (%s)",
                         user, self.model_id)
@@ -215,67 +235,37 @@ class _Popularity(FittedModel):
 
 
 class _ItemItem(FittedModel):
-    """Full item-item cosine similarity over (optionally weighted) columns."""
-
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
-        weighted = self._weight(self._incidence, params)
-        normalized = _cosine_normalize_columns(weighted)
-        self.similarity = normalized.T @ normalized
-        self._rows = self.similarity
-
-    @staticmethod
-    def _weight(incidence: np.ndarray, params: dict) -> np.ndarray:
-        return incidence
-
-
-def _idf(incidence: np.ndarray) -> np.ndarray:
-    n_users = incidence.shape[0]
-    df = incidence.sum(axis=0)
-    safe_df = np.where(df > 0.0, df, 1.0)
-    idf = np.log(n_users / safe_df)
-    return np.where(df > 0.0, idf, 0.0)
-
-
-class _ItemItemTfidf(_ItemItem):
-    @staticmethod
-    def _weight(incidence, params):
-        return incidence * _idf(incidence)
-
-
-class _ItemItemBm25(_ItemItem):
-    @staticmethod
-    def _weight(incidence, params):
-        k1 = params["k1"]
-        b = params["b"]
-        lengths = incidence.sum(axis=1)
-        avg_len = lengths.mean() if lengths.size else 1.0
-        if avg_len == 0.0:
-            avg_len = 1.0
-        # Binary tf: the saturation term reduces to (k1+1)/(1 + k1*(1-b+b*L/avg)).
-        denom = 1.0 + k1 * (1.0 - b + b * lengths / avg_len)
-        row_factor = (k1 + 1.0) / denom
-        return incidence * _idf(incidence) * row_factor[:, None]
+        if kind == "item-item-bm25":
+            k1, b = params["k1"], params["b"]
+            lengths = self._incidence.sum(axis=1)
+            factor = (k1 + 1.0) / (
+                1.0 + k1 * (1.0 - b + b * lengths / lengths.mean()))
+            sim = _cosine(self._incidence, factor * factor)
+        else:
+            sim = train.item_cosine()
+        common = self._incidence.all(axis=0)  # their IDF is log(1) = 0
+        if kind != "item-item-cosine" and common.any():
+            sim = np.where(common[:, None] | common, 0.0, sim)
+        self.similarity = self._rows = sim
 
 
 class _ItemKnn(FittedModel):
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
-        normalized = _cosine_normalize_columns(self._incidence)
-        sim = normalized.T @ normalized
         # score(u, i) sums sim(i, j) over the user's train items j that are
         # among i's kept neighbors: row j of the transposed truncation, the
         # one orientation stored (`similarity` is a view of it).
         self._rows = np.ascontiguousarray(
-            _truncate_neighbors(sim, params["nn"]).T)
+            _truncate_neighbors(train.item_cosine(), params["nn"]).T)
         self.similarity = self._rows.T
 
 
 class _UserKnn(FittedModel):
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
-        normalized = _cosine_normalize_columns(self._incidence.T)
-        sim = normalized.T @ normalized
+        sim = _cosine(np.ascontiguousarray(self._incidence.T))
         self.similarity = _truncate_neighbors(sim, params["nn"])
         # A user adds the train rows of its kept neighbors, each weighted by
         # its similarity.
@@ -288,8 +278,8 @@ _CONSTRUCTORS = {
     "user-knn": _UserKnn,
     "item-knn": _ItemKnn,
     "item-item-cosine": _ItemItem,
-    "item-item-tfidf": _ItemItemTfidf,
-    "item-item-bm25": _ItemItemBm25,
+    "item-item-tfidf": _ItemItem,
+    "item-item-bm25": _ItemItem,
 }
 
 
@@ -356,7 +346,8 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
             if (model.users.ids, model.items.ids) != (users.ids, items.ids):
                 raise ValueError(f"fold {fold}: model {model.model_id!r} was "
                                  f"fitted on another train set")
-            scores = model._score_rows(np.arange(len(users)))
+            scores = _row_sums(model._rows, model._touched,
+                               np.arange(len(users)))
             # Mask consumed items so they can never be recommended back.
             scores[model._incidence != 0] = -np.inf
             top = _top_k(scores, k_max)

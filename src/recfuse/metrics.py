@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -23,16 +24,9 @@ from recfuse.core import IdIndex
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """The values added left to right, starting at 0.0.
-
-    Builtin sum() adds floats with compensated summation from Python 3.12
-    on, so its last bit depends on the interpreter; every float total in
-    the package goes through this instead.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    """The values added left to right from 0.0. Builtin sum() compensates
+    float adds from Python 3.12 on, so its last bit depends on the version."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def dcg(rel: Sequence[float]) -> float:
@@ -46,8 +40,7 @@ def dcg(rel: Sequence[float]) -> float:
     """
     if len(rel) == 0:
         raise ValueError("empty list")
-    return left_sum(r / math.log2(i + 1)
-                    for i, r in enumerate(rel, start=1))
+    return left_sum(r / math.log2(i) for i, r in enumerate(rel, start=2))
 
 
 def idcg(n: int) -> float:

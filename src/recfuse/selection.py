@@ -3,8 +3,8 @@
 Both search modes consume an evaluation callable mapping a candidate member
 set to its selection-split NDCG, so the same code drives real fold
 evaluations (harness.run_selection, over fusion.FoldFuser) and synthetic
-score tables in tests. Neither search scores a member set twice;
-MemoizedEval serves callers that reuse one evaluator across searches.
+score tables in tests. Neither search scores a member set twice; only
+acceptance criterion 3 and the tests use the caching MemoizedEval.
 """
 
 from __future__ import annotations

@@ -103,7 +103,9 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
                 leftover += 1
             pos += 1
 
-    affinity = user_f @ item_f.T
+    affinity = np.zeros((n_users, n_items))
+    for f in range(n_factors):  # one factor at a time: no BLAS call
+        affinity += user_f[:, f, None] * item_f[:, f]
     affinity *= n_factors ** -0.5
     noise_u = _uniforms(seeds["noise"], n_users * n_items).reshape(
         n_users, n_items)

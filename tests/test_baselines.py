@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from recfuse import baselines
 from recfuse.baselines import (
     DEFAULT_PARAMS,
     MODEL_KINDS,
+    _row_sums,
     _top_k,
     binarized_pairs,
     fit,
@@ -102,7 +106,7 @@ class TestCosineSimilarity:
 
     def test_symmetric_with_unit_diagonal(self):
         m = fit("item-item-cosine", THREE_USERS)
-        assert np.max(np.abs(m.similarity - m.similarity.T)) <= 1e-12
+        assert np.array_equal(m.similarity, m.similarity.T)
         assert np.max(np.abs(np.diag(m.similarity) - 1.0)) <= 1e-12
 
 
@@ -116,16 +120,113 @@ def test_similarity_matches_bruteforce(kind):
     model = fit(kind, pairs, params={"nn": 5})
     if kind in ("user-knn", "item-knn"):
         # Exactly tied neighbors at the nn boundary may resolve differently
-        # under BLAS vs loop arithmetic, moving a value to another column.
+        # under Gram vs loop arithmetic, moving a value to another column.
         # The kept values per row are still the same multiset.
         ref = np.array(ref)
         for row in range(ref.shape[0]):
             got = np.sort(model.similarity[row][model.similarity[row] != 0.0])
             want = np.sort(ref[row][ref[row] != 0.0])
             assert got.shape == want.shape
-            assert np.allclose(got, want, rtol=0, atol=1e-10)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
     else:
-        assert np.allclose(model.similarity, np.array(ref), rtol=0, atol=1e-10)
+        assert np.allclose(model.similarity, np.array(ref), rtol=0, atol=1e-12)
+
+
+@st.composite
+def adversarial_pairs(draw):
+    """Random (user, item) pairs plus, when drawn, the cases a Gram can get
+    wrong: an item every user holds, a second item held by the same users
+    as another, and a user and an item with a single interaction."""
+    n_users = draw(st.integers(1, 8))
+    pool = [(f"u{u}", f"i{i}") for u in range(n_users) for i in range(8)]
+    pairs = set(draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=40)))
+    if draw(st.booleans()):
+        pairs.add(("u_one", draw(st.sampled_from(sorted(i for _, i in pairs)))))
+    if draw(st.booleans()):
+        pairs.add((draw(st.sampled_from(sorted(u for u, _ in pairs))), "i_one"))
+    if draw(st.booleans()):
+        twin = draw(st.sampled_from(sorted({i for _, i in pairs})))
+        pairs |= {(u, "i_twin") for u, i in pairs if i == twin}
+    if draw(st.booleans()):
+        pairs |= {(u, "i_all") for u, _ in pairs}
+    return sorted(pairs)
+
+
+@given(adversarial_pairs(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_shared_cosine_matches_bruteforce(pairs, nn):
+    train = train_incidence(pairs)
+    items = train.items
+    cosine = train.item_cosine()
+    assert not cosine.flags.writeable
+    user_cosine = baselines._cosine(np.ascontiguousarray(train.matrix.T))
+    for sim in (cosine, user_cosine):
+        assert np.array_equal(sim, sim.T)
+    every = train.matrix.all(axis=0)
+    for kind in [k for k in MODEL_KINDS if k != "popularity"]:
+        model = fit(kind, train, params={"nn": nn})
+        _, _, ref = brute_similarity(pairs, kind, nn=nn)
+        ref = np.array(ref)
+        if kind in ("user-knn", "item-knn"):
+            for row in range(ref.shape[0]):
+                got = np.sort(model.similarity[row][model.similarity[row] != 0])
+                want = np.sort(ref[row][ref[row] != 0.0])
+                assert got.shape == want.shape
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+            continue
+        assert np.allclose(model.similarity, ref, rtol=0, atol=1e-12)
+        assert np.array_equal(model.similarity, model.similarity.T)
+        if kind == "item-item-cosine":
+            assert model.similarity is cosine
+            assert np.all(np.diag(cosine)[every] > 0.0)
+        else:
+            assert not model.similarity[every].any()
+            assert not model.similarity[:, every].any()
+    if "i_twin" in items:
+        twin, other = items.index("i_twin"), None
+        for i in range(len(items)):
+            if i != twin and np.array_equal(train.matrix[:, i],
+                                            train.matrix[:, twin]):
+                other = i
+        lo, hi = sorted((twin, other))
+        assert np.array_equal(cosine[lo], cosine[hi])
+        kept = fit("item-knn", train, params={"nn": nn}).similarity
+        for row in set(range(len(items))) - {lo, hi}:
+            assert kept[row, lo] != 0.0 or kept[row, hi] == 0.0
+
+
+def test_item_cosine_is_built_once_and_only_when_needed():
+    rng = np.random.default_rng(5)
+    pairs = sorted({(f"u{int(u)}", f"i{int(i)}")
+                    for u, i in zip(rng.integers(0, 40, 400),
+                                    rng.integers(0, 60, 400))})
+    train = train_incidence(pairs)
+    builds = []
+    real = baselines._cosine
+
+    def counting(vectors, weights=None):
+        if vectors is train.matrix and weights is None:
+            builds.append(threading.get_ident())
+        return real(vectors, weights)
+
+    with mock.patch.object(baselines, "_cosine", counting):
+        for kind in ("popularity", "user-knn", "item-item-bm25"):
+            fit(kind, train)
+        assert builds == []
+        kinds = ["item-item-cosine", "item-item-tfidf", "item-knn"] * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(fit, kind, train) for kind in kinds]
+                models = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    shared = train.item_cosine()
+    assert all(m.similarity is shared for m in models
+               if m.kind == "item-item-cosine")
 
 
 class TestTruncateNeighbors:
@@ -323,18 +424,19 @@ def fitted_models(draw):
 def test_batch_scores_are_fixed_order_row_sums(model):
     users = np.arange(len(model.users))
     want = np.array([fixed_order_scores(model, u) for u in users])
-    assert np.array_equal(model._score_rows(users), want)
+    assert np.array_equal(_row_sums(model._rows, model._touched, users),
+                          want)
 
 
 @given(fitted_models(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_scores_do_not_depend_on_the_batch(model, data):
-    full = model._score_rows(np.arange(len(model.users)))
+    full = _row_sums(model._rows, model._touched, np.arange(len(model.users)))
     rows = data.draw(st.permutations(range(len(model.users))))
     rows = np.array(rows[:data.draw(st.integers(0, len(rows)))], dtype=np.intp)
     with mock.patch.object(baselines, "_SCORE_CHUNK",
                            data.draw(st.integers(1, 4))):
-        got = model._score_rows(rows)
+        got = _row_sums(model._rows, model._touched, rows)
     assert got.shape == (rows.size, len(model.items))
     assert got.tobytes() == full[rows].tobytes()
 

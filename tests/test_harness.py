@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recfuse import harness
+from recfuse.baselines import MODEL_KINDS
 from recfuse.core import PredictionMatrix, ScoredItem
 from recfuse.harness import (
     DEFAULT_K_VALUES,
@@ -637,18 +642,24 @@ def test_merge_rejects_a_repeated_block():
 
 # -- pinned bundle bytes ---------------------------------------------------------
 
-def _pinned_inputs(root):
-    """An interaction CSV and two external matrices, all from integer
-    arithmetic: popularity is the only fitted model, so no BLAS call and no
-    random stream decides a byte. Scores are multiples of 1/4 from a small
-    residue, so ties are common inside lists and at the n and k cut-offs."""
-    users = [f"u{u:02d}" for u in range(24)]
-    items = [f"i{i:02d}" for i in range(40)]
+def _pinned_events(root):
+    """An interaction CSV from integer arithmetic: no random stream decides
+    a byte."""
     lines = ["user,item"]
     for u in range(24):
-        lines += [f"{users[u]},{items[(u * 7 + j * 5 + j * j) % 40]}"
+        lines += [f"u{u:02d},i{(u * 7 + j * 5 + j * j) % 40:02d}"
                   for j in range(6 + u % 7)]
     (root / "events.csv").write_text("\n".join(lines) + "\n")
+
+
+def _pinned_inputs(root):
+    """The pinned interaction CSV and two external matrices, all from
+    integer arithmetic, with popularity the only fitted model. Scores are
+    multiples of 1/4 from a small residue, so ties are common inside lists
+    and at the n and k cut-offs."""
+    users = [f"u{u:02d}" for u in range(24)]
+    items = [f"i{i:02d}" for i in range(40)]
+    _pinned_events(root)
     models = [{"kind": "popularity", "id": "ppl"}]
     for m, (a, b, mod) in enumerate([(13, 7, 17), (5, 11, 9)], start=1):
         lines = ["fold,model,user,item,score"]
@@ -685,23 +696,47 @@ PINNED_DIGESTS = {
         "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
         "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
     },
+    "six-kinds": {
+        "sweep_pin_10.csv": "76ed6f348c0314e25496d3dbde58e1c1688b018937e76b67b9ccab30040e5d29",
+        "sweep_pin_5.csv": "891297b6aecc3d52fdc65eb32ad73de98f32d337f1cf7e6c7a3e7f032279102c",
+        "tables_pin_10.csv": "db4d8749dd584dd111361154b964cf55938906eec0f0d511f1fba1d9fa9d9b1c",
+        "tables_pin_5.csv": "4beeb0273420d6cde6547933874da444404ac1ddd9afbe1f442230f0f97e4784",
+        "trace_pin_10.csv": "90c3b67a221585041cd8a54b253e73a742f6f095fb4d68b5dc8e3fc4e4450cb0",
+        "trace_pin_5.csv": "d6d49e0704289eff9a65e1f319cd5526738e587fab3a71f6058e7498fc6cd689",
+        "weights_pin_10.csv": "37e070c35fa1acb11b949f0a1f4e870d3d07347f472238f6a31fe52273fa424a",
+        "weights_pin_5.csv": "3240986e18e2094c5de42d1a3db88cadd2b7a3e2c6b1fc981635324c204651f7",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
-def test_bundle_bytes_are_pinned(tmp_path, mode):
-    # A change to fusion, selection or the writers that moves one byte of
-    # these files fails here; the digests were taken before any such change.
-    cfg = ExperimentConfig.from_dict({
+def _pinned_config(root, case):
+    """The pinned run: the two selection modes over popularity and the
+    external matrices, or greedy over the six built-in kinds."""
+    if case == "six-kinds":
+        _pinned_events(root)
+        models = [{"kind": kind, "id": kind, "params": {"nn": 5}}
+                  for kind in MODEL_KINDS]
+    else:
+        models = _pinned_inputs(root)
+    return {
         "seed": 5,
-        "output_dir": str(tmp_path / "out"),
-        "datasets": [{"name": "pin", "path": str(tmp_path / "events.csv")}],
-        "models": _pinned_inputs(tmp_path),
+        "output_dir": str(root / "out"),
+        "datasets": [{"name": "pin", "path": str(root / "events.csv")}],
+        "models": models,
         "n_values": [5, 10],
         "k_values": [5, 10, 15, 20],
         "n_folds": 3,
-        "selection": {"mode": mode},
-    })
+        "selection": {"mode": "greedy" if case == "six-kinds" else case},
+    }
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive", "six-kinds"])
+def test_bundle_bytes_are_pinned(tmp_path, mode):
+    # A change to fitting, fusion, selection or the writers that moves one
+    # byte of these files fails here. The greedy and exhaustive digests were
+    # taken before any such change; the six-kind ones once every similarity
+    # was built without BLAS.
+    cfg = ExperimentConfig.from_dict(_pinned_config(tmp_path, mode))
     result = run_experiment(cfg, threads=1)
     assert result.failed_cells == []
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -709,3 +744,31 @@ def test_bundle_bytes_are_pinned(tmp_path, mode):
                if p.name.split("_")[0] in ("trace", "tables", "sweep",
                                            "weights")}
     assert digests == PINNED_DIGESTS[mode]
+
+
+def test_builtin_bytes_ignore_blas_and_fit_threads(tmp_path):
+    # Every pair of BLAS thread count and --threads writes the same bytes,
+    # for every built-in kind.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_pinned_config(tmp_path, "six-kinds")))
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    bundles = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas,
+                   OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{blas}-threads{threads}"
+            for command in ("predict", "run"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "recfuse.cli", command,
+                     "--config", str(config), "--threads", threads,
+                     "--out", str(out / command)],
+                    capture_output=True, text=True, timeout=300, env=env)
+                assert proc.returncode == 0, proc.stderr
+            bundles[(blas, threads)] = {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "timings.json"}
+    first = bundles[("1", "1")]
+    assert any(name.startswith("predict/matrix_") for name in first)
+    assert all(bundle == first for bundle in bundles.values())
