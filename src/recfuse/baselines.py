@@ -154,7 +154,9 @@ class TrainIncidence:
     _cache: list = field(default_factory=list, init=False, repr=False)
 
     def item_cosine(self) -> np.ndarray:
-        """The read-only item cosine, built once under a lock and shared."""
+        """The read-only item cosine, built once and shared. The lock is
+        for library callers that fit from their own threads on one shared
+        incidence; the pipeline itself fits on one thread."""
         with self._lock:
             if not self._cache:
                 self._cache.append(_cosine(self.matrix))

@@ -45,8 +45,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None,
                        help="override the config's output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: all cores); results "
-                            "do not depend on this")
+                       help="ignored: the pipeline runs on one thread; "
+                            "still accepted so existing scripts keep working")
         p.add_argument("-v", "--verbose", action="store_true",
                        help="debug logging")
         return p
@@ -96,7 +96,7 @@ def _per_n_command(prefix, write):
     def command(config, args):
         out = _outdir(config)
         for ds in config.datasets:
-            bundle = harness.prepare_dataset(config, ds, args.threads)
+            bundle = harness.prepare_dataset(config, ds)
             for n in config.n_values:
                 path = out / f"{prefix}_{ds.name}_{n}.csv"
                 write(path, bundle, n)
@@ -116,16 +116,15 @@ def _cmd_split(config, args):
 
 def _cmd_fit(config, args):
     roster = [m.model_id for m in config.models if m.kind is not None]
-    with harness._fit_pool(args.threads) as pool:
-        for ds in config.datasets:
-            for split in harness.split_dataset(config, ds):
-                fitted = {f.model_id: f for f in
-                          harness._fit_fold_models(config, split, pool)}
-                for model_id in roster:
-                    model = fitted[model_id]
-                    print(f"{ds.name} fold={split.fold_index} "
-                          f"model={model_id} users={len(model.users)} "
-                          f"items={len(model.items)}")
+    for ds in config.datasets:
+        for split in harness.split_dataset(config, ds):
+            fitted = {f.model_id: f for f in
+                      harness._fit_fold_models(config, split)}
+            for model_id in roster:
+                model = fitted[model_id]
+                print(f"{ds.name} fold={split.fold_index} "
+                      f"model={model_id} users={len(model.users)} "
+                      f"items={len(model.items)}")
     return 0
 
 
@@ -133,8 +132,7 @@ def _cmd_predict(config, args):
     out = _outdir(config)
     for ds in config.datasets:
         path = out / f"matrix_{ds.name}.csv"
-        write_matrix(harness.prepare_dataset(config, ds, args.threads).raw,
-                     path)
+        write_matrix(harness.prepare_dataset(config, ds).raw, path)
         log.info("wrote %s", path)
     return 0
 
@@ -157,7 +155,7 @@ def _cmd_fuse(config, args):
     if ds is None:
         raise _UsageError(f"unknown dataset {args.dataset!r}")
     out = _outdir(config)
-    bundle = harness.prepare_dataset(config, ds, args.threads)
+    bundle = harness.prepare_dataset(config, ds)
     if args.n not in bundle.weights:
         raise _UsageError(f"n={args.n} is not in the configured n_values")
     fused = {
@@ -182,7 +180,7 @@ _cmd_report = _per_n_command(
 
 
 def _cmd_run(config, args):
-    result = harness.run_experiment(config, args.threads)
+    result = harness.run_experiment(config)
     for name in result.artifacts:
         log.info("wrote %s", result.output_dir / name)
     if result.failed_cells:

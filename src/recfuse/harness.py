@@ -20,8 +20,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -437,43 +435,33 @@ def split_dataset(config: ExperimentConfig, ds: DatasetConfig
                        SplitSpec(seed=config.seed, n_folds=config.n_folds))
 
 
-def _fit_pool(threads: int | None):
-    """The fit executor as a context manager; None for threads == 1."""
-    return nullcontext() if threads == 1 else ThreadPoolExecutor(threads)
-
-
-def _fit_fold_models(config: ExperimentConfig, split: FoldSplit,
-                     pool: ThreadPoolExecutor | None) -> list:
-    """Fit every built-in roster model on one fold's train split, in
-    model-id order; all of them share one read-only train incidence."""
+def _fit_fold_models(config: ExperimentConfig, split: FoldSplit) -> list:
+    """Fit every built-in roster model on one fold's train split, one after
+    another in model-id order; all of them share one read-only train
+    incidence."""
     builtin = sorted((m for m in config.models if m.kind is not None),
                      key=lambda m: m.model_id)
     train = train_incidence(binarized_pairs(split.train))
-
-    def _run(model_cfg):
-        return fit(model_cfg.kind, train, model_cfg.params,
-                   model_id=model_cfg.model_id)
-
-    return list((pool.map if pool else map)(_run, builtin))
+    return [fit(m.kind, train, m.params, model_id=m.model_id)
+            for m in builtin]
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
     return PredictionMatrix.union(parts)
 
 
-def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig,
-                    threads: int | None = None) -> DatasetBundle:
+def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
+                    ) -> DatasetBundle:
     """Load, split, fit and score (one fold at a time), ingest, normalize,
     and weight one dataset."""
     t0 = time.perf_counter()
     splits = split_dataset(config, ds)
     parts = []
     if any(m.kind is not None for m in config.models):
-        with _fit_pool(threads) as pool:
-            for split in splits:
-                parts.append(generate_matrix(
-                    {split.fold_index: _fit_fold_models(config, split, pool)},
-                    config.max_k()))
+        for split in splits:
+            parts.append(generate_matrix(
+                {split.fold_index: _fit_fold_models(config, split)},
+                config.max_k()))
     for model_cfg in config.models:
         if model_cfg.matrix is not None:
             external = read_matrix(model_cfg.matrix, min_length=config.max_k())
@@ -711,6 +699,9 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     weights_<ds>_<n>.csv, tables_<ds>_<n>.csv, trace_<ds>_<n>.csv,
     sweep_<ds>_<n>.csv. Plus manifest.json (deterministic) and
     timings.json (wall-clock, excluded from reproducibility).
+
+    `threads` is ignored, as the run is single-threaded; it is still
+    accepted because existing callers pass a thread count.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -725,7 +716,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     for ds in config.datasets:
         t0 = time.perf_counter()
         try:
-            bundle = prepare_dataset(config, ds, threads)
+            bundle = prepare_dataset(config, ds)
         except Exception as exc:
             log.error("dataset %s failed to prepare: %s", ds.name, exc)
             for n in config.n_values:
@@ -786,14 +777,3 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     return RunResult(out, sorted(artifacts), failed, tables, sweeps,
                      selections)
 
-
-def k_sweep(config: ExperimentConfig, dataset: str, n: int,
-            threads: int | None = None) -> list[dict]:
-    """Standalone k sweep for one (dataset, n) cell."""
-    ds = next((d for d in config.datasets if d.name == dataset), None)
-    if ds is None:
-        raise ValueError(f"unknown dataset {dataset!r}")
-    if n not in config.n_values:
-        raise ValueError(f"n={n} is not in the configured n_values")
-    bundle = prepare_dataset(config, ds, threads)
-    return sweep_rows(bundle, n)

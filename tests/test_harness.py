@@ -22,10 +22,8 @@ from recfuse.harness import (
     ModelConfig,
     SelectionConfig,
     _fit_fold_models,
-    _fit_pool,
     _merge_matrices,
     confidence_interval,
-    k_sweep,
     model_table,
     pct_vs_ppl,
     prepare_dataset,
@@ -342,7 +340,7 @@ class TestExperimentConfig:
 @pytest.fixture(scope="module")
 def toy_bundle():
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    return cfg, prepare_dataset(cfg, cfg.datasets[0], threads=1)
+    return cfg, prepare_dataset(cfg, cfg.datasets[0])
 
 
 class TestPreparedBundle:
@@ -366,9 +364,7 @@ class TestPreparedBundle:
 
 def test_fold_models_share_one_read_only_incidence(small_folds):
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    with _fit_pool(2) as pool:
-        by_fold = [_fit_fold_models(cfg, split, pool)
-                   for split in small_folds[:2]]
+    by_fold = [_fit_fold_models(cfg, split) for split in small_folds[:2]]
     for models in by_fold:
         assert [m.model_id for m in models] == ["cos", "ppl", "uknn"]
         shared = models[0]._incidence
@@ -378,28 +374,48 @@ def test_fold_models_share_one_read_only_incidence(small_folds):
     assert by_fold[0][0]._incidence is not by_fold[1][0]._incidence
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_prepare_fits_one_fold_at_a_time(monkeypatch, threads):
+def test_prepare_fits_one_fold_at_a_time(monkeypatch):
     # Every fit call records the live models of other folds' incidences;
     # prepare_dataset must have dropped a fold's models before the next
     # fold's first fit.
     live = weakref.WeakSet()
-    lock = threading.Lock()
     seen = []
     real_fit = harness.fit
 
     def spy(kind, train, params=None, model_id=None):
-        with lock:
-            seen.append(sum(m._incidence is not train.matrix for m in live))
+        seen.append(sum(m._incidence is not train.matrix for m in live))
         model = real_fit(kind, train, params, model_id)
-        with lock:
-            live.add(model)
+        live.add(model)
         return model
 
     monkeypatch.setattr(harness, "fit", spy)
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    prepare_dataset(cfg, cfg.datasets[0], threads=threads)
+    prepare_dataset(cfg, cfg.datasets[0])
     assert seen == [0] * (3 * 3)
+
+
+def test_pipeline_runs_on_one_thread(tmp_path, monkeypatch):
+    # The CLI imports no thread pool, and a run that fits models starts no
+    # thread.
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, recfuse.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "False", proc.stderr
+    started = []
+    real_start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    cfg = ExperimentConfig.from_dict(
+        toy_config_dict(output_dir=str(tmp_path / "run")))
+    assert run_experiment(cfg).failed_cells == []
+    assert started == []
 
 
 class TestRunSelection:
@@ -492,7 +508,7 @@ class TestRunExperiment:
     def test_artifacts_and_manifest(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(output_dir=str(tmp_path / "run")))
-        result = run_experiment(cfg, threads=1)
+        result = run_experiment(cfg)
         assert result.failed_cells == []
         expected = {"splits_toy.csv", "weights_toy_5.csv", "tables_toy_5.csv",
                     "trace_toy_5.csv", "sweep_toy_5.csv"}
@@ -518,7 +534,7 @@ class TestRunExperiment:
         raw["datasets"] = [raw["datasets"][0],
                            {"name": "ghost", "path": str(tmp_path / "no.csv")}]
         cfg = ExperimentConfig.from_dict(raw)
-        result = run_experiment(cfg, threads=1)
+        result = run_experiment(cfg)
         assert len(result.failed_cells) == 1 * len(cfg.n_values)
         assert all(c.startswith("ghost/") for c in result.failed_cells)
         assert ("toy", 5) in result.tables
@@ -528,7 +544,7 @@ class TestRunExperiment:
     def test_trace_csv_contains_chosen_rows(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(output_dir=str(tmp_path / "run")))
-        result = run_experiment(cfg, threads=1)
+        result = run_experiment(cfg)
         lines = (result.output_dir / "trace_toy_5.csv").read_text().splitlines()
         assert lines[0] == "mode,fold,members,k,n,split,ndcg"
         chosen = [l for l in lines if l.startswith("greedy-chosen,")]
@@ -540,7 +556,7 @@ class TestRunExperiment:
     def test_selection_label_in_table(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(output_dir=str(tmp_path / "run")))
-        result = run_experiment(cfg, threads=1)
+        result = run_experiment(cfg)
         text = (result.output_dir / "tables_toy_5.csv").read_text()
         label = selection_label(cfg, 5)
         assert label == "mode=greedy;split=validation;scope=per-fold;k=10"
@@ -551,7 +567,7 @@ class TestSelectionVariants:
     def test_fixed_subset_scope(self):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(selection={"scope": "fixed-subset"}))
-        bundle = prepare_dataset(cfg, cfg.datasets[0], threads=1)
+        bundle = prepare_dataset(cfg, cfg.datasets[0])
         sel = run_selection(bundle, 5, 10)
         assert [fold for fold, _ in sel.traces] == ["all"]
         assert len(set(sel.members_per_fold)) == 1
@@ -560,14 +576,14 @@ class TestSelectionVariants:
     def test_paper_faithful_selects_on_test(self):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(selection={"split": "paper-faithful"}))
-        bundle = prepare_dataset(cfg, cfg.datasets[0], threads=1)
+        bundle = prepare_dataset(cfg, cfg.datasets[0])
         sel = run_selection(bundle, 5, 10)
         assert sel.test_per_fold == sel.selection_per_fold
 
     def test_exhaustive_mode_trace_size(self):
         cfg = ExperimentConfig.from_dict(
             toy_config_dict(selection={"mode": "exhaustive"}))
-        bundle = prepare_dataset(cfg, cfg.datasets[0], threads=1)
+        bundle = prepare_dataset(cfg, cfg.datasets[0])
         sel = run_selection(bundle, 5, 10)
         for fold, trace in sel.traces:
             assert len(trace.steps) == 2 ** 3 - 1
@@ -575,22 +591,10 @@ class TestSelectionVariants:
     def test_single_model_ensemble_row_degenerates(self):
         raw = toy_config_dict(models=[{"kind": "popularity", "id": "ppl"}])
         cfg = ExperimentConfig.from_dict(raw)
-        bundle = prepare_dataset(cfg, cfg.datasets[0], threads=1)
+        bundle = prepare_dataset(cfg, cfg.datasets[0])
         rows = model_table(bundle, 5)
         ppl, ens = rows
         assert ens.per_fold == pytest.approx(ppl.per_fold, abs=1e-12)
-
-
-def test_k_sweep_standalone_matches_run(tmp_path):
-    cfg = ExperimentConfig.from_dict(
-        toy_config_dict(output_dir=str(tmp_path / "run")))
-    result = run_experiment(cfg, threads=1)
-    standalone = k_sweep(cfg, "toy", 5, threads=1)
-    assert standalone == result.sweeps[("toy", 5)]
-    with pytest.raises(ValueError, match="unknown dataset"):
-        k_sweep(cfg, "nope", 5)
-    with pytest.raises(ValueError, match="not in the configured n_values"):
-        k_sweep(cfg, "toy", 10)
 
 
 # -- merging matrix parts ----------------------------------------------------------
