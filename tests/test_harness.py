@@ -374,10 +374,12 @@ def test_fold_models_share_one_read_only_incidence(small_folds):
     assert by_fold[0][0]._incidence is not by_fold[1][0]._incidence
 
 
-def test_prepare_fits_one_fold_at_a_time(monkeypatch):
+@pytest.mark.parametrize("calls", [1, 2])
+def test_prepare_fits_one_fold_at_a_time(monkeypatch, calls):
     # Every fit call records the live models of other folds' incidences;
     # prepare_dataset must have dropped a fold's models before the next
-    # fold's first fit.
+    # fold's first fit, and a bundle it returned keeps none alive into the
+    # next call.
     live = weakref.WeakSet()
     seen = []
     real_fit = harness.fit
@@ -390,8 +392,9 @@ def test_prepare_fits_one_fold_at_a_time(monkeypatch):
 
     monkeypatch.setattr(harness, "fit", spy)
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    prepare_dataset(cfg, cfg.datasets[0])
-    assert seen == [0] * (3 * 3)
+    bundles = [prepare_dataset(cfg, cfg.datasets[0]) for _ in range(calls)]
+    assert len(bundles) == calls
+    assert seen == [0] * (3 * 3 * calls)
 
 
 def test_pipeline_runs_on_one_thread(tmp_path, monkeypatch):
