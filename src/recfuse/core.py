@@ -175,10 +175,13 @@ class FoldSplit:
 LIST_FAULTS = ("not contiguous", "non-increasing", "tie order", "duplicate item")
 
 
+_JSON_NAMES = {float: "number", str: "string", Mapping: "object"}
+
+
 def _json_typed(value, key: str, kind: type):
     # bool is an int subclass: JSON true/false must not pass as 1/0. A JSON
     # number (kind float) may be written without a fraction.
-    name = "number" if kind is float else kind.__name__
+    name = _JSON_NAMES.get(kind, kind.__name__)
     if not isinstance(value, (int, float) if kind is float else kind) or (
             kind is not bool and isinstance(value, bool)):
         raise ValueError(f"{key} must be a JSON {name}, got {value!r}")

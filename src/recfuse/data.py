@@ -78,31 +78,29 @@ def _shuffle(items: list, rng: SplitMix64):
         items[i], items[j] = items[j], items[i]
 
 
+# Users with fewer interactions than this go entirely to train.
+MIN_SPLIT_INTERACTIONS = 5
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Parameters of the per-user random split."""
 
     seed: int
     n_folds: int = 5
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    min_interactions: int = 5
 
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
-            raise ValueError("ratios must be three nonnegative fractions")
-        if not math.isclose(sum(self.ratios), 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError("ratios must sum to 1.0")
 
 
 def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]:
     """Independent seeded train/validation/test re-splits of a dataset.
 
-    Per user and fold: interactions are shuffled, then the first
-    floor(0.6 n) + remainder go to train, the next floor(0.2 n) to
-    validation, the last floor(0.2 n) to test. Users with fewer than
-    `min_interactions` interactions go entirely to train.
+    Per user and fold: the user's n interactions are shuffled, then the
+    last n // 5 go to test, the n // 5 before them to validation, and the
+    rest (n - 2 (n // 5), so at least 60%) to train. Users with fewer than
+    MIN_SPLIT_INTERACTIONS interactions go entirely to train.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -118,21 +116,16 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
         for user in sorted(user_items):
             items = list(user_items[user])
             count = len(items)
-            if count < spec.min_interactions:
+            if count < MIN_SPLIT_INTERACTIONS:
                 train[user] = frozenset(items)
                 continue
             rng = SplitMix64(fold_seeds[fold_index] ^ fnv1a64(user.encode("utf-8")))
             _shuffle(items, rng)
-            # +1e-9 compensates binary rounding in ratio*count (0.6*5 < 3.0).
-            n_train = int(math.floor(spec.ratios[0] * count + 1e-9))
-            n_val = int(math.floor(spec.ratios[1] * count + 1e-9))
-            n_test = int(math.floor(spec.ratios[2] * count + 1e-9))
-            n_train += count - (n_train + n_val + n_test)
+            n_val = count // 5
+            n_train = count - 2 * n_val
             train[user] = frozenset(items[:n_train])
-            if n_val:
-                validation[user] = frozenset(items[n_train:n_train + n_val])
-            if n_test:
-                test[user] = frozenset(items[n_train + n_val:])
+            validation[user] = frozenset(items[n_train:n_train + n_val])
+            test[user] = frozenset(items[n_train + n_val:])
         folds.append(FoldSplit(fold_index, train, validation, test))
     return folds
 

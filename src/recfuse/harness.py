@@ -61,7 +61,6 @@ from recfuse.selection import (
     compute_weights,
     exhaustive_select,
     greedy_select,
-    write_traces,
 )
 from recfuse.synthetic import generate_interactions
 
@@ -125,7 +124,8 @@ SELECTION_SCOPES = ("per-fold", "fixed-subset")
 
 
 def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str):
-    unknown = sorted(set(mapping) - set(allowed))
+    keys = set(_json_typed(mapping, context, Mapping))
+    unknown = sorted(keys - set(allowed))
     if unknown:
         raise ValueError(f"unknown {context} key(s): {', '.join(unknown)}")
 
@@ -154,16 +154,21 @@ class DatasetConfig:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "DatasetConfig":
         _reject_unknown(raw, cls._KEYS, "dataset")
-        cfg = cls(**raw)
-        if not cfg.name:
+        if not _json_typed(raw.get("name"), "dataset name", str):
             raise ValueError("dataset name must be nonempty")
+        cfg = cls(**raw)
+        context = f"dataset {cfg.name!r}"
         if (cfg.path is None) == (cfg.synthetic is None):
             raise ValueError(
-                f"dataset {cfg.name!r} needs exactly one of 'path' or 'synthetic'")
+                f"{context} needs exactly one of 'path' or 'synthetic'")
         if cfg.synthetic is None:
+            _json_typed(cfg.path, f"{context} path", str)
+            _json_typed(cfg.format, f"{context} format", str)
+            if cfg.columns is not None:
+                _json_typed(cfg.columns, f"{context} columns", Mapping)
             check_interaction_format(cfg.format, cfg.columns)
             return cfg
-        context = f"dataset {cfg.name!r} synthetic"
+        context += " synthetic"
         _reject_unknown(cfg.synthetic, cls._SYN_TYPES, context)
         for key in ("n_users", "n_items", "n_interactions"):
             if key not in cfg.synthetic:
@@ -193,13 +198,16 @@ class ModelConfig:
             raise ValueError("model needs exactly one of 'kind' or 'matrix'")
         if kind is not None and kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        if matrix is not None and "params" in raw:
-            raise ValueError("external matrix models take no params")
-        if kind is not None:
-            fit_params(raw.get("params"))
+        if matrix is not None:
+            _json_typed(matrix, "model matrix", str)
+            if "params" in raw:
+                raise ValueError("external matrix models take no params")
+        if raw.get("params") is not None:
+            fit_params(_json_typed(raw["params"], "model params", Mapping))
         model_id = raw.get("id") or kind
         if not model_id:
             raise ValueError("external matrix model needs an 'id'")
+        _json_typed(model_id, "model id", str)
         for ch in "+,":
             if ch in model_id:
                 raise ValueError(
@@ -226,6 +234,12 @@ class SelectionConfig:
         if cfg.scope not in SELECTION_SCOPES:
             raise ValueError(f"unknown selection scope {cfg.scope!r}")
         return cfg
+
+    @property
+    def holdout(self) -> str:
+        """The holdout the search scores candidates on: paper-faithful
+        selection picks on the test split it is then scored on."""
+        return "test" if self.split == "paper-faithful" else "validation"
 
 
 @dataclass(frozen=True)
@@ -254,13 +268,16 @@ class ExperimentConfig:
         for key in ("seed", "output_dir", "datasets", "models"):
             if key not in raw:
                 raise ValueError(f"config is missing required key {key!r}")
+        for key in ("datasets", "models"):
+            if not isinstance(raw[key], (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {raw[key]!r}")
         datasets = tuple(DatasetConfig.from_dict(d) for d in raw["datasets"])
         models = tuple(ModelConfig.from_dict(m) for m in raw["models"])
         selection = SelectionConfig.from_dict(raw.get("selection", {}))
         table_k = raw.get("table_k")
         cfg = cls(
             seed=_json_typed(raw["seed"], "seed", int),
-            output_dir=str(raw["output_dir"]),
+            output_dir=_json_typed(raw["output_dir"], "output_dir", str),
             datasets=datasets,
             models=models,
             n_values=_json_ints(raw.get("n_values", (5, 10, 20)), "n_values"),
@@ -533,7 +550,6 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
         return bundle._selections[key]
     config = bundle.config
     sel = config.selection
-    sel_holdout = "test" if sel.split == "paper-faithful" else "validation"
     search = greedy_select if sel.mode == "greedy" else exhaustive_select
     weights = bundle.weights[n]
     incl = config.include_empty_holdout_users
@@ -547,13 +563,13 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     traces: list[tuple[str | int, SelectionTrace]]
     if sel.scope == "per-fold":
         traces = [(fold, search(bundle.model_ids,
-                                lambda m, _f=fold: score(_f, m, sel_holdout)))
+                                lambda m, _f=fold: score(_f, m, sel.holdout)))
                   for fold in folds]
         picks = [trace for _, trace in traces]
     else:
         # Fixed-subset selection scores are cross-fold means.
         trace = search(bundle.model_ids, lambda m: left_sum(
-            score(fold, m, sel_holdout) for fold in folds) / len(folds))
+            score(fold, m, sel.holdout) for fold in folds) / len(folds))
         traces = [("all", trace)]
         picks = [trace] * len(folds)
     members_per_fold = [trace.chosen_members for trace in picks]
@@ -615,6 +631,7 @@ def sweep_rows(bundle: DatasetBundle, n: int) -> list[dict]:
 # -- artifact writers ------------------------------------------------------------
 
 TABLE_FOLD_PREFIX = "ndcg_fold"
+TRACE_HEADER = ["mode", "fold", "members", "k", "n", "split", "ndcg"]
 
 
 def _write_table_csv(path: Path, rows: Sequence[ReportRow], n_folds: int,
@@ -645,31 +662,27 @@ def _write_sweep_csv(path: Path, rows: Sequence[dict]):
 
 
 def _write_trace_csv(path: Path, bundle: DatasetBundle, n: int):
-    """Selection trace at the table k: every candidate, then the pick's
-    selection-split and test-split scores (mode column suffixed -chosen)."""
-    config = bundle.config
-    k = config.cell_table_k(n)
+    """Selection trace at the table k: every candidate of every trace, then
+    each trace's pick with its selection-split score (unless that split is
+    test), then each fold's pick with its test score; pick rows carry the
+    mode suffixed -chosen."""
+    k = bundle.config.cell_table_k(n)
     selection = run_selection(bundle, n, k)
-    sel_holdout = ("test" if config.selection.split == "paper-faithful"
-                   else "validation")
-    rows = [(trace, fold, k, n, sel_holdout)
-            for fold, trace in selection.traces]
-    extra = []
-    mode = config.selection.mode + "-chosen"
-    if sel_holdout != "test":
-        if config.selection.scope == "per-fold":
-            for i, split in enumerate(bundle.splits):
-                extra.append((mode, split.fold_index,
-                              selection.members_per_fold[i], k, n,
-                              sel_holdout, selection.selection_per_fold[i]))
-        else:
-            # Fixed-subset selection scores are cross-fold means.
-            extra.append((mode, "all", selection.members_per_fold[0], k, n,
-                          sel_holdout, selection.selection_per_fold[0]))
-    for i, split in enumerate(bundle.splits):
-        extra.append((mode, split.fold_index, selection.members_per_fold[i],
-                      k, n, "test", selection.test_per_fold[i]))
-    write_traces(path, rows, extra)
+    split = bundle.config.selection.holdout
+    chosen = bundle.config.selection.mode + "-chosen"
+    rows = [(trace.mode, fold, step.members, split, step.ndcg)
+            for fold, trace in selection.traces for step in trace.steps]
+    if split != "test":
+        rows += [(chosen, fold, trace.chosen_members, split, trace.chosen_ndcg)
+                 for fold, trace in selection.traces]
+    rows += [(chosen, s.fold_index, members, "test", ndcg)
+             for s, members, ndcg in zip(bundle.splits,
+                                         selection.members_per_fold,
+                                         selection.test_per_fold)]
+    with csv_writer(path, TRACE_HEADER) as writer:
+        for mode, fold, members, row_split, ndcg in rows:
+            writer.writerow([mode, fold, "+".join(sorted(members)), k, n,
+                             row_split, format_score(ndcg)])
 
 
 def selection_label(config: ExperimentConfig, n: int) -> str:

@@ -10,7 +10,6 @@ acceptance criterion 3 and the tests use the caching MemoizedEval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix
@@ -183,41 +182,3 @@ def exhaustive_select(models: Sequence[str],
             best_key, best_members = key, members
     return SelectionTrace("exhaustive", tuple(steps), best_members, -best_key[0])
 
-
-# -- trace export --------------------------------------------------------------
-
-TRACE_HEADER = ["mode", "fold", "members", "k", "n", "split", "ndcg"]
-
-
-def format_members(members: frozenset[str]) -> str:
-    return "+".join(sorted(members))
-
-
-def append_trace_rows(writer, trace: SelectionTrace, fold: int | str, k: int,
-                      n: int, split: str, score_fmt: Callable[[float], str]):
-    """Write one CSV row per evaluated candidate of a trace."""
-    for step in trace.steps:
-        writer.writerow([trace.mode, fold, format_members(step.members),
-                         k, n, split, score_fmt(step.ndcg)])
-
-
-def write_traces(path: str | Path,
-                 rows: Sequence[tuple[SelectionTrace, int | str, int, int, str]],
-                 extra_rows: Sequence[tuple[str, int | str, frozenset[str],
-                                            int, int, str, float]] = ()):
-    """Write selection traces plus any extra evaluation rows to a CSV.
-
-    Args:
-        path: output file.
-        rows: (trace, fold, k, n, split) tuples, written in order.
-        extra_rows: (mode, fold, members, k, n, split, ndcg) rows appended
-            after the traces (e.g. the chosen subset's test-split score).
-    """
-    from recfuse.data import csv_writer, format_score
-
-    with csv_writer(path, TRACE_HEADER) as writer:
-        for trace, fold, k, n, split in rows:
-            append_trace_rows(writer, trace, fold, k, n, split, format_score)
-        for mode, fold, members, k, n, split, ndcg in extra_rows:
-            writer.writerow([mode, fold, format_members(members), k, n,
-                             split, format_score(ndcg)])

@@ -195,8 +195,12 @@ class TestErrors:
         (None, {"params": {"knn": 5}}, r"unknown parameters \['knn'\]"),
         (None, {"params": {"nn": 0}}, "nn must be >= 1"),
         (None, {"params": {"nn": "5"}}, "nn must be a JSON int, got '5'"),
+        ({"columns": 5}, None, "'bad' columns must be a JSON object, got 5"),
+        (None, {"params": 5}, "model params must be a JSON object, got 5"),
+        (None, {"id": 5}, "model id must be a JSON string, got 5"),
     ], ids=["format", "columns", "float-count", "string-count",
-            "unknown-param", "bad-param", "string-param"])
+            "unknown-param", "bad-param", "string-param", "columns-shape",
+            "params-shape", "id-shape"])
     def test_bad_entry_rejected_at_load(self, tmp_path, capsys, dataset,
                                         model, message):
         config_path, raw = make_config(tmp_path)

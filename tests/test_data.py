@@ -48,29 +48,23 @@ class TestPinnedRng:
 
 
 class TestSplitFolds:
-    def test_ten_interactions_split_6_2_2(self):
-        records = tuple(Interaction("u1", f"i{j}") for j in range(10))
-        folds = split_folds(InteractionDataset(records), SplitSpec(seed=1))
-        for fold in folds:
-            assert len(fold.train["u1"]) == 6
-            assert len(fold.validation["u1"]) == 2
-            assert len(fold.test["u1"]) == 2
+    # (train, validation, test) sizes of one user's interactions per count:
+    # validation and test get count // 5 each, train the rest; under five
+    # interactions everything stays in train.
+    SIZES = {4: (4, 0, 0), 5: (3, 1, 1), 9: (7, 1, 1), 10: (6, 2, 2),
+             14: (10, 2, 2), 15: (9, 3, 3), 24: (16, 4, 4), 25: (15, 5, 5)}
 
-    def test_four_interactions_all_train(self):
-        records = tuple(Interaction("u1", f"i{j}") for j in range(4))
+    @pytest.mark.parametrize("count", sorted(SIZES))
+    def test_split_sizes(self, count):
+        records = tuple(Interaction("u1", f"i{j}") for j in range(count))
         folds = split_folds(InteractionDataset(records), SplitSpec(seed=1))
+        n_train, n_val, n_test = self.SIZES[count]
         for fold in folds:
-            assert len(fold.train["u1"]) == 4
-            assert "u1" not in fold.validation
-            assert "u1" not in fold.test
-
-    def test_five_interactions_3_1_1(self):
-        # 0.6*5 is 2.9999999999999996 in binary; the guard must still give 3
-        records = tuple(Interaction("u1", f"i{j}") for j in range(5))
-        folds = split_folds(InteractionDataset(records), SplitSpec(seed=1))
-        assert len(folds[0].train["u1"]) == 3
-        assert len(folds[0].validation["u1"]) == 1
-        assert len(folds[0].test["u1"]) == 1
+            assert len(fold.train["u1"]) == n_train
+            assert len(fold.validation.get("u1", ())) == n_val
+            assert len(fold.test.get("u1", ())) == n_test
+            assert ("u1" in fold.validation) == (n_val > 0)
+            assert ("u1" in fold.test) == (n_test > 0)
 
     def test_disjoint_and_covering(self, small_dataset, small_folds):
         pairs = small_dataset.pairs()

@@ -257,6 +257,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "1234"), ("seed", 12.0), ("seed", True),
+        ("output_dir", None), ("output_dir", 5),
         ("n_folds", "3"), ("n_folds", 3.0), ("n_folds", False),
         ("table_k", "20"), ("table_k", 20.0), ("table_k", True),
         ("n_values", [10.0]), ("n_values", ["10"]), ("n_values", [True]),
@@ -269,6 +270,39 @@ class TestExperimentConfig:
     def test_scalar_types_checked(self, key, value):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(toy_config_dict(**{key: value}))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"datasets": [5]}, "dataset must be a JSON object"),
+        ({"datasets": 5}, "datasets must be a list"),
+        ({"models": [5]}, "model must be a JSON object"),
+        ({"models": 5}, "models must be a list"),
+        ({"selection": 5}, "selection must be a JSON object"),
+        ({"datasets": [{"name": "s", "synthetic": 5}]},
+         "'s' synthetic must be a JSON object"),
+        ({"datasets": [{"name": "f", "path": "x.csv", "columns": 5}]},
+         "'f' columns must be a JSON object"),
+        ({"datasets": [{"name": "f", "path": "x.csv", "format": ["csv"]}]},
+         "'f' format must be a JSON string"),
+        ({"datasets": [{"name": 7, "path": "x.csv"}]},
+         "dataset name must be a JSON string"),
+        ({"datasets": [{"path": "x.csv"}]},
+         "dataset name must be a JSON string"),
+        ({"datasets": [{"name": "f", "path": 12}]},
+         "'f' path must be a JSON string"),
+        ({"models": [{"kind": "popularity", "params": 5}]},
+         "model params must be a JSON object"),
+        ({"models": [{"kind": "popularity", "id": 5}]},
+         "model id must be a JSON string"),
+        ({"models": [{"id": "e", "matrix": 5}]},
+         "model matrix must be a JSON string"),
+    ], ids=["datasets-entry", "datasets", "models-entry", "models",
+            "selection", "synthetic", "columns", "format", "name",
+            "name-missing", "path", "params", "id", "matrix"])
+    def test_config_shapes_checked(self, overrides, message):
+        # Each of these once raised TypeError or loaded a config whose
+        # every cell then failed.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(toy_config_dict(**overrides))
 
     @pytest.mark.parametrize("value", [0.5, 1, 0])
     def test_synthetic_numbers_accept_ints_and_floats(self, value):
@@ -444,6 +478,36 @@ class TestRunSelection:
                                                sel.selection_per_fold):
             singles = [s.ndcg for s in trace.steps if len(s.members) == 1]
             assert chosen_score >= max(singles)
+
+
+def test_trace_csv_format(toy_bundle, tmp_path):
+    # The header, a candidate row with its 17-digit score, the -chosen test
+    # rows, and members sorted and joined with "+".
+    cfg, bundle = toy_bundle
+    path = tmp_path / "trace.csv"
+    harness._write_trace_csv(path, bundle, 5)
+    sel = run_selection(bundle, 5, cfg.cell_table_k(5))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "mode,fold,members,k,n,split,ndcg"
+    first = sel.traces[0][1].steps[0]
+    (member,) = first.members
+    prefix = f"greedy,0,{member},10,5,validation,"
+    assert lines[1].startswith(prefix)
+    score = lines[1][len(prefix):]
+    assert float(score) == first.ndcg
+    assert len(score.lstrip("0.")) == 17
+    # Every score is written at 17 significant digits, not as the shortest
+    # repr (two rows here have a shorter repr).
+    scores = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert all(f == f"{float(f):.17g}" for f in scores)
+    assert any(f != repr(float(f)) for f in scores)
+    assert lines[-3:] == [
+        f"greedy-chosen,{fold},{'+'.join(sorted(members))},10,5,test,"
+        f"{ndcg:.17g}" for fold, members, ndcg in zip(
+            (0, 1, 2), sel.members_per_fold, sel.test_per_fold)]
+    fields = [line.split(",")[2] for line in lines[1:]]
+    assert any("+" in f for f in fields)
+    assert all(f.split("+") == sorted(f.split("+")) for f in fields)
 
 
 class TestModelTable:
@@ -713,18 +777,50 @@ PINNED_DIGESTS = {
         "weights_pin_10.csv": "37e070c35fa1acb11b949f0a1f4e870d3d07347f472238f6a31fe52273fa424a",
         "weights_pin_5.csv": "3240986e18e2094c5de42d1a3db88cadd2b7a3e2c6b1fc981635324c204651f7",
     },
+    "greedy/paper-faithful/per-fold": {
+        "sweep_pin_10.csv": "dac2492ca370d78b5998fbd1351924ae859901cce493d4644ff2cb0deed19d2d",
+        "sweep_pin_5.csv": "1e3820f902a22d3a82da48fd2e7fb867e366dff490b2476a3642fe3131ce58fd",
+        "tables_pin_10.csv": "6259e623abc1c84b670902c8ce6e5c0df31504bad168510783a45624b81fc9a7",
+        "tables_pin_5.csv": "0919dbe75e4a211cecf3bc459ad91630fe8c883ca341842044d12184090ba029",
+        "trace_pin_10.csv": "b6120e9f6e7519c173ca13ce8149dbb85879e3705eaaec9199dc6daa2f20c2ee",
+        "trace_pin_5.csv": "481488db2f89dea6cd671776e00c3eaf793d2f2b24f71890ab125d9c02a8e663",
+        "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
+        "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
+    },
+    "greedy/validation/fixed-subset": {
+        "sweep_pin_10.csv": "58bae67f9fc0b1a40b8409d1cec1fa2d27d006255f5b4f2a134fccb2253761e7",
+        "sweep_pin_5.csv": "337b717321916635be6ec951ca5b16521a1c3d3376e08a8760db6ee4d2194b0a",
+        "tables_pin_10.csv": "3162bf8102804b196ff06b17ed164e2cd3de2fcbef79109a98c0e9d504b61d30",
+        "tables_pin_5.csv": "4cf3ef67a9123b53f1bc98c91f89fa8150759355280427d8bb0ddbfa7c01acb7",
+        "trace_pin_10.csv": "77a22bc22487c28067dc437d53da0694cb8b5637dc92a3a7d193823dd1a98e48",
+        "trace_pin_5.csv": "9112899c9de58d6a44986a8e4e3359dbb9812b1c1ea67f8d7bd71c1f99980908",
+        "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
+        "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
+    },
+    "exhaustive/paper-faithful/fixed-subset": {
+        "sweep_pin_10.csv": "ff482f397fe94e523eaaaad3d72bf5cccc201100514222d31af0ee471f8675f2",
+        "sweep_pin_5.csv": "8d3ccdfb62c45ad7073adf333c62e1100cfd2028b7581a1e2fbafaaa08eaa1cd",
+        "tables_pin_10.csv": "8ec9c4ddb8cff8769d2bc7bec305b50eb3b0e50ca281c02526799e5570fea07b",
+        "tables_pin_5.csv": "df821f6744d3104e00c47ef143afd93593833a388a36d544d21bf2d97eb94bd1",
+        "trace_pin_10.csv": "80031c7784775e0919c7ff8f1e460d1f2fbdf15685e6f71a6d475b0eb730d245",
+        "trace_pin_5.csv": "6b090fea328631e437c72b588250921aeaa2a468921043e46ef760e7b16c9d01",
+        "weights_pin_10.csv": "768f79b87379d7959d5be68559819f2438a2f28bc0580c05037e1558ae3a70ef",
+        "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
+    },
 }
 
 
 def _pinned_config(root, case):
-    """The pinned run: the two selection modes over popularity and the
-    external matrices, or greedy over the six built-in kinds."""
+    """The pinned run: greedy over the six built-in kinds, or a selection
+    case "mode[/split/scope]" over popularity and the external matrices."""
     if case == "six-kinds":
         _pinned_events(root)
         models = [{"kind": kind, "id": kind, "params": {"nn": 5}}
                   for kind in MODEL_KINDS]
+        selection = {"mode": "greedy"}
     else:
         models = _pinned_inputs(root)
+        selection = dict(zip(("mode", "split", "scope"), case.split("/")))
     return {
         "seed": 5,
         "output_dir": str(root / "out"),
@@ -733,24 +829,25 @@ def _pinned_config(root, case):
         "n_values": [5, 10],
         "k_values": [5, 10, 15, 20],
         "n_folds": 3,
-        "selection": {"mode": "greedy" if case == "six-kinds" else case},
+        "selection": selection,
     }
 
 
-@pytest.mark.parametrize("mode", ["greedy", "exhaustive", "six-kinds"])
-def test_bundle_bytes_are_pinned(tmp_path, mode):
+@pytest.mark.parametrize("case", list(PINNED_DIGESTS))
+def test_bundle_bytes_are_pinned(tmp_path, case):
     # A change to fitting, fusion, selection or the writers that moves one
     # byte of these files fails here. The greedy and exhaustive digests were
     # taken before any such change; the six-kind ones once every similarity
-    # was built without BLAS.
-    cfg = ExperimentConfig.from_dict(_pinned_config(tmp_path, mode))
+    # was built without BLAS; the split and scope cases before the trace
+    # writer moved into harness.
+    cfg = ExperimentConfig.from_dict(_pinned_config(tmp_path, case))
     result = run_experiment(cfg, threads=1)
     assert result.failed_cells == []
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(result.output_dir.iterdir())
                if p.name.split("_")[0] in ("trace", "tables", "sweep",
                                            "weights")}
-    assert digests == PINNED_DIGESTS[mode]
+    assert digests == PINNED_DIGESTS[case]
 
 
 def test_builtin_bytes_ignore_blas_and_fit_threads(tmp_path):

@@ -16,9 +16,7 @@ from recfuse.selection import (
     compute_weights,
     evaluate_ensemble,
     exhaustive_select,
-    format_members,
     greedy_select,
-    write_traces,
 )
 
 
@@ -350,17 +348,3 @@ def test_fold_fuser_matches_reference(small_bundle):
                     holdout_kind=holdout)
                 assert fuser.ndcg(sorted(members), weights, keys, 5) \
                     == reference, (split.fold_index, holdout, sorted(members))
-
-
-def test_write_traces_format(tmp_path):
-    table = full_table({("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.35})
-    trace = greedy_select(["a", "b"], table_eval(table))
-    path = tmp_path / "trace.csv"
-    write_traces(path, [(trace, 0, 10, 5, "validation")],
-                 extra_rows=[("greedy-chosen", 0, trace.chosen_members,
-                              10, 5, "test", 0.31)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mode,fold,members,k,n,split,ndcg"
-    assert lines[1] == "greedy,0,a,10,5,validation,0.29999999999999999"
-    assert lines[-1] == "greedy-chosen,0,a+b,10,5,test,0.31"
-    assert format_members(frozenset(["b", "a"])) == "a+b"
