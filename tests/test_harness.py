@@ -257,7 +257,6 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "1234"), ("seed", 12.0), ("seed", True),
-        ("output_dir", None), ("output_dir", 5),
         ("n_folds", "3"), ("n_folds", 3.0), ("n_folds", False),
         ("table_k", "20"), ("table_k", 20.0), ("table_k", True),
         ("n_values", [10.0]), ("n_values", ["10"]), ("n_values", [True]),
@@ -266,6 +265,7 @@ class TestExperimentConfig:
         ("include_empty_holdout_users", "false"),
         ("include_empty_holdout_users", 0),
         ("include_empty_holdout_users", None),
+        ("output_dir", None), ("output_dir", 5),
     ])
     def test_scalar_types_checked(self, key, value):
         with pytest.raises(ValueError, match=key):
