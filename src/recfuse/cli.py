@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from recfuse import harness
-from recfuse.data import write_fused, write_matrix, write_splits, write_weights
+from recfuse.data import write_fused, write_matrix, write_splits
 from recfuse.fusion import fuse_all
 from recfuse.harness import ExperimentConfig
 
@@ -90,16 +90,16 @@ def _outdir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _per_n_command(prefix, write):
-    """A command writing <prefix>_<dataset>_<n>.csv with write(path,
-    bundle, n) for every dataset and n."""
+def _per_n_command(prefix):
+    """A command that writes, for every dataset and n, the file `run`
+    writes under `prefix`, through the same harness.CELL_ARTIFACTS entry."""
     def command(config, args):
         out = _outdir(config)
         for ds in config.datasets:
             bundle = harness.prepare_dataset(config, ds)
             for n in config.n_values:
-                path = out / f"{prefix}_{ds.name}_{n}.csv"
-                write(path, bundle, n)
+                path = out / harness.cell_artifact(prefix, ds.name, n)
+                harness.CELL_ARTIFACTS[prefix](path, bundle, n)
                 log.info("wrote %s", path)
         return 0
     return command
@@ -137,10 +137,6 @@ def _cmd_predict(config, args):
     return 0
 
 
-_cmd_weights = _per_n_command(
-    "weights", lambda path, bundle, n: write_weights(bundle.weights[n], path))
-
-
 def _cmd_fuse(config, args):
     if args.n < 1:
         raise _UsageError("n must be >= 1")
@@ -169,16 +165,6 @@ def _cmd_fuse(config, args):
     return 0
 
 
-_cmd_select = _per_n_command("trace", harness._write_trace_csv)
-_cmd_sweep = _per_n_command(
-    "sweep", lambda path, bundle, n: harness._write_sweep_csv(
-        path, harness.sweep_rows(bundle, n)))
-_cmd_report = _per_n_command(
-    "tables", lambda path, bundle, n: harness._write_table_csv(
-        path, harness.model_table(bundle, n), bundle.config.n_folds,
-        harness.selection_label(bundle.config, n)))
-
-
 def _cmd_run(config, args):
     result = harness.run_experiment(config)
     for name in result.artifacts:
@@ -194,11 +180,11 @@ _COMMANDS = {
     "split": _cmd_split,
     "fit": _cmd_fit,
     "predict": _cmd_predict,
-    "weights": _cmd_weights,
+    "weights": _per_n_command("weights"),
     "fuse": _cmd_fuse,
-    "select": _cmd_select,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
+    "select": _per_n_command("trace"),
+    "sweep": _per_n_command("sweep"),
+    "report": _per_n_command("tables"),
     "run": _cmd_run,
 }
 

@@ -52,31 +52,18 @@ def _normalize_block(block: _Block, mode: str) -> np.ndarray:
     still contributes its full weight to each of them.
     """
     scores = block.scores
-    out = np.empty_like(scores)
+    if scores.size == 0:
+        return np.empty_like(scores)
     if mode == "global-minmax":
-        if scores.size == 0:
-            return out
-        lo = scores.min()
-        hi = scores.max()
-        if hi > lo:
-            np.subtract(scores, lo, out=out)
-            out /= (hi - lo)
-        else:
-            out.fill(1.0)
-        return out
-    # per-user-minmax
-    for row in range(block.user_rows.size):
-        start, end = int(block.indptr[row]), int(block.indptr[row + 1])
-        seg = scores[start:end]
-        if seg.size == 0:
-            continue
-        lo = seg.min()
-        hi = seg.max()
-        if hi > lo:
-            out[start:end] = (seg - lo) / (hi - lo)
-        else:
-            out[start:end] = 1.0
-    return out
+        lo, hi = scores.min(), scores.max()
+    else:   # per-user-minmax: each entry gets its own list's range
+        lengths = np.diff(block.indptr)
+        filled = lengths > 0
+        starts = block.indptr[:-1][filled]
+        lo = np.repeat(np.minimum.reduceat(scores, starts), lengths[filled])
+        hi = np.repeat(np.maximum.reduceat(scores, starts), lengths[filled])
+    return np.divide(scores - lo, hi - lo, out=np.ones_like(scores),
+                     where=hi - lo > 0)
 
 
 def normalize_scores(matrix: PredictionMatrix, mode: str = "global-minmax"

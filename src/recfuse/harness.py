@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -204,15 +204,16 @@ class ModelConfig:
                 raise ValueError("external matrix models take no params")
         if raw.get("params") is not None:
             fit_params(_json_typed(raw["params"], "model params", Mapping))
-        model_id = raw.get("id") or kind
-        if not model_id:
+        model_id = kind if raw.get("id") is None else raw["id"]
+        if model_id is None:
             raise ValueError("external matrix model needs an 'id'")
-        _json_typed(model_id, "model id", str)
+        if not _json_typed(model_id, "model id", str):
+            raise ValueError("model id must be nonempty")
         for ch in "+,":
             if ch in model_id:
                 raise ValueError(
                     f"model id {model_id!r} must not contain {ch!r}")
-        return cls(model_id, kind, raw.get("params"), matrix)
+        return cls(model_id, kind, raw.get("params") or None, matrix)
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
+        """Check and build from parsed JSON; an absent key takes the
+        field's default."""
         _reject_unknown(raw, cls._KEYS, "config")
         for key in ("seed", "output_dir", "datasets", "models"):
             if key not in raw:
@@ -271,26 +274,22 @@ class ExperimentConfig:
         for key in ("datasets", "models"):
             if not isinstance(raw[key], (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {raw[key]!r}")
-        datasets = tuple(DatasetConfig.from_dict(d) for d in raw["datasets"])
-        models = tuple(ModelConfig.from_dict(m) for m in raw["models"])
-        selection = SelectionConfig.from_dict(raw.get("selection", {}))
-        table_k = raw.get("table_k")
-        cfg = cls(
-            seed=_json_typed(raw["seed"], "seed", int),
-            output_dir=_json_typed(raw["output_dir"], "output_dir", str),
-            datasets=datasets,
-            models=models,
-            n_values=_json_ints(raw.get("n_values", (5, 10, 20)), "n_values"),
-            k_values=_json_ints(raw.get("k_values", DEFAULT_K_VALUES),
-                                "k_values"),
-            table_k=None if table_k is None else _json_typed(table_k, "table_k", int),
-            selection=selection,
-            normalization=raw.get("normalization", "global-minmax"),
-            n_folds=_json_typed(raw.get("n_folds", 5), "n_folds", int),
-            include_empty_holdout_users=_json_typed(
-                raw.get("include_empty_holdout_users", False),
-                "include_empty_holdout_users", bool),
-        )
+        kwargs = dict(raw)
+        kwargs["datasets"] = tuple(
+            DatasetConfig.from_dict(d) for d in raw["datasets"])
+        kwargs["models"] = tuple(ModelConfig.from_dict(m) for m in raw["models"])
+        if "selection" in raw:
+            kwargs["selection"] = SelectionConfig.from_dict(raw["selection"])
+        for key, kind in (("seed", int), ("output_dir", str), ("n_folds", int),
+                          ("include_empty_holdout_users", bool)):
+            if key in raw:
+                _json_typed(raw[key], key, kind)
+        for key in ("n_values", "k_values"):
+            if key in raw:
+                kwargs[key] = _json_ints(raw[key], key)
+        if raw.get("table_k") is not None:
+            _json_typed(raw["table_k"], "table_k", int)
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
@@ -352,33 +351,14 @@ class ExperimentConfig:
         return k
 
     def canonical_dict(self) -> dict:
-        """Everything that determines results. output_dir is a destination,
-        not an input, so it stays out (runs into two directories must be
-        able to produce identical bundles)."""
-        return {
-            "seed": self.seed,
-            "datasets": [
-                {"name": d.name, "path": d.path, "format": d.format,
-                 "columns": dict(d.columns) if d.columns else None,
-                 "synthetic": dict(d.synthetic) if d.synthetic else None}
-                for d in self.datasets
-            ],
-            "models": [
-                {"id": m.model_id, "kind": m.kind,
-                 "params": dict(m.params) if m.params else None,
-                 "matrix": m.matrix}
-                for m in self.models
-            ],
-            "n_values": list(self.n_values),
-            "k_values": list(self.k_values),
-            "table_k": self.table_k,
-            "selection": {"mode": self.selection.mode,
-                          "split": self.selection.split,
-                          "scope": self.selection.scope},
-            "normalization": self.normalization,
-            "n_folds": self.n_folds,
-            "include_empty_holdout_users": self.include_empty_holdout_users,
-        }
+        """Every field but output_dir, which is a destination, not an
+        input: runs into two directories must be able to produce identical
+        bundles. A model's id keeps its JSON key."""
+        canonical = asdict(self)
+        del canonical["output_dir"]
+        for model in canonical["models"]:
+            model["id"] = model.pop("model_id")
+        return canonical
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.canonical_dict(), sort_keys=True,
@@ -537,7 +517,6 @@ class CellSelection:
     k: int
     traces: tuple[tuple[str | int, SelectionTrace], ...]  # (fold | "all", trace)
     members_per_fold: tuple[frozenset[str], ...]
-    selection_per_fold: tuple[float, ...]   # selection-split score of the pick
     test_per_fold: tuple[float, ...]
     mean_test: float
     ci: tuple[float, float]
@@ -573,14 +552,13 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
         traces = [("all", trace)]
         picks = [trace] * len(folds)
     members_per_fold = [trace.chosen_members for trace in picks]
-    sel_scores = [trace.chosen_ndcg for trace in picks]
     test_scores = [score(fold, members, "test")
                    for fold, members in zip(folds, members_per_fold)]
 
     ci = confidence_interval(test_scores)
     result = CellSelection(
-        n, k, tuple(traces), tuple(members_per_fold), tuple(sel_scores),
-        tuple(test_scores), left_sum(test_scores) / len(test_scores), ci)
+        n, k, tuple(traces), tuple(members_per_fold), tuple(test_scores),
+        left_sum(test_scores) / len(test_scores), ci)
     bundle._selections[key] = result
     return result
 
@@ -691,6 +669,38 @@ def selection_label(config: ExperimentConfig, n: int) -> str:
             f"k={config.cell_table_k(n)}")
 
 
+def _tables_artifact(path: Path, bundle: DatasetBundle, n: int
+                     ) -> list[ReportRow]:
+    rows = model_table(bundle, n)
+    _write_table_csv(path, rows, bundle.config.n_folds,
+                     selection_label(bundle.config, n))
+    return rows
+
+
+def _sweep_artifact(path: Path, bundle: DatasetBundle, n: int) -> list[dict]:
+    rows = sweep_rows(bundle, n)
+    _write_sweep_csv(path, rows)
+    return rows
+
+
+def cell_artifact(prefix: str, dataset: str, n: int) -> str:
+    """File name of one per-n artifact."""
+    return f"{prefix}_{dataset}_{n}.csv"
+
+
+# The per-n artifacts in the order `run` writes them: prefix ->
+# write(path, bundle, n), which returns the rows it wrote, if any. `run` and
+# the per-n subcommands both write through this table. Every entry looks its
+# writer up in this module when called, so a wrapper set on the module name
+# sees each write.
+CELL_ARTIFACTS = {
+    "weights": lambda path, bundle, n: write_weights(bundle.weights[n], path),
+    "tables": _tables_artifact,
+    "trace": lambda path, bundle, n: _write_trace_csv(path, bundle, n),
+    "sweep": _sweep_artifact,
+}
+
+
 # -- the runner ------------------------------------------------------------------
 
 @dataclass
@@ -708,10 +718,10 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     """Execute every (dataset, n) cell and write the report bundle.
 
     A failing cell is logged and recorded in the manifest; remaining cells
-    still run. Artifacts per dataset: splits_<ds>.csv, and per n:
-    weights_<ds>_<n>.csv, tables_<ds>_<n>.csv, trace_<ds>_<n>.csv,
-    sweep_<ds>_<n>.csv. Plus manifest.json (deterministic) and
-    timings.json (wall-clock, excluded from reproducibility).
+    still run. Artifacts per dataset: splits_<ds>.csv, and per n one
+    <prefix>_<ds>_<n>.csv per CELL_ARTIFACTS entry (weights, tables,
+    trace, sweep). Plus manifest.json (deterministic) and timings.json
+    (wall-clock, excluded from reproducibility).
 
     `threads` is ignored, as the run is single-threaded; it is still
     accepted because existing callers pass a thread count.
@@ -743,28 +753,17 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
 
         for n in config.n_values:
             t1 = time.perf_counter()
+            cell = (ds.name, n)
             try:
-                weights_path = out / f"weights_{ds.name}_{n}.csv"
-                write_weights(bundle.weights[n], weights_path)
-
-                rows = model_table(bundle, n)
-                tables[(ds.name, n)] = rows
-                table_path = out / f"tables_{ds.name}_{n}.csv"
-                _write_table_csv(table_path, rows, config.n_folds,
-                                 selection_label(config, n))
-
-                trace_path = out / f"trace_{ds.name}_{n}.csv"
-                _write_trace_csv(trace_path, bundle, n)
-
-                srows = sweep_rows(bundle, n)
-                sweeps[(ds.name, n)] = srows
-                sweep_path = out / f"sweep_{ds.name}_{n}.csv"
-                _write_sweep_csv(sweep_path, srows)
-
-                selections[(ds.name, n)] = run_selection(
-                    bundle, n, config.cell_table_k(n))
-                artifacts.extend([weights_path.name, table_path.name,
-                                  trace_path.name, sweep_path.name])
+                written = {
+                    prefix: write(out / cell_artifact(prefix, ds.name, n),
+                                  bundle, n)
+                    for prefix, write in CELL_ARTIFACTS.items()}
+                tables[cell], sweeps[cell] = written["tables"], written["sweep"]
+                selections[cell] = run_selection(bundle, n,
+                                                 config.cell_table_k(n))
+                artifacts.extend(cell_artifact(prefix, ds.name, n)
+                                 for prefix in written)
             except Exception as exc:
                 log.error("cell %s/n=%d failed: %s", ds.name, n, exc)
                 failed.append(f"{ds.name}/n={n}: {exc}")

@@ -198,9 +198,10 @@ class TestErrors:
         ({"columns": 5}, None, "'bad' columns must be a JSON object, got 5"),
         (None, {"params": 5}, "model params must be a JSON object, got 5"),
         (None, {"id": 5}, "model id must be a JSON string, got 5"),
+        (None, {"id": ""}, "model id must be nonempty"),
     ], ids=["format", "columns", "float-count", "string-count",
             "unknown-param", "bad-param", "string-param", "columns-shape",
-            "params-shape", "id-shape"])
+            "params-shape", "id-shape", "id-empty"])
     def test_bad_entry_rejected_at_load(self, tmp_path, capsys, dataset,
                                         model, message):
         config_path, raw = make_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.fusion import (
+    NORMALIZATION_MODES,
     FoldFuser,
     FusedList,
     fuse_all,
@@ -79,6 +80,46 @@ class TestNormalize:
     def test_unknown_mode(self, tiny_matrix):
         with pytest.raises(ValueError, match="normalization mode"):
             normalize_scores(tiny_matrix, "zscore")
+
+
+@st.composite
+def minmax_instances(draw):
+    """One fold of one or two models. Lists may be empty (before, between
+    or after filled ones), hold one entry or one repeated score, and mix
+    magnitudes from 1e-12 to 1e9."""
+    values = st.one_of(st.floats(-1e9, 1e9), st.floats(-1e-12, 1e-12),
+                       st.sampled_from((0.0, 0.5, 3.0)))
+    entries = {}
+    for m in range(draw(st.integers(1, 2))):
+        for u in range(draw(st.integers(1, 5))):
+            scores = sorted(draw(st.lists(values, max_size=4)), reverse=True)
+            entries[(0, f"m{m}", f"u{u}")] = [
+                ScoredItem(f"i{j}", s) for j, s in enumerate(scores)]
+    return PredictionMatrix.from_entries(entries)
+
+
+def minmax_by_loop(matrix, mode):
+    """Each list rescaled, one score at a time, over its (fold, model)
+    block's scores (global) or its own (per user)."""
+    lists = dict(matrix.entries())
+    expected = {}
+    for key, lst in lists.items():
+        span = [si.score for other, scored in lists.items()
+                if other == key or (mode == "global-minmax"
+                                    and other[:2] == key[:2])
+                for si in scored]
+        lo, hi = (min(span), max(span)) if span else (0.0, 0.0)
+        expected[key] = [(si.score - lo) / (hi - lo) if hi > lo else 1.0
+                         for si in lst]
+    return expected
+
+
+@given(minmax_instances(), st.sampled_from(NORMALIZATION_MODES))
+@settings(max_examples=300)
+def test_normalize_matches_per_list_loop(matrix, mode):
+    normed = normalize_scores(matrix, mode)
+    got = {key: [si.score for si in lst] for key, lst in normed.entries()}
+    assert got == minmax_by_loop(matrix, mode)
 
 
 class TestFuseUser:

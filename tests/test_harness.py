@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -295,9 +296,16 @@ class TestExperimentConfig:
          "model id must be a JSON string"),
         ({"models": [{"id": "e", "matrix": 5}]},
          "model matrix must be a JSON string"),
+        ({"models": [{"kind": "popularity", "id": ""}]},
+         "model id must be nonempty"),
+        ({"models": [{"kind": "popularity", "id": 0}]},
+         "model id must be a JSON string, got 0"),
+        ({"models": [{"kind": "popularity", "id": False}]},
+         "model id must be a JSON string, got False"),
     ], ids=["datasets-entry", "datasets", "models-entry", "models",
             "selection", "synthetic", "columns", "format", "name",
-            "name-missing", "path", "params", "id", "matrix"])
+            "name-missing", "path", "params", "id", "matrix", "id-empty",
+            "id-zero", "id-false"])
     def test_config_shapes_checked(self, overrides, message):
         # Each of these once raised TypeError or loaded a config whose
         # every cell then failed.
@@ -340,8 +348,31 @@ class TestExperimentConfig:
                 "columns": {"user": 0, "item": 1, "rating": 2}}],
                 models=file_models), "f0b4df7f4ea22567"),
         ]
+        # Empty params hash as no params; a null id as no id.
+        empty_params = toy_config_dict()
+        empty_params["models"][0]["params"] = {}
+        cases.append((empty_params, "3296ee823b273487"))
+        null_id = toy_config_dict()
+        null_id["models"][0].update(params={}, id=None)
+        cases.append((null_id, "7b4039d4dd1006af"))
         for raw, prefix in cases:
             assert ExperimentConfig.from_dict(raw).config_hash()[:16] == prefix
+
+    def test_hash_covers_every_field_but_output_dir(self):
+        # A field added to a config class must land in the hash.
+        cfg = ExperimentConfig.from_dict(toy_config_dict())
+        canonical = cfg.canonical_dict()
+
+        def names(cls, rename=None):
+            return {(rename or {}).get(f.name, f.name)
+                    for f in dataclasses.fields(cls)}
+
+        assert set(canonical) == names(ExperimentConfig) - {"output_dir"}
+        assert set(canonical["selection"]) == names(SelectionConfig)
+        for entry in canonical["datasets"]:
+            assert set(entry) == names(DatasetConfig)
+        for entry in canonical["models"]:
+            assert set(entry) == names(ModelConfig, {"model_id": "id"})
 
     def test_usable_ks_and_table_k(self):
         cfg = ExperimentConfig.from_dict(toy_config_dict(
@@ -474,10 +505,9 @@ class TestRunSelection:
             self, toy_bundle):
         cfg, bundle = toy_bundle
         sel = run_selection(bundle, 5, 10)
-        for (fold, trace), chosen_score in zip(sel.traces,
-                                               sel.selection_per_fold):
+        for _, trace in sel.traces:
             singles = [s.ndcg for s in trace.steps if len(s.members) == 1]
-            assert chosen_score >= max(singles)
+            assert trace.chosen_ndcg >= max(singles)
 
 
 def test_trace_csv_format(toy_bundle, tmp_path):
@@ -645,7 +675,8 @@ class TestSelectionVariants:
             toy_config_dict(selection={"split": "paper-faithful"}))
         bundle = prepare_dataset(cfg, cfg.datasets[0])
         sel = run_selection(bundle, 5, 10)
-        assert sel.test_per_fold == sel.selection_per_fold
+        assert sel.test_per_fold == tuple(trace.chosen_ndcg
+                                          for _, trace in sel.traces)
 
     def test_exhaustive_mode_trace_size(self):
         cfg = ExperimentConfig.from_dict(
