@@ -344,10 +344,18 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
         models = models_by_fold[fold]
         users, items = models[0].users, models[0].items
         blocks: dict[tuple[int, str], _Block] = {}
+        scored: dict[tuple[int, int, int], _Block] = {}  # by arrays' id()
         for model in models:
             if (model.users.ids, model.items.ids) != (users.ids, items.ids):
                 raise ValueError(f"fold {fold}: model {model.model_id!r} was "
                                  f"fitted on another train set")
+            # Models that hold the same arrays score the same lists, so they
+            # share one read-only block. tfidf holds the shared item cosine
+            # unless some item is held by every train user.
+            arrays = (id(model._rows), id(model._touched), id(model._incidence))
+            if arrays in scored:
+                blocks[(fold, model.model_id)] = scored[arrays]
+                continue
             scores = _row_sums(model._rows, model._touched,
                                np.arange(len(users)))
             # Mask consumed items so they can never be recommended back.
@@ -358,8 +366,11 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
             # Each row's valid entries are a prefix, so a row-major masked
             # gather lays the lists end to end.
             indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-            blocks[(fold, model.model_id)] = _Block(
-                np.arange(len(users), dtype=np.int32), indptr,
-                top[valid].astype(np.int32), top_scores[valid])
+            block = _Block(np.arange(len(users), dtype=np.int32), indptr,
+                           top[valid].astype(np.int32), top_scores[valid])
+            for array in (block.user_rows, block.indptr, block.items,
+                          block.scores):
+                array.flags.writeable = False
+            blocks[(fold, model.model_id)] = scored[arrays] = block
         parts.append(PredictionMatrix(users, items, blocks))
     return PredictionMatrix.union(parts)

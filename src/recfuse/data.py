@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from recfuse.core import (
     FoldSplit,
@@ -314,8 +315,21 @@ def read_matrix(path: str | Path, min_length: int | None = None) -> PredictionMa
     A bad file is rejected at its first violating line, by 1-based line
     number (the header is line 1). With min_length set, every list must hold
     at least that many items (the largest k the caller will request).
+    A plain file is read by columns; any other file, and any file the column
+    reader doubts, row by row, which gives the same matrix or the same error.
     """
     path = Path(path)
+    matrix = _read_plain_matrix(path.read_bytes())
+    if matrix is None:
+        matrix = _read_matrix_rows(path)
+    if min_length is not None:
+        matrix.ensure_supports_k(min_length)
+    return matrix
+
+
+def _read_matrix_rows(path: Path) -> PredictionMatrix:
+    """read_matrix row by row through csv.reader: the reference reader, and
+    the one that names the first bad line."""
     list_of: dict[tuple[int, str, str], int] = {}   # list key -> list id
     code_of: dict[str, int] = {}                    # item id -> first-seen code
     list_ids, codes, scores = [], [], []            # one entry per data row
@@ -350,11 +364,143 @@ def read_matrix(path: str | Path, min_length: int | None = None) -> PredictionMa
     if not list_ids:
         raise ValueError(f"{path}: no data rows")
     # Contiguous lists, numbered by first appearance, lie end to end in order.
-    matrix = PredictionMatrix._from_lists(keys, np.bincount(ids), items,
-                                          flat_scores, item_index, validate=False)
-    if min_length is not None:
-        matrix.ensure_supports_k(min_length)
-    return matrix
+    return PredictionMatrix._from_lists(keys, np.bincount(ids), items,
+                                        flat_scores, item_index, validate=False)
+
+
+_MATRIX_HEADER_LINE = (",".join(MATRIX_HEADER) + "\n").encode()
+# The column reader takes lines of at most _MAX_LINE bytes and gathers them
+# _BLOCK_ROWS at a time, which bounds its transient arrays.
+_MAX_LINE = 128
+_BLOCK_ROWS = 8192
+
+
+def _spans(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+           width: int) -> np.ndarray:
+    """The byte spans buf[starts[r]:ends[r]] as rows, zero-padded to width.
+    buf must hold width bytes from every start."""
+    rows = sliding_window_view(buf, width)[starts]
+    rows *= np.arange(width) < (ends - starts)[:, None]
+    return rows
+
+
+def _read_plain_matrix(data: bytes) -> PredictionMatrix | None:
+    """The matrix in a plain file's bytes, read by columns; None for any
+    other file, and for any fault, so that the row reader names it: a bad
+    field (see _plain_columns), a fold int() rejects or below 0, a list key
+    that comes back after another list, or a list-contract fault."""
+    columns = _plain_columns(data)
+    if columns is None:
+        return None
+    key_texts, new_list, packed, scores = columns
+    lists: dict[tuple[int, str, str], None] = {}
+    for text in key_texts:
+        fold, model, user = text.split(",")
+        try:
+            key = (int(fold), model, user)
+        except ValueError:
+            return None
+        if key[0] < 0 or key in lists:
+            return None
+        lists[key] = None
+    # Zero padding keeps byte order, and UTF-8 byte order is code-point
+    # order, so the sorted item spans are in IdIndex order.
+    names, items = np.unique(packed, return_inverse=True)
+    if packed.dtype == np.uint64:
+        names = names.astype(">u8").view("S8")
+    item_index = IdIndex(name.decode() for name in names.tolist())
+    items = items.ravel().astype(np.int32)
+    if list_contract_fault(np.cumsum(new_list) - 1, items, scores) is not None:
+        return None
+    return PredictionMatrix._from_lists(
+        list(lists), np.diff(np.append(np.flatnonzero(new_list), scores.size)),
+        items, scores, item_index, validate=False)
+
+
+def _plain_columns(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray,
+                                         np.ndarray] | None:
+    """The columns of a plain file's bytes: the fold,model,user text of each
+    list, whether each row starts a list, each row's item id zero-padded to
+    an 'S' string (to the uint64 its 8 bytes spell big-endian, when no id is
+    longer), and each row's score.
+
+    Plain means: the exact header line; no '"', CR or NUL; valid UTF-8; and
+    data lines of exactly four commas and at most _MAX_LINE bytes, within
+    csv.field_size_limit(). On such lines str.split(',') gives the fields
+    csv.reader gives. None for any other file, and when a field is empty or
+    a score is not a finite float.
+    """
+    head = len(_MATRIX_HEADER_LINE)
+    if (len(data) == head or not data.startswith(_MATRIX_HEADER_LINE)
+            or b'"' in data or b"\r" in data or b"\0" in data):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    # The bytes, a final newline if they lack one, and zeros for the
+    # windows of _spans.
+    size = len(data) + (not data.endswith(b"\n"))
+    buf = np.zeros(size + _MAX_LINE, dtype=np.uint8)
+    buf[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    buf[size - 1] = ord("\n")
+    ends = np.flatnonzero(buf[head:size] == ord("\n")) + head
+    starts = np.concatenate(([head], ends[:-1] + 1))
+    if int((ends - starts).max()) > min(_MAX_LINE, csv.field_size_limit()):
+        return None
+    n_rows = ends.size
+    key_texts: list[str] = []
+    new_list = np.ones(n_rows, dtype=bool)
+    items = []
+    scores = np.empty(n_rows)
+    last_key = None
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_rows)
+        line_starts, line_ends = starts[lo:hi], ends[lo:hi]
+        commas = np.flatnonzero(buf[line_starts[0]:line_ends[-1]] == ord(","))
+        if commas.size != 4 * (hi - lo):
+            return None
+        # Field f of row r lies strictly between bounds[f][r] and
+        # bounds[f+1][r]. Two apart: no field is empty and every comma sits
+        # in its own line, so each line holds exactly four.
+        bounds = (line_starts - 1, *(commas.reshape(-1, 4).T + line_starts[0]),
+                  line_ends)
+        if any(np.any(b - a < 2) for a, b in zip(bounds, bounds[1:])):
+            return None
+        key_ends, item_ends = bounds[3], bounds[4]
+
+        # A list starts where the fold,model,user bytes differ from the row
+        # before. Padded spans are equal exactly when their bytes are, and
+        # equal bytes are equal keys.
+        keys = _spans(buf, line_starts, key_ends,
+                      int((key_ends - line_starts).max()))
+        new_list[lo + 1:hi] = (keys[1:] != keys[:-1]).any(axis=1)
+        if last_key is not None:
+            new_list[lo] = data[line_starts[0]:key_ends[0]] != last_key
+        last_key = data[line_starts[-1]:key_ends[-1]]
+        key_texts += [data[a:b].decode() for a, b in zip(
+            line_starts[new_list[lo:hi]].tolist(),
+            key_ends[new_list[lo:hi]].tolist())]
+
+        width = max(8, int((item_ends - key_ends).max()) - 1)
+        items.append(_spans(buf, key_ends + 1, item_ends, width
+                            ).view(f"S{width}").ravel())
+        # 'S' values drop the padding zeros, so these are the fields' bytes.
+        width = int((line_ends - item_ends).max()) - 1
+        fields = _spans(buf, item_ends + 1, line_ends, width
+                        ).view(f"S{width}").ravel().tolist()
+        try:
+            scores[lo:hi] = list(map(float, fields))
+        except ValueError:
+            return None
+    if not np.isfinite(scores).all():
+        return None
+    # Concatenation pads the ids of narrower blocks with zeros, as above.
+    packed = np.concatenate(items)
+    if packed.dtype.itemsize == 8:
+        packed = packed.view(">u8").astype(np.uint64)
+    return key_texts, new_list, packed, scores
 
 
 # -- split audit files -------------------------------------------------------

@@ -56,12 +56,17 @@ def _normalize_block(block: _Block, mode: str) -> np.ndarray:
         return np.empty_like(scores)
     if mode == "global-minmax":
         lo, hi = scores.min(), scores.max()
-    else:   # per-user-minmax: each entry gets its own list's range
-        lengths = np.diff(block.indptr)
-        filled = lengths > 0
-        starts = block.indptr[:-1][filled]
-        lo = np.repeat(np.minimum.reduceat(scores, starts), lengths[filled])
-        hi = np.repeat(np.maximum.reduceat(scores, starts), lengths[filled])
+        if hi > lo:
+            out = scores - lo
+            out /= hi - lo
+            return out
+        return np.ones_like(scores)
+    # per-user-minmax: each entry gets its own list's range
+    lengths = np.diff(block.indptr)
+    filled = lengths > 0
+    starts = block.indptr[:-1][filled]
+    lo = np.repeat(np.minimum.reduceat(scores, starts), lengths[filled])
+    hi = np.repeat(np.maximum.reduceat(scores, starts), lengths[filled])
     return np.divide(scores - lo, hi - lo, out=np.ones_like(scores),
                      where=hi - lo > 0)
 

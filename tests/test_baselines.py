@@ -309,6 +309,33 @@ class TestTfidfEqualsCosineOnBinaryData:
             assert cos.recommend(u, len(cos.items)) == tfidf.recommend(
                 u, len(cos.items))
 
+    @pytest.mark.parametrize("common", [False, True])
+    def test_generated_blocks_shared_unless_an_item_is_common(self, common):
+        """generate_matrix scores tfidf once, as cosine's read-only block,
+        when it holds the shared cosine; an item held by every train user
+        gives tfidf its own similarity and so its own lists."""
+        rng = np.random.default_rng(3)
+        pairs = {(f"u{int(u)}", f"i{int(i)}")
+                 for u, i in zip(rng.integers(0, 20, 120),
+                                 rng.integers(0, 25, 120))}
+        if common:
+            pairs |= {(u, "every") for u, _ in pairs}
+        train = train_incidence(sorted(pairs))
+        assert train.matrix.all(axis=0).any() == common
+        models = [fit(kind, train) for kind in
+                  ("item-item-cosine", "item-knn", "item-item-tfidf")]
+        blocks = generate_matrix({0: models}, 10)._blocks
+        cos, tfidf = blocks[(0, "item-item-cosine")], blocks[(0, "item-item-tfidf")]
+        shared = [getattr(cos, name) is getattr(tfidf, name)
+                  for name in ("indptr", "scores")]
+        equal = [np.array_equal(getattr(cos, name), getattr(tfidf, name))
+                 for name in ("user_rows", "indptr", "items", "scores")]
+        assert shared == [not common] * 2
+        assert all(equal) != common
+        assert not any(getattr(block, name).flags.writeable
+                       for block in (cos, tfidf)
+                       for name in ("indptr", "scores"))
+
 
 class TestRecommend:
     def test_never_recommends_consumed_items(self):

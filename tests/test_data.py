@@ -1,10 +1,15 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recfuse.core import Interaction, InteractionDataset, ScoredItem, PredictionMatrix
 from recfuse.data import (
+    MATRIX_HEADER,
+    _read_matrix_rows,
+    _read_plain_matrix,
     SplitMix64,
     SplitSpec,
     fnv1a64,
@@ -398,6 +403,122 @@ def test_read_matrix_reports_the_first_faulty_line(tmp_path_factory, data):
     with pytest.raises(ValueError) as err:
         read_matrix(p)
     assert str(err.value) == f"{p}: line {line}: {message}"
+
+
+# -- property: the column reader gives the row reader's matrix or error --------
+
+# Ids whose order as padded bytes is easy to get wrong: prefixes of each
+# other, non-ASCII, and longer than the 8 bytes of one packed word.
+MATRIX_ITEMS = ["i1", "i10", "i2", "e", "é", "中文", "item-over-8-a",
+                "item-over-8-b"]
+MATRIX_USERS = ["u1", "ü", "user-over-8"]
+
+
+def _with_field(f, value):
+    return lambda line: ",".join(value(v) if i == f else v
+                                 for i, v in enumerate(line.split(",")))
+
+
+# Rewrites of one data line, valid or not, by name.
+LINE_EDITS = {
+    "nan score": _with_field(4, lambda v: "nan"),
+    "inf score": _with_field(4, lambda v: "inf"),
+    "1_0 score": _with_field(4, lambda v: "1_0"),
+    "spaced score": _with_field(4, lambda v: " " + v),
+    "split score": _with_field(4, lambda v: "1 5"),
+    "6 fields": _with_field(4, lambda v: v + ",x"),
+    "6 fields, one empty": _with_field(3, lambda v: v + ","),
+    "4 fields": lambda line: line.rsplit(",", 1)[0],
+    "fold 0-prefixed": _with_field(0, lambda v: "0" + v),
+    "negative fold": _with_field(0, lambda v: "-1"),
+    "empty user": _with_field(2, lambda v: ""),
+    "quoted user": _with_field(2, lambda v: f'"{v}"'),
+    "CR in user": _with_field(2, lambda v: v + "\r"),
+    "NUL in model": _with_field(1, lambda v: v + "\0"),
+    "line over _MAX_LINE": _with_field(3, lambda v: v + "z" * 130),
+}
+FILE_EDITS = ("none", "move a line", "CRLF", "BOM", "blank last line",
+              "no final newline", "invalid UTF-8")
+
+
+def _matrix_outcome(read, path, min_length):
+    """('ok', matrix) or ('error', exception type, message) of one read."""
+    try:
+        return ("ok", read(path, min_length))
+    except Exception as exc:    # the row reader can raise csv.Error too
+        return ("error", type(exc), str(exc))
+
+
+def _read_by_rows(path, min_length):
+    matrix = _read_matrix_rows(path)
+    if min_length is not None:
+        matrix.ensure_supports_k(min_length)
+    return matrix
+
+
+def _assert_same_matrix(a, b):
+    assert a._users.ids == b._users.ids and a._items.ids == b._items.ids
+    assert list(a._blocks) == list(b._blocks)
+    for key, block in a._blocks.items():
+        for name in ("user_rows", "indptr", "items", "scores"):
+            x, y = getattr(block, name), getattr(b._blocks[key], name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (key, name)
+
+
+@pytest.mark.parametrize("edit", [*FILE_EDITS, *LINE_EDITS])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_column_reader_matches_row_reader(tmp_path_factory, edit, data):
+    """read_matrix gives the row reader's matrix, or its error, on plain and
+    on adversarial files, with lists and faults across block boundaries.
+    Each edit is made once, alone or with one more drawn edit."""
+    draw = data.draw
+    keys = draw(st.lists(st.tuples(st.sampled_from("01"),
+                                   st.sampled_from(["A", "bm"]),
+                                   st.sampled_from(MATRIX_USERS)),
+                         min_size=1, max_size=5, unique=True))
+    lines = []
+    for key in keys:
+        items = draw(st.lists(st.sampled_from(MATRIX_ITEMS), min_size=1,
+                              max_size=5, unique=True))
+        # Few distinct scores, so ties at any cut-off are common.
+        scores = [draw(st.sampled_from([0.0, 0.5, 1.5])) for _ in items]
+        lines += [",".join((*key, item, format_score(score)))
+                  for score, item in sorted(zip(scores, items),
+                                            key=lambda p: (-p[0], p[1]))]
+    edits = [edit, draw(st.sampled_from([*FILE_EDITS, *LINE_EDITS]))
+             if edit != "none" and draw(st.booleans()) else "none"]
+    for name in edits:
+        at = draw(st.integers(0, len(lines) - 1))
+        if name in LINE_EDITS:
+            lines[at] = LINE_EDITS[name](lines[at])
+        elif name == "move a line":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(at))
+    header = ",".join(MATRIX_HEADER) + "\n"
+    raw = ("\ufeff" * ("BOM" in edits) + header
+           + "".join(line + "\n" for line in lines)).encode("utf-8")
+    if "CRLF" in edits:
+        raw = raw.replace(b"\n", b"\r\n")
+    if "invalid UTF-8" in edits:
+        cut = draw(st.integers(len(header), len(raw) - 1))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    if "blank last line" in edits:
+        raw += b"\n"
+    if "no final newline" in edits:
+        raw = raw[:-1]
+    p = tmp_path_factory.mktemp("plain") / "m.csv"
+    p.write_bytes(raw)
+    min_length = draw(st.sampled_from([None, 1, 3]))
+    with mock.patch("recfuse.data._BLOCK_ROWS",
+                    draw(st.sampled_from([1, 2, 3, 7, 8192]))):
+        if edits == ["none", "none"]:   # a plain file takes the column path
+            assert _read_plain_matrix(raw) is not None
+        got = _matrix_outcome(read_matrix, p, min_length)
+    want = _matrix_outcome(_read_by_rows, p, min_length)
+    if got[0] == want[0] == "ok":
+        _assert_same_matrix(got[1], want[1])
+    else:
+        assert got == want
 
 
 @given(st.data())
