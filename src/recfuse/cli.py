@@ -16,7 +16,7 @@ from pathlib import Path
 
 from recfuse import harness
 from recfuse.data import write_fused, write_matrix, write_splits
-from recfuse.fusion import fuse_all
+from recfuse.fusion import FoldFuser
 from recfuse.harness import ExperimentConfig
 
 log = logging.getLogger("recfuse")
@@ -154,13 +154,10 @@ def _cmd_fuse(config, args):
     bundle = harness.prepare_dataset(config, ds)
     if args.n not in bundle.weights:
         raise _UsageError(f"n={args.n} is not in the configured n_values")
-    fused = {
-        split.fold_index: fuse_all(bundle.norm, bundle.weights[args.n],
-                                   members, split.fold_index, args.k, args.n)
-        for split in bundle.splits
-    }
+    fused = {s.fold_index: FoldFuser(bundle.norm, s.fold_index, args.k).top_n(
+        members, bundle.weights[args.n], args.n) for s in bundle.splits}
     path = out / f"fused_{ds.name}_{args.n}.csv"
-    write_fused(fused, path)
+    write_fused(fused, bundle.norm.user_index, bundle.norm.item_index, path)
     log.info("wrote %s", path)
     return 0
 

@@ -31,7 +31,6 @@ from recfuse.core import (
     collapse_duplicates,
     list_contract_fault,
 )
-from recfuse.fusion import FusedList
 
 log = logging.getLogger(__name__)
 
@@ -598,13 +597,11 @@ def read_weights(path: str | Path) -> ModelWeights:
 FUSED_HEADER = ["fold", "user", "item", "score"]
 
 
-def write_fused(fused_by_fold: Mapping[int, Mapping[str, FusedList]],
-                path: str | Path):
-    """Export fused top-n lists, ranked order preserved per user."""
+def write_fused(fused_by_fold: Mapping[int, tuple[np.ndarray, ...]],
+                user_index: IdIndex, item_index: IdIndex, path: str | Path):
+    """Export fused top-n lists: per fold, FoldFuser.top_n's arrays."""
     with csv_writer(path, FUSED_HEADER) as writer:
         for fold in sorted(fused_by_fold):
-            per_user = fused_by_fold[fold]
-            for user in sorted(per_user):
-                for si in per_user[user].items:
-                    writer.writerow([fold, user, si.item_id,
-                                     format_score(si.score)])
+            for u, i, s in zip(*(a.tolist() for a in fused_by_fold[fold])):
+                writer.writerow([fold, user_index.id(u), item_index.id(i),
+                                 format_score(s)])

@@ -4,8 +4,8 @@ The fusion rule: truncate each member model's ranked list to its top k,
 then for every item that survives in at least one list, sum
 weight(model) * normalized_score(model, item) across the lists that
 contain it. The fused top-n is that sum sorted descending, ties broken
-by item id ascending. FoldFuser computes it for selection on a fixed
-users x width grid per (fold, k), with hits read from one mask per holdout.
+by item id ascending. FoldFuser computes it for selection and `recfuse
+fuse`; fuse_user and fuse_all are the per-user reference and the API.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def fuse_user(per_model_lists: Mapping[str, Sequence[ScoredItem]],
 def fuse_all(matrix: PredictionMatrix, weights: ModelWeights,
              members: Iterable[str], fold: int, k: int, n: int
              ) -> dict[str, FusedList]:
-    """Fuse every user's lists for one fold and one member subset.
+    """Fuse every user's lists for one fold and one member subset: the
+    per-user reference that FoldFuser is tested against, and the API.
 
     Covers exactly the users that have a stored list for at least one
     member model. Results are keyed and ordered by ascending user_id.
@@ -158,74 +159,92 @@ def fuse_all(matrix: PredictionMatrix, weights: ModelWeights,
     return out
 
 
-def rank_major(matrix: PredictionMatrix, fold: int, k: int
-               ) -> dict[str, tuple[np.ndarray, ...]]:
-    """(order, scores, ends) per model of a fold: its entries ranked below
-    k, in rank order; order holds their positions in the block and ends[j]
-    counts those ranked below j. Every top-j truncation (j <= k) is thus a
-    prefix: one store serves all of the fold's FoldFusers, as score views."""
-    store = {}
-    for model in matrix.models(fold):
-        block = matrix.block(fold, model)
-        rank = list_ranks(block.indptr)
-        ends = np.cumsum(np.bincount(rank + 1, minlength=k + 1)[:k + 1])
-        order = np.argsort(rank, kind="stable")[:ends[-1]]
-        store[model] = (order.astype(np.int32), block.scores[order], ends)
-    return store
-
-
 class FoldFuser:
-    """Vectorized fuse-and-score engine for one (fold, k) evaluation context.
+    """Fuse-and-score engine for one (fold, k): selection's ndcg and
+    `recfuse fuse`'s top_n.
 
-    The build lays the union of every model's top-k (user, item) pairs (a
-    prefix of the fold's rank_major store; scores are views) out as a fixed
-    grid: a row per user, items ascending, padded to the widest row. Models
-    keep the grid cells of their entries; each holdout gets a bool hit mask
-    over the grid on first use. A candidate costs a scatter-add per member
-    into a zeroed grid plus a presence mask, one np.partition for each row's
-    n-th best fused score, a lexsort of only the present cells at or above
-    it, and metrics.mean_ndcg over the hits read from the mask.
-
-    Results equal fuse_all + ndcg_model bit for bit (asserted in tests):
-    cells are unique within a model, so each fused sum is 0.0 plus one term
-    per member in sorted member order, as in fuse_user; the stable lexsort
-    keeps item order at ties; ties at the n-th score all survive the
-    prefilter; and presence, not a nonzero sum, decides coverage.
+    The union of every model's top-k (user, item) pairs is laid out as a
+    grid: a row per user, items ascending, padded to the widest row. Each
+    model keeps a float64 row of its scores over the grid (0.0 where it
+    holds nothing) and a bool row marking its cells. A candidate's fused
+    grid is its first member's weighted row plus each further one's, in
+    sorted member order, over the OR of their marks; one np.partition finds
+    each row's n-th best. This equals fuse_all bit for bit (tested): scores
+    (checked at build) and weights are non-negative, so an absent cell adds
+    +0.0 and the first product equals the reference's 0.0 + a, and an
+    absent 0.0 is at or below every fused score at the cut.
     """
 
-    def __init__(self, matrix: PredictionMatrix, fold: int, k: int,
-                 store: dict[str, tuple[np.ndarray, ...]] | None = None):
-        store = rank_major(matrix, fold, k) if store is None else store
+    def __init__(self, matrix: PredictionMatrix, fold: int, k: int):
         self._fold, self._k = fold, k
-        self._n_users = len(matrix.user_index)
         self._n_items = len(matrix.item_index)
         heads = {}
-        universe = np.zeros(self._n_users * self._n_items, dtype=bool)
-        for m, (order, _, ends) in store.items():
+        universe = np.zeros(len(matrix.user_index) * self._n_items, dtype=bool)
+        for m in matrix.models(fold):
             block = matrix.block(fold, m)
-            order = order[:ends[k]]
+            # The sign bit, as a -0.0 would keep it through the first product.
+            if np.signbit(block.scores).any():
+                raise ValueError(f"negative score for model {m!r} in fold "
+                                 f"{fold}: fuse normalized scores")
+            top = list_ranks(block.indptr) < k
             users = np.repeat(block.user_rows.astype(np.int64),
-                              np.diff(block.indptr))[order]
-            keys = users * self._n_items + block.items[order]
+                              np.diff(block.indptr))[top]
+            keys = users * self._n_items + block.items[top]
             universe[keys] = True
-            heads[m] = (keys, block.user_rows)
+            heads[m] = (keys, block.scores[top], block.user_rows)
         keys = np.flatnonzero(universe)
-        self._users, widths = np.unique(keys // self._n_items,
-                                        return_counts=True)  # row -> user
+        _, widths = np.unique(keys // self._n_items, return_counts=True)
         self._width = int(widths.max(initial=1))
         # Slots come grouped by user: cell = row start + rank within the row.
         cells = (np.repeat(np.arange(widths.size) * self._width, widths)
                  + list_ranks(np.append(0, np.cumsum(widths))))
-        self._items = np.zeros(self._users.size * self._width, dtype=np.int32)
-        self._items[cells] = keys % self._n_items
-        # int32 halves this U x I transient; cast to intp once, not per use.
-        cell_of = np.empty(universe.size, dtype=np.int32)
+        self._keys = np.zeros(widths.size * self._width, dtype=np.int64)
+        self._keys[cells] = keys    # padding cells are never marked
+        cell_of = np.empty(universe.size, dtype=np.int32)  # a U x I transient
         cell_of[keys] = cells
-        self._per_model = {
-            m: (cell_of[model_keys].astype(np.intp),
-                store[m][1][:model_keys.size], rows)
-            for m, (model_keys, rows) in heads.items()}
+        self._rows = {}
+        for m, (model_keys, scores, users) in heads.items():
+            at, size = cell_of[model_keys], self._keys.size
+            row, held = np.zeros(size), np.zeros(size, dtype=bool)
+            row[at], held[at] = scores, True
+            self._rows[m] = (row, held, users)
         self._hit_masks: dict[int, tuple[HoldoutKeys, np.ndarray]] = {}
+
+    def _fuse(self, members: Sequence[str], weights: ModelWeights, n: int):
+        """(fused grid, kept cells in list order, their ranks in their rows)
+        of one member subset; kept holds each row's top n and its ties."""
+        member_list = sorted(set(members))
+        if not member_list:
+            raise ValueError("no models")
+        if n < 1:
+            raise ValueError("invalid length")
+        if self._k < n:
+            raise ValueError("k must be ≥ N")
+        for i, model in enumerate(member_list):
+            if model not in self._rows:
+                raise ValueError(
+                    f"no lists for model {model!r} in fold {self._fold}")
+            row, held, _ = self._rows[model]
+            if i == 0:
+                fused = row * weights.weight(self._fold, model)
+                present = held.copy()
+            else:
+                fused += row * weights.weight(self._fold, model)
+                present |= held
+        width = self._width
+        if width > n:
+            # Clear, through a view of present, every cell below its row's
+            # n-th largest fused score (none in a row with fewer than n).
+            grid = fused.reshape(-1, width)
+            top = present.reshape(-1, width)
+            top &= grid >= np.partition(grid, width - n, axis=1)[:, [-n]]
+        kept = np.flatnonzero(present)
+        rows = kept // width
+        # Stable, so equal (row, fused) keep their ascending item order; rows
+        # were ascending already, so they stay in step with the sorted cells.
+        kept = kept[np.lexsort((-fused[kept], rows))]
+        rank = list_ranks(np.append(0, np.cumsum(np.bincount(rows))))
+        return fused, kept, rank
 
     def ndcg(self, members: Sequence[str], weights: ModelWeights,
              holdout: HoldoutKeys, n: int,
@@ -237,44 +256,22 @@ class FoldFuser:
             ValueError: no members, n < 1, k < n, or a member has no lists
                 in this fold.
         """
-        member_list = sorted(set(members))
-        if not member_list:
-            raise ValueError("no models")
-        if n < 1:
-            raise ValueError("invalid length")
-        if self._k < n:
-            raise ValueError("k must be ≥ N")
-        fused = np.zeros(self._items.size)
-        present = np.zeros(self._items.size, dtype=bool)
-        covered = np.zeros(self._n_users, dtype=bool)
-        for model in member_list:
-            if model not in self._per_model:
-                raise ValueError(
-                    f"no lists for model {model!r} in fold {self._fold}")
-            cells, scores, rows = self._per_model[model]
-            fused[cells] += scores * weights.weight(self._fold, model)
-            present[cells] = True
-            covered[rows] = True
-        width = self._width
-        if width > n:
-            # Clear, through a view of present, every cell below its row's
-            # n-th largest fused score (none in a row with fewer than n).
-            nth = np.where(present, fused, -np.inf).reshape(-1, width)
-            nth.partition(width - n, axis=1)
-            top = present.reshape(-1, width)
-            top &= fused.reshape(-1, width) >= nth[:, width - n, None]
-        kept = np.flatnonzero(present)
-        rows = kept // width
-        # Stable, so equal (row, fused) keep their ascending item order; rows
-        # were ascending already, so they stay in step with the sorted cells.
-        kept = kept[np.lexsort((-fused[kept], rows))]
-        rank = list_ranks(np.append(0, np.cumsum(np.bincount(rows))))
+        _, kept, rank = self._fuse(members, weights, n)
         if id(holdout) not in self._hit_masks:
             # The entry keeps the holdout alive, so no other takes its id.
-            keys = np.repeat(self._users, width) * self._n_items + self._items
             self._hit_masks[id(holdout)] = (
-                holdout, _holdout_hits(keys, holdout.keys))
+                holdout, _holdout_hits(self._keys, holdout.keys))
         hit = (rank < n) & self._hit_masks[id(holdout)][1][kept]
         # Users covered only by empty lists still count (score 0).
-        return mean_ndcg(np.flatnonzero(covered), self._users[rows[hit]],
+        covered = np.unique(np.concatenate(
+            [self._rows[m][2] for m in set(members)]))
+        return mean_ndcg(covered, self._keys[kept[hit]] // self._n_items,
                          rank[hit], holdout, n, include_empty_holdout_users)
+
+    def top_n(self, members: Sequence[str], weights: ModelWeights, n: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """fuse_all's lists as flat (user index, item index, fused score)
+        arrays in list order, users ascending. Raises as ndcg."""
+        fused, kept, rank = self._fuse(members, weights, n)
+        kept = kept[rank < n]
+        return (*np.divmod(self._keys[kept], self._n_items), fused[kept])

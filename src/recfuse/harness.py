@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -52,8 +53,7 @@ from recfuse.data import (
     write_splits,
     write_weights,
 )
-from recfuse.fusion import (NORMALIZATION_MODES, FoldFuser, normalize_scores,
-                            rank_major)
+from recfuse.fusion import NORMALIZATION_MODES, FoldFuser, normalize_scores
 from recfuse.metrics import HoldoutKeys, holdout_keys, left_sum, ndcg_rows
 from recfuse.selection import (
     EXHAUSTIVE_LIMIT,
@@ -391,20 +391,9 @@ class DatasetBundle:
     norm: PredictionMatrix
     weights: dict[int, ModelWeights]          # keyed by n
     model_ids: list[str]
-    _selections: dict = field(default_factory=dict)
-    _fusers: dict = field(default_factory=dict)
-    _stores: dict = field(default_factory=dict)      # rank_major per fold
+    _selections: dict = field(default_factory=dict)  # (n, k) -> result
     _holdouts: dict = field(default_factory=dict)
     _test_tables: dict = field(default_factory=dict)
-
-    def fuser(self, fold: int, k: int) -> FoldFuser:
-        if (fold, k) not in self._fusers:
-            if fold not in self._stores:
-                self._stores[fold] = rank_major(self.norm, fold,
-                                                self.config.max_k())
-            self._fusers[fold, k] = FoldFuser(self.norm, fold, k,
-                                              self._stores[fold])
-        return self._fusers[fold, k]
 
     def holdout(self, fold: int, kind: str) -> HoldoutKeys:
         """A fold's holdout over the indices that raw and norm share."""
@@ -523,10 +512,31 @@ class CellSelection:
 
 
 def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
-    """Search the subset lattice for one (dataset, n, k) context."""
-    key = (n, k)
-    if key in bundle._selections:
-        return bundle._selections[key]
+    """Search the subset lattice for one (dataset, n, k) context.
+
+    The first call at a k builds that k's FoldFusers, one per fold, selects
+    on them for n and every configured n <= k, caches each cell's result or
+    exception, and drops them: each (fold, k) is built once per dataset and
+    one k's fusers live at a time. An exception is raised by its cell only.
+    """
+    if (n, k) not in bundle._selections:
+        fusers = {s.fold_index: FoldFuser(bundle.norm, s.fold_index, k)
+                  for s in bundle.splits}
+        for cell_n in {n, *(m for m in bundle.config.n_values if m <= k)}:
+            try:
+                result = _select(bundle, fusers, cell_n, k)
+            except Exception as exc:  # noqa: BLE001 - kept for its own cell
+                traceback.clear_frames(exc.__traceback__)  # frees the fusers
+                result = exc
+            bundle._selections[cell_n, k] = result
+    result = bundle._selections[n, k]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _select(bundle: DatasetBundle, fusers: Mapping[int, FoldFuser], n: int,
+            k: int) -> CellSelection:
     config = bundle.config
     sel = config.selection
     search = greedy_select if sel.mode == "greedy" else exhaustive_select
@@ -534,7 +544,7 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     incl = config.include_empty_holdout_users
 
     def score(fold: int, members: frozenset[str], kind: str) -> float:
-        return bundle.fuser(fold, k).ndcg(
+        return fusers[fold].ndcg(
             sorted(members), weights, bundle.holdout(fold, kind), n,
             include_empty_holdout_users=incl)
 
@@ -555,12 +565,10 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     test_scores = [score(fold, members, "test")
                    for fold, members in zip(folds, members_per_fold)]
 
-    ci = confidence_interval(test_scores)
-    result = CellSelection(
+    return CellSelection(
         n, k, tuple(traces), tuple(members_per_fold), tuple(test_scores),
-        left_sum(test_scores) / len(test_scores), ci)
-    bundle._selections[key] = result
-    return result
+        left_sum(test_scores) / len(test_scores),
+        confidence_interval(test_scores))
 
 
 def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:

@@ -11,6 +11,9 @@ import pytest
 
 from recfuse import harness
 from recfuse.cli import main
+from recfuse.core import PredictionMatrix
+from recfuse.data import format_score
+from recfuse.fusion import fuse_all
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,15 +131,39 @@ class TestChainedSubcommands:
 
 
 class TestFuse:
-    def test_writes_fused_lists(self, tmp_path, run_dir):
+    def test_writes_fused_lists(self, tmp_path, run_dir, monkeypatch):
+        # The file must hold fuse_all's lists, byte for byte, with each
+        # fold's first uknn list emptied; k=15 is above the config's
+        # largest k (10), which caps the scored lists.
         _, config_path = run_dir
-        out = tmp_path / "fused"
-        assert main(["fuse", "--config", str(config_path), "--threads", "1",
-                     "--out", str(out), "--dataset", "toy",
-                     "--members", "cos+uknn", "--k", "10", "--n", "5"]) == 0
-        lines = (out / "fused_toy_5.csv").read_text().splitlines()
-        assert lines[0].startswith("fold,")
-        assert len(lines) > 1
+        real_generate = harness.generate_matrix
+
+        def one_empty_list(models_by_fold, k_max):
+            entries = dict(real_generate(models_by_fold, k_max).entries())
+            entries[next(key for key in entries if key[1] == "uknn")] = []
+            return PredictionMatrix.from_entries(entries)
+
+        monkeypatch.setattr(harness, "generate_matrix", one_empty_list)
+        config = harness.ExperimentConfig.from_file(config_path)
+        bundle = harness.prepare_dataset(config, config.datasets[0])
+        for fold in bundle.norm.folds():
+            user = bundle.norm.users(fold, "uknn")[0]
+            assert bundle.norm.scored_list(fold, "uknn", user) == []
+        for k in (5, 15):
+            out = tmp_path / f"fused{k}"
+            assert main(["fuse", "--config", str(config_path), "--threads",
+                         "1", "--out", str(out), "--dataset", "toy",
+                         "--members", "cos+uknn", "--k", str(k), "--n",
+                         "5"]) == 0
+            lines = ["fold,user,item,score"]
+            for fold in bundle.norm.folds():
+                fused = fuse_all(bundle.norm, bundle.weights[5],
+                                 ["cos", "uknn"], fold, k, 5)
+                lines += [f"{fold},{user},{si.item_id},"
+                          f"{format_score(si.score)}"
+                          for user, fl in fused.items() for si in fl.items]
+            assert ((out / "fused_toy_5.csv").read_text()
+                    == "\n".join(lines) + "\n")
 
     def test_k_below_n_rejected(self, run_dir, capsys):
         _, config_path = run_dir

@@ -25,6 +25,7 @@ from recfuse.data import (
     write_weights,
 )
 from recfuse.core import ModelWeights
+from recfuse.synthetic import _splitmix64_array
 
 
 class TestPinnedRng:
@@ -40,6 +41,12 @@ class TestPinnedRng:
         g = SplitMix64(1234567)
         assert g.next_u64() == 6457827717110365317
         assert g.next_u64() == 3203168211198807973
+
+    @pytest.mark.parametrize("seed", [0, 1234567, 99, 2**64 - 1])
+    def test_vectorized_splitmix64_is_the_same_generator(self, seed):
+        g = SplitMix64(seed)
+        assert (_splitmix64_array(seed, 5).tolist()
+                == [g.next_u64() for _ in range(5)])
 
     def test_fnv1a64_reference_vectors(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325

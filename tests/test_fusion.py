@@ -12,7 +12,6 @@ from recfuse.fusion import (
     fuse_all,
     fuse_user,
     normalize_scores,
-    rank_major,
 )
 from recfuse.metrics import holdout_keys, idcg, ndcg_model
 from recfuse.selection import evaluate_ensemble
@@ -373,6 +372,15 @@ class TestFoldFuser:
         with pytest.raises(ValueError, match="no lists for model 'Z' in fold 0"):
             fuser.ndcg(["A", "Z"], weights, keys, 2)
 
+    @pytest.mark.parametrize("score", [-0.25, -0.0])
+    def test_negative_score_rejected_at_build(self, score):
+        m = PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("a", 0.5), ScoredItem("b", score)],
+        })
+        with pytest.raises(ValueError,
+                           match="negative score for model 'A' in fold 0"):
+            FoldFuser(m, 0, k=2)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, tiny_matrix, n):
         weights = ModelWeights({(0, "A"): 0.3}, 2)
@@ -382,6 +390,21 @@ class TestFoldFuser:
         with pytest.raises(ValueError, match="invalid length"):
             fuser.ndcg(["A"], weights, keys, n)
 
+
+
+def fuse_all_rows(matrix, weights, members, fold, k, n):
+    """fuse_all's lists as (user index, item index, score bits) rows."""
+    return [(matrix.user_index.index(user),
+             matrix.item_index.index(si.item_id), si.score.hex())
+            for user, fused in fuse_all(matrix, weights, members, fold, k,
+                                        n).items()
+            for si in fused.items]
+
+
+def top_n_rows(fuser, members, weights, n):
+    users, items, scores = fuser.top_n(members, weights, n)
+    return list(zip(users.tolist(), items.tolist(),
+                    map(float.hex, scores.tolist())))
 
 
 @st.composite
@@ -431,6 +454,8 @@ def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
     split = FoldSplit(0, train={}, validation={}, test=holdouts)
     keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
     fuser = FoldFuser(matrix, 0, k)
+    assert (top_n_rows(fuser, members, weights, n)
+            == fuse_all_rows(matrix, weights, members, 0, k, n))
 
     def got():
         return fuser.ndcg(sorted(members), weights, keys, n, include_empty)
@@ -448,10 +473,9 @@ def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
 @given(fold_fuser_instances(), st.data())
 @settings(max_examples=100)
 def test_fold_fuser_carries_no_state_between_calls(instance, data):
-    # One fuser per k, its entries a prefix of a store built deeper than k,
-    # answers a drawn sequence of (members, n, population rule) calls with
-    # repeats and in any order exactly as a fresh fuser and the oracle do.
-    # The calls alternate between two holdouts built before the fuser, then
+    # One fuser answers a drawn sequence of (members, n, population rule)
+    # calls with repeats and in any order exactly as a fresh fuser and the
+    # oracle do. The calls alternate between two holdouts built before the fuser, then
     # three more use holdouts built after it, a new object per call, so a
     # hit mask cached for one holdout is never read for another.
     matrix, weights, _, holdouts, k, _ = instance
@@ -465,8 +489,7 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
         return holdout_keys(held, matrix.user_index, matrix.item_index)
 
     before = [(holdouts, keyed(holdouts)), (other, keyed(other))]
-    deeper = data.draw(st.integers(k + 1, k + 4), label="store_k")
-    fuser = FoldFuser(matrix, 0, k, rank_major(matrix, 0, deeper))
+    fuser = FoldFuser(matrix, 0, k)
     calls = data.draw(st.lists(st.tuples(
         st.lists(st.sampled_from(matrix.models(0)), min_size=1, unique=True),
         st.integers(1, k), st.booleans()), min_size=1, max_size=4),
@@ -494,9 +517,9 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
 
 @st.composite
 def grid_edge_instances(draw):
-    """Fold 0 of members a, b and non-member z, laid out so that one store
-    serves a fuser at k = n whose grid is at most n wide and one at a deeper
-    k whose grid is wider than n; fold 1 holds only empty lists.
+    """Fold 0 of members a, b and non-member z, laid out so that a fuser at
+    k = n has a grid at most n wide and one at a deeper k a grid wider than
+    n; fold 1 holds only empty lists.
 
     - w0, w1: only in a, with n + extra and n + deeper entries (extra <
       deeper), so at k = n + deeper row w0 holds more than n entries and
@@ -508,6 +531,9 @@ def grid_edge_instances(draw):
     - e: empty lists in a and b, entries in z: in the universe, covered
       only by empty lists.
     - x: only in z, so in the universe but never covered.
+    - h: an empty list in a and n + extra entries in b, so at the deeper k
+      a member holds no cell of a covered, padded row in which another
+      holds more than n; at b's weight 0.0 those all fuse to 0.0.
     """
     catalog = [f"i{j:02d}" for j in range(12)]
     values = (0.0, 0.25, 1.0, 3.0)
@@ -538,6 +564,10 @@ def grid_edge_instances(draw):
                                                   f"scores_{m}_{u}"))
             entries[(0, m, u)] = ranked(items, scores)
     entries[(0, "a", "e")] = entries[(0, "b", "e")] = []
+    entries[(0, "a", "h")] = []
+    entries[(0, "b", "h")] = ranked(
+        draw(st.permutations(catalog), label="items_h")[:n + extra],
+        drawn_scores(n + extra, "scores_b_h"))
     for u in ("e", "x"):
         items = draw(st.lists(st.sampled_from(catalog), max_size=n,
                               unique=True), label=f"items_z_{u}")
@@ -553,7 +583,7 @@ def grid_edge_instances(draw):
                    label="members")
     holdouts = {u: frozenset(draw(st.lists(st.sampled_from(catalog + ["x0"]),
                                            max_size=5), label=f"holdout_{u}"))
-                for u in ("w0", "w1", "s", "t", "e", "x")
+                for u in ("w0", "w1", "s", "t", "e", "x", "h")
                 if draw(st.booleans(), label=f"has_holdout_{u}")}
     return matrix, weights, members, holdouts, n, deeper
 
@@ -562,13 +592,14 @@ def grid_edge_instances(draw):
 @settings(max_examples=150)
 def test_fold_fuser_grid_edge_cases(instance, include_empty):
     matrix, weights, members, holdouts, n, deeper = instance
-    store = rank_major(matrix, 0, n + deeper)
-    narrow = FoldFuser(matrix, 0, n, store)
-    wide = FoldFuser(matrix, 0, n + deeper, store)
+    narrow = FoldFuser(matrix, 0, n)
+    wide = FoldFuser(matrix, 0, n + deeper)
     empty = FoldFuser(matrix, 1, n + deeper)
-    assert narrow._width <= n < wide._width and empty._items.size == 0
+    assert narrow._width <= n < wide._width and empty._keys.size == 0
     for fold, fuser, k in ((0, narrow, n), (0, wide, n + deeper),
                            (1, empty, n + deeper)):
+        assert (top_n_rows(fuser, members, weights, n)
+                == fuse_all_rows(matrix, weights, members, fold, k, n))
         split = FoldSplit(fold, train={}, validation={}, test=holdouts)
         keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
         try:

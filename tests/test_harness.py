@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from recfuse import harness
 from recfuse.baselines import MODEL_KINDS
 from recfuse.core import PredictionMatrix, ScoredItem
+from recfuse.fusion import FoldFuser
 from recfuse.harness import (
+    CELL_ARTIFACTS,
     DEFAULT_K_VALUES,
     T_TABLE_95,
     DatasetConfig,
@@ -24,6 +26,7 @@ from recfuse.harness import (
     SelectionConfig,
     _fit_fold_models,
     _merge_matrices,
+    cell_artifact,
     confidence_interval,
     model_table,
     pct_vs_ppl,
@@ -508,6 +511,47 @@ class TestRunSelection:
         for _, trace in sel.traces:
             singles = [s.ndcg for s in trace.steps if len(s.members) == 1]
             assert trace.chosen_ndcg >= max(singles)
+
+    def test_fusers_built_once_per_fold_and_k_grouped_by_k(
+            self, tmp_path, monkeypatch):
+        builds = []
+        real_init = FoldFuser.__init__
+
+        def counting(self, matrix, fold, k):
+            builds.append((fold, k))
+            real_init(self, matrix, fold, k)
+
+        monkeypatch.setattr(FoldFuser, "__init__", counting)
+        cfg = ExperimentConfig.from_dict(toy_config_dict(
+            output_dir=str(tmp_path / "run"), n_values=[5, 10],
+            k_values=[5, 10, 15]))
+        assert run_experiment(cfg).failed_cells == []
+        assert sorted(builds) == sorted(
+            (fold, k) for fold in range(3) for k in (5, 10, 15))
+        ks = [k for _, k in builds]
+        runs = [k for i, k in enumerate(ks) if i == 0 or ks[i - 1] != k]
+        assert sorted(runs) == [5, 10, 15]
+
+    def test_failing_cell_fails_alone(self, tmp_path, monkeypatch):
+        # Selection at k=15 runs n=10 while n=5 asks for it; the n=10
+        # failure must reach only the n=10 cell.
+        real_ndcg = FoldFuser.ndcg
+
+        def failing(self, members, weights, holdout, n, **kwargs):
+            if n == 10:
+                raise ValueError("no n=10 today")
+            return real_ndcg(self, members, weights, holdout, n, **kwargs)
+
+        monkeypatch.setattr(FoldFuser, "ndcg", failing)
+        cfg = ExperimentConfig.from_dict(toy_config_dict(
+            output_dir=str(tmp_path / "run"), n_values=[5, 10],
+            k_values=[5, 10, 15]))
+        result = run_experiment(cfg)
+        assert result.failed_cells == ["toy/n=10: no n=10 today"]
+        assert result.artifacts == sorted(
+            ["splits_toy.csv"] + [cell_artifact(prefix, "toy", 5)
+                                  for prefix in CELL_ARTIFACTS])
+        assert set(result.tables) == {("toy", 5)}
 
 
 def test_trace_csv_format(toy_bundle, tmp_path):
