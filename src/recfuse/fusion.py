@@ -200,7 +200,8 @@ class FoldFuser:
                  + list_ranks(np.append(0, np.cumsum(widths))))
         self._keys = np.zeros(widths.size * self._width, dtype=np.int64)
         self._keys[cells] = keys    # padding cells are never marked
-        cell_of = np.empty(universe.size, dtype=np.int32)  # a U x I transient
+        # int32 halves this U x I transient.
+        cell_of = np.empty(universe.size, dtype=np.int32)
         cell_of[keys] = cells
         self._rows = {}
         for m, (model_keys, scores, users) in heads.items():
