@@ -11,6 +11,11 @@ batched or on the BLAS thread count. `train_incidence` alone turns
 (user, item) string pairs into dense indices: one read-only incidence per
 fold, shared with its item cosine by every model fitted on the fold.
 
+Memory: a model keeps at most one dense similarity. Truncation, the
+cosine's normalization and scoring run `_SCORE_CHUNK` rows at a time, and
+`generate_matrix` keeps no model once its lists are built, so a lazily
+fitted fold holds one model and no full-size transient at a time.
+
 Similarity conventions, shared by every kind that uses one:
   - the cosine of 0/1 vectors after any weighting (`_cosine`);
   - item-item-tfidf is the item cosine with the rows and columns of items
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -79,19 +85,25 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(top, order, axis=1)
 
 
-def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
-    """Keep each row's top-nn off-diagonal entries, zero the rest.
+def _truncate_neighbors(sim: np.ndarray, nn: int,
+                        transposed: bool = False) -> np.ndarray:
+    """Keep each row's top-nn off-diagonal entries, zero the rest; with
+    `transposed`, return that truncation's transpose, C-contiguous.
 
     `_top_k` orders by similarity descending with index-ascending ties,
-    matching the package-wide tie rule.
+    matching the package-wide tie rule. Rows are taken `_SCORE_CHUNK` at a
+    time, so no transient is as large as `sim`.
     """
     out = np.zeros_like(sim)
-    work = sim.copy()
-    np.fill_diagonal(work, -np.inf)
-    keep = _top_k(work, nn)  # the -inf diagonal only if nn >= n
-    vals = np.take_along_axis(work, keep, axis=1)
-    np.put_along_axis(out, keep, np.where(
-        np.isfinite(vals) & (vals != 0.0), vals, 0.0), axis=1)
+    target = out.T if transposed else out
+    for start in range(0, sim.shape[0], _SCORE_CHUNK):
+        work = sim[start:start + _SCORE_CHUNK].copy()
+        rows = np.arange(work.shape[0])
+        work[rows, start + rows] = -np.inf
+        keep = _top_k(work, nn)  # the -inf diagonal only if nn >= n
+        vals = np.take_along_axis(work, keep, axis=1)
+        np.put_along_axis(target[start:start + work.shape[0]], keep, np.where(
+            np.isfinite(vals) & (vals != 0.0), vals, 0.0), axis=1)
     return out
 
 
@@ -133,12 +145,15 @@ def _row_sums(source: np.ndarray, touched: np.ndarray,
 def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
     """Cosine of the columns of 0/1 V, row u weighted by w_u: the Gram
     V^T diag(w) V, whose (i, j) and (j, i) both add w_u over the u holding i
-    and j in ascending u, times outer(inv, inv), inv = 1 / norm or 0."""
+    and j in ascending u, times outer(inv, inv), inv = 1 / norm or 0, which
+    is applied `_SCORE_CHUNK` rows at a time."""
     touched = vectors.T if weights is None else vectors.T * weights
     gram = _row_sums(vectors, touched, np.arange(vectors.shape[1]))
     norms = np.sqrt(np.diag(gram))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    gram *= np.outer(inv, inv)
+    for start in range(0, gram.shape[0], _SCORE_CHUNK):
+        gram[start:start + _SCORE_CHUNK] *= np.outer(
+            inv[start:start + _SCORE_CHUNK], inv)
     return gram
 
 
@@ -249,7 +264,10 @@ class _ItemItem(FittedModel):
             sim = train.item_cosine()
         common = self._incidence.all(axis=0)  # their IDF is log(1) = 0
         if kind != "item-item-cosine" and common.any():
-            sim = np.where(common[:, None] | common, 0.0, sim)
+            if not sim.flags.writeable:
+                sim = sim.copy()  # the shared cosine
+            sim[common] = 0.0
+            sim[:, common] = 0.0
         self.similarity = self._rows = sim
 
 
@@ -259,8 +277,8 @@ class _ItemKnn(FittedModel):
         # score(u, i) sums sim(i, j) over the user's train items j that are
         # among i's kept neighbors: row j of the transposed truncation, the
         # one orientation stored (`similarity` is a view of it).
-        self._rows = np.ascontiguousarray(
-            _truncate_neighbors(train.item_cosine(), params["nn"]).T)
+        self._rows = _truncate_neighbors(train.item_cosine(), params["nn"],
+                                         transposed=True)
         self.similarity = self._rows.T
 
 
@@ -328,7 +346,33 @@ def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]
     return [(u, i) for u in sorted(train) for i in sorted(train[u])]
 
 
-def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
+def _score_block(model: FittedModel, k_max: int) -> _Block:
+    """A model's read-only top-k_max lists of every train user, scored,
+    masked and cut `_SCORE_CHUNK` users at a time; `_row_sums` and `_top_k`
+    treat rows apart, so the chunking cannot change a value."""
+    counts, items, scores = [], [], []
+    for start in range(0, len(model.users), _SCORE_CHUNK):
+        rows = np.arange(start, min(start + _SCORE_CHUNK, len(model.users)))
+        chunk = _row_sums(model._rows, model._touched, rows)
+        # Mask consumed items so they can never be recommended back.
+        chunk[model._incidence[rows] != 0] = -np.inf
+        top = _top_k(chunk, k_max)
+        top_scores = np.take_along_axis(chunk, top, axis=1)
+        valid = np.isfinite(top_scores)
+        # Each row's valid entries are a prefix, so a row-major masked
+        # gather lays the lists end to end.
+        counts.append(valid.sum(axis=1))
+        items.append(top[valid].astype(np.int32))
+        scores.append(top_scores[valid])
+    block = _Block(np.arange(len(model.users), dtype=np.int32),
+                   np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+                   np.concatenate(items), np.concatenate(scores))
+    for array in (block.user_rows, block.indptr, block.items, block.scores):
+        array.flags.writeable = False
+    return block
+
+
+def generate_matrix(models_by_fold: Mapping[int, Iterable[FittedModel]],
                     k_max: int) -> PredictionMatrix:
     """Batch-produce the prediction matrix for fitted per-fold models.
 
@@ -336,41 +380,40 @@ def generate_matrix(models_by_fold: Mapping[int, list[FittedModel]],
     folds are joined by PredictionMatrix.union. Covers every train user.
     Lists hold the top min(k_max, recommendable) items, identical to
     per-user recommend() output (asserted in tests).
+
+    A fold's models are drawn from their iterable one at a time, and no
+    reference to a model is kept once its block is built: given a lazy
+    iterable that fits on demand, a fold holds one fitted model at a time.
+    Scoring runs `_SCORE_CHUNK` users at a time, so no users x items array
+    is made.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     parts = []
     for fold in sorted(models_by_fold):
-        models = models_by_fold[fold]
-        users, items = models[0].users, models[0].items
+        users = items = None
         blocks: dict[tuple[int, str], _Block] = {}
-        scored: dict[tuple[int, int, int], _Block] = {}  # by arrays' id()
-        for model in models:
+        # Models that hold the same arrays score the same lists, so they
+        # share one read-only block. tfidf holds the shared item cosine
+        # unless some item is held by every train user. Arrays are compared
+        # through weak references: a dead model's arrays match nothing, even
+        # where a new array reuses a freed one's id().
+        scored: list[tuple[tuple[weakref.ref, ...], _Block]] = []
+        for model in models_by_fold[fold]:
+            if users is None:
+                users, items = model.users, model.items
             if (model.users.ids, model.items.ids) != (users.ids, items.ids):
                 raise ValueError(f"fold {fold}: model {model.model_id!r} was "
                                  f"fitted on another train set")
-            # Models that hold the same arrays score the same lists, so they
-            # share one read-only block. tfidf holds the shared item cosine
-            # unless some item is held by every train user.
-            arrays = (id(model._rows), id(model._touched), id(model._incidence))
-            if arrays in scored:
-                blocks[(fold, model.model_id)] = scored[arrays]
-                continue
-            scores = _row_sums(model._rows, model._touched,
-                               np.arange(len(users)))
-            # Mask consumed items so they can never be recommended back.
-            scores[model._incidence != 0] = -np.inf
-            top = _top_k(scores, k_max)
-            top_scores = np.take_along_axis(scores, top, axis=1)
-            valid = np.isfinite(top_scores)
-            # Each row's valid entries are a prefix, so a row-major masked
-            # gather lays the lists end to end.
-            indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-            block = _Block(np.arange(len(users), dtype=np.int32), indptr,
-                           top[valid].astype(np.int32), top_scores[valid])
-            for array in (block.user_rows, block.indptr, block.items,
-                          block.scores):
-                array.flags.writeable = False
-            blocks[(fold, model.model_id)] = scored[arrays] = block
+            arrays = (model._rows, model._touched, model._incidence)
+            block = next((b for refs, b in scored
+                          if all(r() is a for r, a in zip(refs, arrays))), None)
+            if block is None:
+                block = _score_block(model, k_max)
+                scored.append((tuple(map(weakref.ref, arrays)), block))
+            blocks[(fold, model.model_id)] = block
+            del model, arrays  # let it die before the next fit
+        if users is None:
+            raise ValueError(f"fold {fold}: no models")
         parts.append(PredictionMatrix(users, items, blocks))
     return PredictionMatrix.union(parts)

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from recfuse import harness
+from recfuse.baselines import binarized_pairs, train_incidence
 from recfuse.data import write_fused, write_matrix, write_splits
 from recfuse.fusion import FoldFuser
 from recfuse.harness import ExperimentConfig
@@ -115,16 +116,16 @@ def _cmd_split(config, args):
 
 
 def _cmd_fit(config, args):
-    roster = [m.model_id for m in config.models if m.kind is not None]
+    roster = [m for m in config.models if m.kind is not None]
     for ds in config.datasets:
         for split in harness.split_dataset(config, ds):
-            fitted = {f.model_id: f for f in
-                      harness._fit_fold_models(config, split)}
-            for model_id in roster:
-                model = fitted[model_id]
+            train = train_incidence(binarized_pairs(split.train))
+            for m in roster:
+                # A line per model as it is fitted; none is kept.
+                harness.fit(m.kind, train, m.params, model_id=m.model_id)
                 print(f"{ds.name} fold={split.fold_index} "
-                      f"model={model_id} users={len(model.users)} "
-                      f"items={len(model.items)}")
+                      f"model={m.model_id} users={len(train.users)} "
+                      f"items={len(train.items)}")
     return 0
 
 
@@ -150,6 +151,10 @@ def _cmd_fuse(config, args):
     ds = next((d for d in config.datasets if d.name == args.dataset), None)
     if ds is None:
         raise _UsageError(f"unknown dataset {args.dataset!r}")
+    if args.k > config.max_k():
+        log.warning("--k %d is above the largest scored k %d, so it fuses "
+                    "the same lists as --k %d", args.k, config.max_k(),
+                    config.max_k())
     out = _outdir(config)
     bundle = harness.prepare_dataset(config, ds)
     if args.n not in bundle.weights:

@@ -19,15 +19,17 @@ import hashlib
 import json
 import logging
 import math
+import resource
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from recfuse import __version__ as _package_version
 from recfuse.baselines import (
     MODEL_KINDS,
+    FittedModel,
     binarized_pairs,
     fit,
     fit_params,
@@ -421,15 +423,17 @@ def split_dataset(config: ExperimentConfig, ds: DatasetConfig
                        SplitSpec(seed=config.seed, n_folds=config.n_folds))
 
 
-def _fit_fold_models(config: ExperimentConfig, split: FoldSplit) -> list:
-    """Fit every built-in roster model on one fold's train split, one after
-    another in model-id order; all of them share one read-only train
-    incidence."""
+def _fit_fold_models(config: ExperimentConfig, split: FoldSplit
+                     ) -> Iterator[FittedModel]:
+    """Fit the built-in roster models on one fold's train split, lazily, in
+    model-id order: each is fitted only when the next one is asked for, so
+    a consumer that drops each model before asking holds one at a time. All
+    of them share one read-only train incidence and its item cosine."""
     builtin = sorted((m for m in config.models if m.kind is not None),
                      key=lambda m: m.model_id)
     train = train_incidence(binarized_pairs(split.train))
-    return [fit(m.kind, train, m.params, model_id=m.model_id)
-            for m in builtin]
+    for m in builtin:
+        yield fit(m.kind, train, m.params, model_id=m.model_id)
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
@@ -438,8 +442,12 @@ def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
 
 def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
                     ) -> DatasetBundle:
-    """Load, split, fit and score (one fold at a time), ingest, normalize,
-    and weight one dataset."""
+    """Load, split, fit and score, ingest, normalize, and weight one dataset.
+
+    Folds are fitted one after another, and within a fold each built-in model
+    is fitted, scored and dropped before the next is fitted. At its peak a
+    fold so holds its train incidence, the item cosine cached on it, one
+    fitted model and the blocks already scored."""
     t0 = time.perf_counter()
     splits = split_dataset(config, ds)
     parts = []
@@ -721,6 +729,11 @@ class RunResult:
     selections: dict[tuple[str, int], CellSelection]
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak RSS so far in MiB; Linux counts it in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_experiment(config: ExperimentConfig, threads: int | None = None
                    ) -> RunResult:
     """Execute every (dataset, n) cell and write the report bundle.
@@ -729,7 +742,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     still run. Artifacts per dataset: splits_<ds>.csv, and per n one
     <prefix>_<ds>_<n>.csv per CELL_ARTIFACTS entry (weights, tables,
     trace, sweep). Plus manifest.json (deterministic) and timings.json
-    (wall-clock, excluded from reproducibility).
+    (wall-clock seconds and peak RSS, excluded from reproducibility).
 
     `threads` is ignored, as the run is single-threaded; it is still
     accepted because existing callers pass a thread count.
@@ -742,6 +755,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
     sweeps: dict[tuple[str, int], list[dict]] = {}
     selections: dict[tuple[str, int], CellSelection] = {}
     timings: dict[str, float] = {}
+    peak_rss: dict[str, float] = {}
     start = time.perf_counter()
 
     for ds in config.datasets:
@@ -754,6 +768,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
                 failed.append(f"{ds.name}/n={n}: {exc}")
             continue
         timings[f"prepare_{ds.name}"] = time.perf_counter() - t0
+        peak_rss[f"prepare_{ds.name}"] = _peak_rss_mb()
 
         splits_path = out / f"splits_{ds.name}.csv"
         write_splits(bundle.splits, splits_path)
@@ -790,8 +805,10 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
         fh.write("\n")
 
     timings["total"] = time.perf_counter() - start
+    peak_rss["total"] = _peak_rss_mb()
     with (out / "timings.json").open("w", encoding="utf-8") as fh:
-        json.dump({"seconds": timings}, fh, indent=2, sort_keys=True)
+        json.dump({"seconds": timings, "peak_rss_mb": peak_rss}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
 
     return RunResult(out, sorted(artifacts), failed, tables, sweeps,

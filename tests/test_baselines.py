@@ -1,12 +1,13 @@
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recfuse import baselines
 from recfuse.baselines import (
@@ -313,7 +314,9 @@ class TestTfidfEqualsCosineOnBinaryData:
     def test_generated_blocks_shared_unless_an_item_is_common(self, common):
         """generate_matrix scores tfidf once, as cosine's read-only block,
         when it holds the shared cosine; an item held by every train user
-        gives tfidf its own similarity and so its own lists."""
+        gives tfidf its own similarity and so its own lists. The models are
+        fitted lazily, so cosine is dropped before tfidf is fitted: the
+        shared arrays live on in the train incidence."""
         rng = np.random.default_rng(3)
         pairs = {(f"u{int(u)}", f"i{int(i)}")
                  for u, i in zip(rng.integers(0, 20, 120),
@@ -322,8 +325,8 @@ class TestTfidfEqualsCosineOnBinaryData:
             pairs |= {(u, "every") for u, _ in pairs}
         train = train_incidence(sorted(pairs))
         assert train.matrix.all(axis=0).any() == common
-        models = [fit(kind, train) for kind in
-                  ("item-item-cosine", "item-knn", "item-item-tfidf")]
+        models = (fit(kind, train) for kind in
+                  ("item-item-cosine", "item-knn", "item-item-tfidf"))
         blocks = generate_matrix({0: models}, 10)._blocks
         cos, tfidf = blocks[(0, "item-item-cosine")], blocks[(0, "item-item-tfidf")]
         shared = [getattr(cos, name) is getattr(tfidf, name)
@@ -567,3 +570,144 @@ class TestGenerateMatrix:
             fold = part.folds()[0]
             assert list(part.entries()) == [
                 (key, lst) for key, lst in whole.entries() if key[0] == fold]
+
+    def test_holds_no_model_while_the_next_is_drawn(self, small_folds):
+        train = train_incidence(binarized_pairs(small_folds[0].train))
+        live = weakref.WeakSet()
+        seen = []
+
+        def models():
+            for kind in MODEL_KINDS:
+                seen.append(len(live))
+                model = fit(kind, train)
+                live.add(model)
+                yield model
+                del model
+
+        lazy = generate_matrix({0: models()}, k_max=5)
+        assert seen == [0] * len(MODEL_KINDS)
+        eager = generate_matrix({0: [fit(kind, train) for kind in MODEL_KINDS]},
+                                k_max=5)
+        assert lazy == eager
+
+    def test_arrays_of_a_dropped_model_match_no_later_model(self):
+        # Block sharing must compare arrays, not id()s: CPython gives a freed
+        # array's id to a new one, so a model drawn after another was dropped
+        # can hold arrays with the dropped one's ids and other scores.
+        train = train_incidence([("u1", "a"), ("u2", "b"), ("u3", "c"),
+                                 ("u4", "d")])
+        matched = []
+
+        def models():
+            first = fit("popularity", train, model_id="a")
+            first._rows, first._touched = np.eye(4), np.eye(4)
+            first._rows[:] = [1.0, 2.0, 3.0, 4.0]  # every user: d, c, b, a
+            ids = [id(first._rows), id(first._touched)]
+            yield first
+            del first
+            pool = [np.zeros((4, 4)) for _ in range(64)]
+            arrays = [next((a for a in pool if id(a) == i), None) for i in ids]
+            matched.append(all(a is not None for a in arrays))
+            second = fit("popularity", train, model_id="b")
+            if matched[0]:
+                second._rows, second._touched = arrays
+                second._rows[:] = [4.0, 3.0, 2.0, 1.0]  # a, b, c, d
+                second._touched[:] = np.eye(4)
+            yield second
+
+        matrix = generate_matrix({0: models()}, k_max=1)
+        assert matched == [True]
+        assert matrix.block(0, "a").items.tolist() == [3, 3, 3, 2]
+        assert matrix.block(0, "b").items.tolist() == [1, 0, 0, 0]
+
+
+def _whole_cosine(vectors, weights=None):
+    """`_cosine` with the whole Gram normalized at once."""
+    touched = vectors.T if weights is None else vectors.T * weights
+    gram = _row_sums(vectors, touched, np.arange(vectors.shape[1]))
+    norms = np.sqrt(np.diag(gram))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return gram * np.outer(inv, inv)
+
+
+def _whole_truncation(sim, nn):
+    """`_truncate_neighbors` over the whole matrix at once."""
+    out = np.zeros_like(sim)
+    work = sim.copy()
+    np.fill_diagonal(work, -np.inf)
+    keep = _top_k(work, nn)
+    vals = np.take_along_axis(work, keep, axis=1)
+    np.put_along_axis(out, keep, np.where(
+        np.isfinite(vals) & (vals != 0.0), vals, 0.0), axis=1)
+    return out
+
+
+def _whole_block(model, k_max):
+    """A model's (indptr, items, scores), scored for every user at once."""
+    scores = _row_sums(model._rows, model._touched,
+                       np.arange(len(model.users)))
+    scores[model._incidence != 0] = -np.inf
+    top = _top_k(scores, k_max)
+    top_scores = np.take_along_axis(scores, top, axis=1)
+    valid = np.isfinite(top_scores)
+    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    return indptr, top[valid].astype(np.int32), top_scores[valid]
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# Nine users, ten items: i_twin ties with i3 in every similarity row, i_all is
+# held by every user, and nn = 11 reaches every row's -inf diagonal.
+_BASE = {(f"u{u}", f"i{(u * 3 + j) % 8}") for u in range(9)
+         for j in range(u % 3 + 1)}
+_TIED = sorted(_BASE | {(u, "i_twin") for u, i in _BASE if i == "i3"}
+               | {(f"u{u}", "i_all") for u in range(9)})
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@given(pairs=adversarial_pairs(), nn=st.integers(1, 12),
+       k_max=st.integers(1, 12))
+@example(pairs=_TIED, nn=11, k_max=12)
+@example(pairs=_TIED, nn=2, k_max=3)
+@settings(max_examples=40, deadline=None)
+def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
+    """Truncation, the cosine's normalization and scoring run a few rows at
+    a time; each must give the bytes of its whole-array formula."""
+    train = train_incidence(pairs)
+    users_t = np.ascontiguousarray(train.matrix.T)
+    lengths = train.matrix.sum(axis=1)
+    weights = 1.0 + lengths / lengths.max()
+    cosine = _whole_cosine(train.matrix)
+    want = {
+        "item": cosine,
+        "user": _whole_cosine(users_t),
+        "weighted": _whole_cosine(train.matrix, weights),
+        "item-nn": _whole_truncation(cosine, nn),
+        "item-nn-t": np.ascontiguousarray(_whole_truncation(cosine, nn).T),
+        "user-nn": _whole_truncation(_whole_cosine(users_t), nn),
+    }
+    with mock.patch.object(baselines, "_SCORE_CHUNK", chunk):
+        got = {
+            "item": baselines._cosine(train.matrix),
+            "user": baselines._cosine(users_t),
+            "weighted": baselines._cosine(train.matrix, weights),
+            "item-nn": baselines._truncate_neighbors(cosine, nn),
+            "item-nn-t": baselines._truncate_neighbors(cosine, nn,
+                                                       transposed=True),
+            "user-nn": baselines._truncate_neighbors(want["user"], nn),
+        }
+        models = [fit(kind, train, params={"nn": nn}) for kind in MODEL_KINDS]
+        matrix = generate_matrix({0: models}, k_max)
+    for name in want:
+        assert _same_bytes(got[name], want[name]), name
+    assert got["item-nn-t"].flags.c_contiguous
+    for model in models:
+        block = matrix.block(0, model.model_id)
+        assert _same_bytes(block.user_rows,
+                           np.arange(len(train.users), dtype=np.int32))
+        for name, array in zip(("indptr", "items", "scores"),
+                               _whole_block(model, k_max)):
+            assert _same_bytes(getattr(block, name), array), (model.kind, name)

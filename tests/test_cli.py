@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -164,6 +165,28 @@ class TestFuse:
                           for user, fl in fused.items() for si in fl.items]
             assert ((out / "fused_toy_5.csv").read_text()
                     == "\n".join(lines) + "\n")
+
+    def test_k_above_largest_scored_k_warns(self, tmp_path, run_dir, caplog):
+        # The config scores lists to k = 10, so --k 15 fuses the same lists
+        # as --k 10: the file is unchanged, and a warning names both ks.
+        _, config_path = run_dir
+        written = {}
+        for k in (10, 15):
+            caplog.clear()
+            out = tmp_path / f"fused{k}"
+            assert main(["fuse", "--config", str(config_path), "--out",
+                         str(out), "--dataset", "toy", "--members", "cos+ppl",
+                         "--k", str(k), "--n", "5"]) == 0
+            written[k] = (out / "fused_toy_5.csv").read_bytes()
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            if k == 10:
+                assert warnings == []
+            else:
+                assert len(warnings) == 1
+                assert "--k 15" in warnings[0]
+                assert "largest scored k 10" in warnings[0]
+        assert written[10] == written[15]
 
     def test_k_below_n_rejected(self, run_dir, capsys):
         _, config_path = run_dir

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -432,7 +433,7 @@ class TestPreparedBundle:
 
 def test_fold_models_share_one_read_only_incidence(small_folds):
     cfg = ExperimentConfig.from_dict(toy_config_dict())
-    by_fold = [_fit_fold_models(cfg, split) for split in small_folds[:2]]
+    by_fold = [list(_fit_fold_models(cfg, split)) for split in small_folds[:2]]
     for models in by_fold:
         assert [m.model_id for m in models] == ["cos", "ppl", "uknn"]
         shared = models[0]._incidence
@@ -444,16 +445,17 @@ def test_fold_models_share_one_read_only_incidence(small_folds):
 
 @pytest.mark.parametrize("calls", [1, 2])
 def test_prepare_fits_one_fold_at_a_time(monkeypatch, calls):
-    # Every fit call records the live models of other folds' incidences;
-    # prepare_dataset must have dropped a fold's models before the next
-    # fold's first fit, and a bundle it returned keeps none alive into the
-    # next call.
+    # Every fit call records the live models of other folds' incidences and
+    # of its own: prepare_dataset must have dropped a fold's models before
+    # the next fold's first fit, and each model before the next fit of its
+    # own fold, and a bundle it returned keeps none alive into the next call.
     live = weakref.WeakSet()
     seen = []
     real_fit = harness.fit
 
     def spy(kind, train, params=None, model_id=None):
-        seen.append(sum(m._incidence is not train.matrix for m in live))
+        own = sum(m._incidence is train.matrix for m in live)
+        seen.append((len(live) - own, own))
         model = real_fit(kind, train, params, model_id)
         live.add(model)
         return model
@@ -462,7 +464,28 @@ def test_prepare_fits_one_fold_at_a_time(monkeypatch, calls):
     cfg = ExperimentConfig.from_dict(toy_config_dict())
     bundles = [prepare_dataset(cfg, cfg.datasets[0]) for _ in range(calls)]
     assert len(bundles) == calls
-    assert seen == [0] * (3 * 3 * calls)
+    assert seen == [(0, 0)] * (3 * 3 * calls)
+
+
+def test_prepare_peak_memory_stays_near_two_item_squares():
+    # At its peak a fold holds the item cosine and item-knn's truncation,
+    # two items x items arrays, beside row-chunk transients and the splits.
+    # The peak on this config is 2.87 x n_items**2 * 8 bytes; it was 5.92
+    # while a fold kept all its models and made whole-array transients.
+    cfg = ExperimentConfig.from_dict(toy_config_dict(
+        datasets=[{"name": "mem", "synthetic": {
+            "n_users": 40, "n_items": 500, "n_interactions": 3000}}],
+        models=[{"kind": kind, "id": kind} for kind in MODEL_KINDS]))
+    splits = harness.split_dataset(cfg, cfg.datasets[0])
+    n_items = max(len({i for items in s.train.values() for i in items})
+                  for s in splits)
+    tracemalloc.start()
+    try:
+        prepare_dataset(cfg, cfg.datasets[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n_items ** 2 * 8
 
 
 def test_pipeline_runs_on_one_thread(tmp_path, monkeypatch):
@@ -660,6 +683,20 @@ class TestRunExperiment:
         assert manifest["artifacts"] == sorted(expected)
         assert manifest["failed_cells"] == []
         assert (result.output_dir / "timings.json").exists()
+
+    def test_timings_record_peak_rss_per_prepare_and_total(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(toy_config_dict(
+            output_dir=str(tmp_path / "run"),
+            datasets=[{"name": name, "synthetic": {
+                "n_users": 50, "n_items": 70, "n_interactions": 1500}}
+                for name in ("toy", "two")]))
+        run_experiment(cfg)
+        timings = json.loads((tmp_path / "run" / "timings.json").read_text())
+        peaks = timings["peak_rss_mb"]
+        assert set(peaks) == {"prepare_toy", "prepare_two", "total"}
+        assert set(timings["seconds"]) >= {"prepare_toy", "prepare_two",
+                                           "total"}
+        assert 0 < peaks["prepare_toy"] <= peaks["prepare_two"] <= peaks["total"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = ExperimentConfig.from_dict(
