@@ -9,6 +9,7 @@ well on validation therefore pulls the fused order toward its view.
 from recfuse.baselines import binarized_pairs, fit, generate_matrix
 from recfuse.data import SplitSpec, split_folds
 from recfuse.fusion import fuse_all, fuse_user, normalize_scores
+from recfuse.metrics import holdout_keys
 from recfuse.selection import compute_weights
 from recfuse.synthetic import generate_interactions
 
@@ -27,7 +28,12 @@ def main():
     }
     raw = generate_matrix(fold_models, k_max=10)
     norm = normalize_scores(raw, "global-minmax")
-    weights = compute_weights(raw, folds, n=5)
+    # Weights score each model against its fold's validation holdout,
+    # translated once to dense (user, item) keys over the matrix's indexes.
+    validation = {s.fold_index: holdout_keys(s.holdout("validation"),
+                                             raw.user_index, raw.item_index)
+                  for s in folds}
+    weights = compute_weights(raw, validation, n=5)
 
     print("fusion weights (validation ndcg@5 per fold and model):")
     for fold in raw.folds():

@@ -33,15 +33,17 @@ def main():
     }
     raw = generate_matrix(fold_models, 10)
     norm = normalize_scores(raw)
-    weights = compute_weights(raw, folds, n=5)
+    # Each validation holdout is translated once: the weights and the
+    # selection both score against it.
+    validation = {s.fold_index: holdout_keys(s.holdout("validation"),
+                                             raw.user_index, raw.item_index)
+                  for s in folds}
+    weights = compute_weights(raw, validation, n=5)
     model_ids = [mid for _, mid in roster]
 
-    split = folds[0]
     fuser = FoldFuser(norm, fold=0, k=10)
-    holdout = holdout_keys(split.holdout("validation"), norm.user_index,
-                           norm.item_index)
     evaluator = MemoizedEval(
-        lambda members: fuser.ndcg(sorted(members), weights, holdout, 5))
+        lambda members: fuser.ndcg(sorted(members), weights, validation[0], 5))
 
     trace = greedy_select(model_ids, evaluator)
     print("greedy evaluation order (fold 0, validation ndcg@5):")

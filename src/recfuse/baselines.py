@@ -7,9 +7,10 @@ whether its row parses. Dense is a deliberate choice: the target scale is
 desk-sized experiment datasets, where a full item-item similarity fits
 comfortably in memory. No BLAS call is made: fits and scoring are
 fixed-order row sums (`_row_sums`), so no value depends on how rows are
-batched or on the BLAS thread count. `train_incidence` alone turns
-(user, item) string pairs into dense indices: one read-only incidence per
-fold, shared with its item cosine by every model fitted on the fold.
+batched or on the BLAS thread count. `train_incidence` turns (user, item)
+string pairs into dense indices once per fold, as `metrics.holdout_keys`
+does each (fold, holdout kind) in `harness.prepare_dataset`: one read-only
+incidence per fold, shared with its item cosine by every model fitted on it.
 
 Memory: a model keeps at most one dense similarity. Truncation, the
 cosine's normalization and scoring run `_SCORE_CHUNK` rows at a time, and

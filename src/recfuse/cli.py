@@ -141,6 +141,8 @@ def _cmd_predict(config, args):
 def _cmd_fuse(config, args):
     if args.n < 1:
         raise _UsageError("n must be >= 1")
+    if args.n not in config.n_values:
+        raise _UsageError(f"n={args.n} is not in the configured n_values")
     if args.k < args.n:
         raise _UsageError("k must be ≥ N")
     members = sorted(set(args.members.split("+")))
@@ -157,8 +159,6 @@ def _cmd_fuse(config, args):
                     config.max_k())
     out = _outdir(config)
     bundle = harness.prepare_dataset(config, ds)
-    if args.n not in bundle.weights:
-        raise _UsageError(f"n={args.n} is not in the configured n_values")
     fused = {s.fold_index: FoldFuser(bundle.norm, s.fold_index, args.k).top_n(
         members, bundle.weights[args.n], args.n) for s in bundle.splits}
     path = out / f"fused_{ds.name}_{args.n}.csv"

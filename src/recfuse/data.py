@@ -108,18 +108,20 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
     seed_stream = SplitMix64(spec.seed)
     fold_seeds = [seed_stream.next_u64() for _ in range(spec.n_folds)]
 
+    users = sorted(user_items)
+    user_hashes = [fnv1a64(user.encode("utf-8")) for user in users]
     folds = []
-    for fold_index in range(spec.n_folds):
+    for fold_index, fold_seed in enumerate(fold_seeds):
         train: dict[str, frozenset[str]] = {}
         validation: dict[str, frozenset[str]] = {}
         test: dict[str, frozenset[str]] = {}
-        for user in sorted(user_items):
+        for user, user_hash in zip(users, user_hashes):
             items = list(user_items[user])
             count = len(items)
             if count < MIN_SPLIT_INTERACTIONS:
                 train[user] = frozenset(items)
                 continue
-            rng = SplitMix64(fold_seeds[fold_index] ^ fnv1a64(user.encode("utf-8")))
+            rng = SplitMix64(fold_seed ^ user_hash)
             _shuffle(items, rng)
             n_val = count // 5
             n_train = count - 2 * n_val

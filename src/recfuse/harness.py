@@ -391,20 +391,11 @@ class DatasetBundle:
     splits: list[FoldSplit]
     raw: PredictionMatrix
     norm: PredictionMatrix
+    holdouts: dict[tuple[int, str], HoldoutKeys]  # (fold, kind), raw's indexes
     weights: dict[int, ModelWeights]          # keyed by n
     model_ids: list[str]
     _selections: dict = field(default_factory=dict)  # (n, k) -> result
-    _holdouts: dict = field(default_factory=dict)
     _test_tables: dict = field(default_factory=dict)
-
-    def holdout(self, fold: int, kind: str) -> HoldoutKeys:
-        """A fold's holdout over the indices that raw and norm share."""
-        key = (fold, kind)
-        if key not in self._holdouts:
-            self._holdouts[key] = holdout_keys(
-                self.splits[fold].holdout(kind), self.raw.user_index,
-                self.raw.item_index)
-        return self._holdouts[key]
 
 
 def _load_dataset(config: ExperimentConfig, ds: DatasetConfig
@@ -442,7 +433,8 @@ def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
 
 def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
                     ) -> DatasetBundle:
-    """Load, split, fit and score, ingest, normalize, and weight one dataset.
+    """Load, split, fit and score, ingest, translate the holdouts, normalize,
+    and weight one dataset.
 
     Folds are fitted one after another, and within a fold each built-in model
     is fitted, scored and dropped before the next is fitted. At its peak a
@@ -470,15 +462,20 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
                     f"match the configured {config.n_folds} folds")
             parts.append(external)
     raw = _merge_matrices(parts)
+    holdouts = {(s.fold_index, kind): holdout_keys(
+                    s.holdout(kind), raw.user_index, raw.item_index)
+                for s in splits for kind in ("validation", "test")}
     norm = normalize_scores(raw, config.normalization)
+    validation = {f: h for (f, kind), h in holdouts.items()
+                  if kind == "validation"}
     weights = {
         n: compute_weights(
-            raw, splits, n,
+            raw, validation, n,
             include_empty_holdout_users=config.include_empty_holdout_users)
         for n in config.n_values
     }
     log.info("prepared dataset %s in %.1fs", ds.name, time.perf_counter() - t0)
-    return DatasetBundle(config, ds.name, splits, raw, norm, weights,
+    return DatasetBundle(config, ds.name, splits, raw, norm, holdouts, weights,
                          [m.model_id for m in config.models])
 
 
@@ -490,7 +487,7 @@ def model_fold_ndcg(bundle: DatasetBundle, model: str, fold: int, n: int,
     block = bundle.raw.block(fold, model)
     return ndcg_rows(
         block.user_rows, block.indptr, block.items,
-        len(bundle.raw.item_index), bundle.holdout(fold, holdout_kind), n,
+        len(bundle.raw.item_index), bundle.holdouts[fold, holdout_kind], n,
         bundle.config.include_empty_holdout_users)
 
 
@@ -553,7 +550,7 @@ def _select(bundle: DatasetBundle, fusers: Mapping[int, FoldFuser], n: int,
 
     def score(fold: int, members: frozenset[str], kind: str) -> float:
         return fusers[fold].ndcg(
-            sorted(members), weights, bundle.holdout(fold, kind), n,
+            sorted(members), weights, bundle.holdouts[fold, kind], n,
             include_empty_holdout_users=incl)
 
     folds = [s.fold_index for s in bundle.splits]

@@ -1,5 +1,8 @@
 """Model weighting and ensemble subset search.
 
+compute_weights scores each model against its fold's validation holdout,
+given in dense keys (metrics.HoldoutKeys) that the caller builds once.
+
 Both search modes consume an evaluation callable mapping a candidate member
 set to its selection-split NDCG, so the same code drives real fold
 evaluations (harness.run_selection, over fusion.FoldFuser) and synthetic
@@ -10,11 +13,11 @@ acceptance criterion 3 and the tests use the caching MemoizedEval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix
 from recfuse.fusion import fuse_all
-from recfuse.metrics import holdout_keys, ndcg_model, ndcg_rows
+from recfuse.metrics import HoldoutKeys, ndcg_model, ndcg_rows
 
 # Strict-improvement guard: a candidate must beat the incumbent by more than
 # this before greedy accepts it, so float noise cannot grow the ensemble.
@@ -47,27 +50,30 @@ class SelectionTrace:
             raise ValueError("chosen_members must be nonempty")
 
 
-def compute_weights(matrix: PredictionMatrix, folds: Sequence[FoldSplit],
-                    n: int, include_empty_holdout_users: bool = False
-                    ) -> ModelWeights:
+def compute_weights(matrix: PredictionMatrix,
+                    holdouts: Mapping[int, HoldoutKeys], n: int,
+                    include_empty_holdout_users: bool = False) -> ModelWeights:
     """Validation NDCG@n per (fold, model): the fusion weights.
 
-    Computed from the raw matrix; normalization cannot change a list's
-    order, so weights are identical either way.
+    `holdouts` maps each fold to its validation holdout over the matrix's
+    indexes (metrics.holdout_keys). Computed from the raw matrix;
+    normalization cannot change a list's order, so weights are identical
+    either way.
 
     Raises:
         ValueError: a (fold, model) pair has no lists, or a matrix fold has
-            no split.
+            no holdout or one over another number of users.
     """
-    splits = {f.fold_index: f for f in folds}
     model_roster = matrix.models()
-    n_items = len(matrix.item_index)
+    n_users, n_items = len(matrix.user_index), len(matrix.item_index)
     table: dict[tuple[int, str], float] = {}
     for fold in matrix.folds():
-        if fold not in splits:
-            raise ValueError(f"no split provided for fold {fold}")
-        holdout = holdout_keys(splits[fold].holdout("validation"),
-                               matrix.user_index, matrix.item_index)
+        holdout = holdouts.get(fold)
+        if holdout is None:
+            raise ValueError(f"no holdout provided for fold {fold}")
+        if holdout.nonempty.size != n_users:
+            raise ValueError(f"fold {fold}'s holdout is over "
+                             f"{holdout.nonempty.size} users, not {n_users}")
         for model in model_roster:
             if not matrix.has_block(fold, model):
                 raise ValueError(f"no lists for model {model!r} in fold {fold}")

@@ -44,8 +44,9 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
     """Generate a dataset of exactly n_interactions implicit events.
 
     Per-user quotas are proportional to a uniform draw in [0.5, 1.5] with
-    largest-remainder rounding, clamped to [1, n_items], so the requested
-    total is met exactly whenever n_interactions <= n_users * n_items.
+    largest-remainder rounding, clamped to [0, n_items], so the requested
+    total is met exactly whenever n_interactions <= n_users * n_items. A
+    user with quota 0 emits nothing, so fewer than n_users users may appear.
 
     Args:
         n_users: users, ids u0000..; zero-padded so id order is numeric order.
@@ -81,27 +82,18 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
     exact = n_interactions * draws / draws.sum()
     quotas = np.floor(exact).astype(np.int64)
     np.clip(quotas, 0, n_items, out=quotas)
+    # floor(exact) <= exact and the clip only lowers quotas: never negative.
     leftover = n_interactions - int(quotas.sum())
-    if leftover > 0:
-        remainders = exact - np.floor(exact)
-        # Most-deserving users first; index breaks ties. Skip full users.
-        order = np.lexsort((np.arange(n_users), -remainders))
-        pos = 0
-        while leftover > 0:
-            u = int(order[pos % n_users])
-            if quotas[u] < n_items:
-                quotas[u] += 1
-                leftover -= 1
-            pos += 1
-    elif leftover < 0:
-        order = np.lexsort((np.arange(n_users), quotas))[::-1]
-        pos = 0
-        while leftover < 0:
-            u = int(order[pos % n_users])
-            if quotas[u] > 0:
-                quotas[u] -= 1
-                leftover += 1
-            pos += 1
+    remainders = exact - np.floor(exact)
+    # Most-deserving users first; index breaks ties. Skip full users.
+    order = np.lexsort((np.arange(n_users), -remainders))
+    pos = 0
+    while leftover > 0:
+        u = int(order[pos % n_users])
+        if quotas[u] < n_items:
+            quotas[u] += 1
+            leftover -= 1
+        pos += 1
 
     affinity = np.zeros((n_users, n_items))
     for f in range(n_factors):  # one factor at a time: no BLAS call

@@ -209,6 +209,25 @@ class TestFuse:
         assert code == 1
         assert "unknown dataset" in capsys.readouterr().err
 
+    def test_n_outside_n_values_rejected_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # The config has n_values [5]: --n 10 is a usage error found before
+        # a dataset is prepared or the output directory is made.
+        config_path, _ = make_config(tmp_path)
+
+        def no_prepare(config, ds):
+            raise AssertionError("prepare_dataset was called")
+
+        monkeypatch.setattr(harness, "prepare_dataset", no_prepare)
+        out = tmp_path / "fused"
+        code = main(["fuse", "--config", str(config_path), "--out", str(out),
+                     "--dataset", "toy", "--members", "cos", "--k", "10",
+                     "--n", "10"])
+        assert code == 1
+        assert ("n=10 is not in the configured n_values"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestSelect:
     def test_exhaustive_trace_row_count(self, tmp_path):

@@ -25,7 +25,7 @@ from recfuse.data import (
     write_weights,
 )
 from recfuse.core import ModelWeights
-from recfuse.synthetic import _splitmix64_array
+from recfuse.synthetic import _splitmix64_array, generate_interactions
 
 
 class TestPinnedRng:
@@ -57,6 +57,28 @@ class TestPinnedRng:
         g = SplitMix64(99)
         draws = [g.below(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
+
+
+@pytest.mark.parametrize("n_users,n_items,n_interactions,seed", [
+    (10, 4, 5, 3),      # fewer events than users: some users get none
+    (7, 3, 21, 1),      # every user full
+    (6, 5, 29, 2),      # one short of full
+    (1, 1, 1, 0),
+    (25, 40, 333, 9),
+    (40, 2, 41, 4),     # quotas clipped at the catalog size
+])
+def test_generate_interactions_meets_the_total_exactly(
+        n_users, n_items, n_interactions, seed):
+    ds = generate_interactions(n_users, n_items, n_interactions, seed=seed)
+    assert len(ds) == n_interactions
+    assert len(ds.pairs()) == n_interactions
+    per_user = ds.user_items()
+    assert len(per_user) <= min(n_users, n_interactions)
+    assert all(1 <= len(items) <= n_items for items in per_user.values())
+
+
+def test_generate_interactions_allows_users_without_events():
+    assert len(generate_interactions(10, 4, 5, seed=3).user_items()) == 5
 
 
 class TestSplitFolds:
@@ -96,7 +118,6 @@ class TestSplitFolds:
         assert len({frozenset(a) for a in assignments}) > 1
 
     def test_whole_dataset_proportions(self):
-        from recfuse.synthetic import generate_interactions
         ds = generate_interactions(1000, 400, 60000, seed=5)
         folds = split_folds(ds, SplitSpec(seed=6))
         total = len(ds)

@@ -10,10 +10,11 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse import harness
+from recfuse import harness, metrics
 from recfuse.baselines import MODEL_KINDS
 from recfuse.core import PredictionMatrix, ScoredItem
 from recfuse.fusion import FoldFuser
@@ -37,6 +38,7 @@ from recfuse.harness import (
     selection_label,
     sweep_rows,
 )
+from recfuse.metrics import holdout_keys
 from recfuse.selection import EXHAUSTIVE_LIMIT
 
 
@@ -430,6 +432,17 @@ class TestPreparedBundle:
         expected = ndcg_model(lists, split.holdout("validation"), 5)
         assert w.weight(0, "ppl") == expected
 
+    def test_holdouts_table_has_every_fold_and_kind(self, toy_bundle):
+        cfg, bundle = toy_bundle
+        assert sorted(bundle.holdouts) == [
+            (f, kind) for f in range(3) for kind in ("test", "validation")]
+        for (fold, kind), keys in bundle.holdouts.items():
+            expected = holdout_keys(bundle.splits[fold].holdout(kind),
+                                    bundle.raw.user_index,
+                                    bundle.raw.item_index)
+            assert np.array_equal(keys.keys, expected.keys)
+            assert np.array_equal(keys.nonempty, expected.nonempty)
+
 
 def test_fold_models_share_one_read_only_incidence(small_folds):
     cfg = ExperimentConfig.from_dict(toy_config_dict())
@@ -465,6 +478,34 @@ def test_prepare_fits_one_fold_at_a_time(monkeypatch, calls):
     bundles = [prepare_dataset(cfg, cfg.datasets[0]) for _ in range(calls)]
     assert len(bundles) == calls
     assert seen == [(0, 0)] * (3 * 3 * calls)
+
+
+@pytest.mark.parametrize("split", ["validation", "paper-faithful"])
+def test_each_holdout_translated_once_per_fold_and_kind(
+        tmp_path, monkeypatch, split):
+    # Weights at every n, per-model test scores and selection all read the
+    # one table prepare_dataset builds: 2 x n_folds translations a dataset,
+    # whichever module would call holdout_keys.
+    calls = []
+    real = metrics.holdout_keys
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("recfuse")
+                and getattr(module, "holdout_keys", None) is real):
+            monkeypatch.setattr(module, "holdout_keys", spy)
+    cfg = ExperimentConfig.from_dict(toy_config_dict(
+        output_dir=str(tmp_path / "run"), n_values=[5, 10, 20],
+        k_values=[20], selection={"split": split},
+        datasets=[{"name": name, "synthetic": {
+            "n_users": 30, "n_items": 40, "n_interactions": 600}}
+            for name in ("one", "two")]))
+    result = run_experiment(cfg)
+    assert result.failed_cells == []
+    assert len(calls) == 2 * 3 * 2
 
 
 def test_prepare_peak_memory_stays_near_two_item_squares():

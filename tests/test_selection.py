@@ -244,6 +244,13 @@ class TestSelectionTrace:
             SelectionTrace("greedy", (), frozenset(), 0.1)
 
 
+def validation_keys(matrix, splits):
+    """Each split's validation holdout over the matrix's indexes."""
+    return {s.fold_index: holdout_keys(s.holdout("validation"),
+                                       matrix.user_index, matrix.item_index)
+            for s in splits}
+
+
 class TestComputeWeights:
     def holdout_fixture(self):
         matrix = PredictionMatrix.from_entries({
@@ -263,7 +270,7 @@ class TestComputeWeights:
 
     def test_three_user_oracle(self):
         matrix, split = self.holdout_fixture()
-        weights = compute_weights(matrix, [split], n=2)
+        weights = compute_weights(matrix, validation_keys(matrix, [split]), n=2)
         idcg2 = 1.0 + 1.0 / math.log2(3)
         expected = ((1.0 / idcg2) + ((1.0 / math.log2(3)) / idcg2) + 0.0) / 3
         assert weights.weight(0, "M") == pytest.approx(expected, abs=1e-12)
@@ -275,7 +282,7 @@ class TestComputeWeights:
         })
         split = FoldSplit(0, {"u1": frozenset(["t1"])},
                           {"u1": frozenset(["other"])}, {})
-        weights = compute_weights(matrix, [split], n=1)
+        weights = compute_weights(matrix, validation_keys(matrix, [split]), n=1)
         assert weights.weight(0, "M") == 0.0
 
     def test_half_hit_rate_gives_half(self):
@@ -285,18 +292,38 @@ class TestComputeWeights:
         })
         split = FoldSplit(0, {"u1": frozenset(["t1"]), "u2": frozenset(["t1"])},
                           {"u1": frozenset(["i1"]), "u2": frozenset(["i7"])}, {})
-        weights = compute_weights(matrix, [split], n=1)
+        weights = compute_weights(matrix, validation_keys(matrix, [split]), n=1)
         assert weights.weight(0, "M") == 0.5
 
     def test_missing_split_rejected(self):
         matrix, split = self.holdout_fixture()
-        with pytest.raises(ValueError, match="no split provided for fold"):
-            compute_weights(matrix, [], n=2)
+        with pytest.raises(ValueError, match="no holdout provided for fold 0"):
+            compute_weights(matrix, {}, n=2)
+
+    def test_holdout_over_another_matrix_rejected(self):
+        matrix, split = self.holdout_fixture()
+        other = PredictionMatrix.from_entries({
+            (0, "M", "u1"): [ScoredItem("i1", 0.9)],
+        })
+        with pytest.raises(ValueError,
+                           match="fold 0's holdout is over 1 users, not 3"):
+            compute_weights(matrix, validation_keys(other, [split]), n=2)
+
+    def test_missing_model_block_rejected(self):
+        matrix = PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("i1", 0.9)],
+            (1, "B", "u1"): [ScoredItem("i1", 0.9)],
+        })
+        splits = [FoldSplit(f, {"u1": frozenset(["t1"])},
+                            {"u1": frozenset(["i1"])}, {}) for f in (0, 1)]
+        with pytest.raises(ValueError, match="no lists for model 'B' in fold 0"):
+            compute_weights(matrix, validation_keys(matrix, splits), n=1)
 
     def test_weights_identical_on_normalized_matrix(self):
         matrix, split = self.holdout_fixture()
-        raw = compute_weights(matrix, [split], n=2)
-        normalized = compute_weights(normalize_scores(matrix), [split], n=2)
+        holdouts = validation_keys(matrix, [split])
+        raw = compute_weights(matrix, holdouts, n=2)
+        normalized = compute_weights(normalize_scores(matrix), holdouts, n=2)
         assert raw.weights == normalized.weights
 
 
@@ -327,7 +354,7 @@ def small_bundle(small_folds):
         ]
     raw = generate_matrix(by_fold, k_max=10)
     normalized = normalize_scores(raw)
-    weights = compute_weights(raw, folds, n=5)
+    weights = compute_weights(raw, validation_keys(raw, folds), n=5)
     return normalized, weights, folds
 
 
