@@ -185,11 +185,10 @@ def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty train set")
-    users = IdIndex(u for u, _ in pairs)
-    items = IdIndex(i for _, i in pairs)
-    rows, cols = zip(*[(users.index(u), items.index(i)) for u, i in pairs])
+    user_ids, item_ids = zip(*pairs)
+    users, items = IdIndex(user_ids), IdIndex(item_ids)
     matrix = np.zeros((len(users), len(items)), dtype=np.float64)
-    matrix[rows, cols] = 1.0
+    matrix[users.indices(user_ids), items.indices(item_ids)] = 1.0
     matrix.flags.writeable = False
     return TrainIncidence(users, items, matrix)
 
@@ -226,14 +225,13 @@ class FittedModel:
             raise ValueError("k must be >= 1")
         if user in self.users:
             scores = _row_sums(self._rows, self._touched,
-                               np.array([self.users.index(user)]))[0]
+                               self.users.indices([user]))[0]
         else:
             log.warning("cold-start user %r: popularity fallback (%s)",
                         user, self.model_id)
             scores = self.popularity_scores().astype(np.float64)
-        for item in train_items:
-            if item in self.items:
-                scores[self.items.index(item)] = -np.inf
+        scores[self.items.indices(
+            i for i in train_items if i in self.items)] = -np.inf
         ids = self.items.ids
         out = []
         for idx in _top_k(scores[None, :], k)[0]:

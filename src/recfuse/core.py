@@ -3,7 +3,8 @@
 Everything here is immutable after construction and safe to share across
 parallel workers. String user/item ids are the external currency; internally
 ids are mapped to dense integer indices (sorted by id, so index order equals
-id order) because the hot loops fan out over (user x model x k).
+id order) because the hot loops fan out over (user x model x k). Ids become
+indices in one place, `IdIndex.indices`, at the file and API edges.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class IdIndex:
 
     Indices are assigned in ascending id order, so sorting by index is the
     same as sorting by id. That property is what makes a stable argsort on
-    scores break ties by item id for free.
+    scores break ties by item id for free. `indices` is the one translation
+    of many ids; `index` serves the per-user oracles.
     """
 
     __slots__ = ("_ids", "_pos")
@@ -55,6 +57,10 @@ class IdIndex:
 
     def index(self, id_: str) -> int:
         return self._pos[id_]
+
+    def indices(self, ids: Iterable[str]) -> np.ndarray:
+        """The int32 index of each id, in input order; KeyError if unknown."""
+        return np.fromiter(map(self._pos.__getitem__, ids), dtype=np.int32)
 
     def id(self, index: int) -> str:
         return self._ids[index]
@@ -219,7 +225,7 @@ def list_contract_fault(list_ids: np.ndarray, items: np.ndarray,
 class _Block:
     """Ranked lists of one (fold, model), stored CSR-style over dense indices."""
 
-    __slots__ = ("user_rows", "indptr", "items", "scores", "_row_of")
+    __slots__ = ("user_rows", "indptr", "items", "scores")
 
     def __init__(self, user_rows: np.ndarray, indptr: np.ndarray,
                  items: np.ndarray, scores: np.ndarray):
@@ -227,12 +233,6 @@ class _Block:
         self.indptr = indptr            # list r spans items[indptr[r]:indptr[r+1]]
         self.items = items              # dense item indices
         self.scores = scores            # float64, descending within each list
-        self._row_of: dict[int, int] | None = None
-
-    def row_of(self) -> dict[int, int]:
-        if self._row_of is None:
-            self._row_of = {int(u): r for r, u in enumerate(self.user_rows)}
-        return self._row_of
 
 
 class PredictionMatrix:
@@ -263,7 +263,7 @@ class PredictionMatrix:
         return cls._from_lists(
             [(int(fold), model, user) for (fold, model, user) in entries],
             [len(lst) for lst in entries.values()],
-            np.array([items.index(si.item_id) for si in flat], dtype=np.int32),
+            items.indices(si.item_id for si in flat),
             np.array([si.score for si in flat], dtype=np.float64), items)
 
     @classmethod
@@ -275,6 +275,7 @@ class PredictionMatrix:
         keys[r] = (fold, model, user), owns the next lengths[r] entries of
         the flat item-index and score arrays. Lists may be empty."""
         users = IdIndex(user for (_, _, user) in keys)
+        list_users = users.indices(user for (_, _, user) in keys)
         lengths = np.asarray(lengths, dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(lengths)))
         # Sorted keys group each block's lists, in user (= index) order.
@@ -285,10 +286,8 @@ class PredictionMatrix:
             indptr = np.concatenate(([0], np.cumsum(lengths[rows])))
             take = (np.repeat(starts[rows] - indptr[:-1], lengths[rows])
                     + np.arange(indptr[-1]))
-            user_rows = np.array([users.index(keys[r][2]) for r in rows],
-                                 dtype=np.int32)
-            blocks[(fold, model)] = _Block(user_rows, indptr, items[take],
-                                           scores[take])
+            blocks[(fold, model)] = _Block(list_users[rows], indptr,
+                                           items[take], scores[take])
         return cls(users, item_index, blocks, validate=validate)
 
     @classmethod
@@ -300,10 +299,8 @@ class PredictionMatrix:
         items = IdIndex(i for part in parts for i in part._items.ids)
         blocks: dict[tuple[int, str], _Block] = {}
         for part in parts:
-            user_map = np.array([users.index(u) for u in part._users.ids],
-                                dtype=np.int32)
-            item_map = np.array([items.index(i) for i in part._items.ids],
-                                dtype=np.int32)
+            user_map = users.indices(part._users.ids)
+            item_map = items.indices(part._items.ids)
             for (fold, model), block in part._blocks.items():
                 if (fold, model) in blocks:
                     raise ValueError(
@@ -362,8 +359,9 @@ class PredictionMatrix:
 
     def scored_list(self, fold: int, model: str, user: str) -> list[ScoredItem]:
         block = self.block(fold, model)
-        row = block.row_of().get(self._users.index(user))
-        if row is None:
+        index = self._users.index(user)
+        row = int(np.searchsorted(block.user_rows, index))
+        if row == block.user_rows.size or block.user_rows[row] != index:
             raise KeyError(f"no list for user {user!r} in fold {fold}, model {model!r}")
         return self._scored_row(block, row)
 

@@ -196,8 +196,8 @@ def load_interactions(path: str | Path, format: str = "csv",
             header) or 0-based positions (ints; the file has no header).
             Default: {'user': 'user', 'item': 'item'}.
 
-    Malformed rows (wrong field count, blank ids, unparseable numerics) are
-    skipped, counted, and reported via logging.
+    Malformed rows (wrong field count, blank ids, unparseable numerics, a
+    non-finite timestamp) are skipped, counted, and reported via logging.
 
     Raises:
         ValueError: bad format/column_map, missing header columns, or zero
@@ -241,7 +241,7 @@ def load_interactions(path: str | Path, format: str = "csv",
                     rating = float(row[positions["rating"]])
                 if "timestamp" in positions and row[positions["timestamp"]].strip():
                     timestamp = int(float(row[positions["timestamp"]]))
-            except ValueError:
+            except (ValueError, OverflowError):  # int(inf) overflows
                 malformed += 1
                 continue
             records.append(Interaction(user, item, rating, timestamp))
@@ -260,13 +260,12 @@ def write_interactions(dataset: InteractionDataset, path: str | Path,
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'tsv'")
     with csv_writer(path, ["user", "item", "rating", "timestamp"],
                     _DELIMITERS[format]) as writer:
-        ordered = sorted(dataset.records, key=lambda r: (r.user_id, r.item_id))
-        for rec in ordered:
-            writer.writerow([
-                rec.user_id, rec.item_id,
-                "" if rec.rating is None else format_score(rec.rating),
-                "" if rec.timestamp is None else str(rec.timestamp),
-            ])
+        writer.writerows(
+            (rec.user_id, rec.item_id,
+             "" if rec.rating is None else format_score(rec.rating),
+             "" if rec.timestamp is None else str(rec.timestamp))
+            for rec in sorted(dataset.records,
+                              key=lambda r: (r.user_id, r.item_id)))
 
 
 # -- prediction matrix files -------------------------------------------------
@@ -283,9 +282,8 @@ def write_matrix(matrix: PredictionMatrix, path: str | Path):
     """Write a matrix as CSV rows grouped by (fold, model, user)."""
     with csv_writer(path, MATRIX_HEADER) as writer:
         for (fold, model, user), items in matrix.entries():
-            for si in items:
-                writer.writerow([fold, model, user, si.item_id,
-                                 format_score(si.score)])
+            writer.writerows((fold, model, user, si.item_id,
+                              format_score(si.score)) for si in items)
 
 
 def _parse_matrix_row(row: list[str]) -> tuple[int, str, str, str, float]:
@@ -347,7 +345,7 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
     # The rows before a bad field may break the list contract first.
     keys, item_ids, item_index = list(list_of), list(code_of), IdIndex(code_of)
     ids = np.array(list_ids, dtype=np.int64)
-    items = np.array([item_index.index(i) for i in item_ids], dtype=np.int32)[codes]
+    items = item_index.indices(item_ids)[codes]
     flat_scores = np.array(scores, dtype=np.float64)
     fault = list_contract_fault(ids, items, flat_scores)
     if fault is not None:
@@ -513,14 +511,12 @@ def write_splits(folds: Sequence[FoldSplit], path: str | Path):
     """Audit export: one row per (fold, user, item) with its subset label."""
     with csv_writer(path, SPLITS_HEADER) as writer:
         for fold in folds:
-            rows = []
-            for subset in ("train", "validation", "test"):
-                for user, items in fold.subset(subset).items():
-                    for item in items:
-                        rows.append((user, item, subset))
-            rows.sort(key=lambda r: (r[0], r[1]))
-            for user, item, subset in rows:
-                writer.writerow([fold.fold_index, user, item, subset])
+            # A pair lies in one subset, so tuple order is (user, item) order.
+            writer.writerows(sorted(
+                (fold.fold_index, user, item, subset)
+                for subset in ("train", "validation", "test")
+                for user, items in fold.subset(subset).items()
+                for item in items))
 
 
 def read_splits(path: str | Path) -> list[FoldSplit]:
@@ -542,16 +538,9 @@ def read_splits(path: str | Path) -> list[FoldSplit]:
         per_fold[fold][subset].setdefault(user, set()).add(item)
     if not per_fold:
         raise ValueError(f"{path}: no data rows")
-    folds = []
-    for fold_index in sorted(per_fold):
-        subsets = per_fold[fold_index]
-        folds.append(FoldSplit(
-            fold_index,
-            {u: frozenset(s) for u, s in subsets["train"].items()},
-            {u: frozenset(s) for u, s in subsets["validation"].items()},
-            {u: frozenset(s) for u, s in subsets["test"].items()},
-        ))
-    return folds
+    return [FoldSplit(fold, *({u: frozenset(s) for u, s in subset.items()}
+                              for subset in per_fold[fold].values()))
+            for fold in sorted(per_fold)]
 
 
 # -- weight files ------------------------------------------------------------
@@ -561,9 +550,8 @@ WEIGHTS_HEADER = ["fold", "model", "n", "weight"]
 
 def write_weights(weights: ModelWeights, path: str | Path):
     with csv_writer(path, WEIGHTS_HEADER) as writer:
-        for (fold, model) in sorted(weights.weights):
-            writer.writerow([fold, model, weights.cutoff_n,
-                             format_score(weights.weights[(fold, model)])])
+        writer.writerows((fold, model, weights.cutoff_n, format_score(w))
+                         for (fold, model), w in sorted(weights.weights.items()))
 
 
 def read_weights(path: str | Path) -> ModelWeights:

@@ -64,7 +64,7 @@ from recfuse.selection import (
     exhaustive_select,
     greedy_select,
 )
-from recfuse.synthetic import generate_interactions
+from recfuse.synthetic import check_recipe, generate_interactions
 
 log = logging.getLogger(__name__)
 
@@ -177,6 +177,11 @@ class DatasetConfig:
                 raise ValueError(f"{context} needs {key!r}")
         for key, value in cfg.synthetic.items():
             _json_typed(value, f"{context} {key}", cls._SYN_TYPES[key])
+        try:
+            check_recipe(**{key: value for key, value in cfg.synthetic.items()
+                            if key != "seed"})
+        except ValueError as exc:
+            raise ValueError(f"{context}: {exc}") from None
         return cfg
 
 
@@ -579,26 +584,18 @@ def _select(bundle: DatasetBundle, fusers: Mapping[int, FoldFuser], n: int,
 def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:
     """Per-model test rows plus the chosen ensemble's row."""
     config = bundle.config
-    rows = []
     ppl_ids = [m.model_id for m in config.models if m.kind == "popularity"]
     per_model_scores = per_model_test_ndcg(bundle, n)
-    ppl_mean = None
-    if ppl_ids:
-        scores = per_model_scores[ppl_ids[0]]
-        ppl_mean = left_sum(scores) / len(scores)
+    means = {m: left_sum(v) / len(v) for m, v in per_model_scores.items()}
+    ppl_mean = means[ppl_ids[0]] if ppl_ids else None
     selection = run_selection(bundle, n, config.cell_table_k(n))
-    for model in bundle.model_ids:
-        scores = per_model_scores[model]
-        mean = left_sum(scores) / len(scores)
-        rows.append(ReportRow(bundle.name, model, n, scores, mean,
-                              None if ppl_mean is None
-                              else pct_vs_ppl(mean, ppl_mean)))
-    rows.append(ReportRow(
-        bundle.name, "ensemble", n, selection.test_per_fold,
-        selection.mean_test,
-        None if ppl_mean is None else pct_vs_ppl(selection.mean_test,
-                                                 ppl_mean)))
-    return rows
+
+    def row(model: str, scores: tuple[float, ...], mean: float) -> ReportRow:
+        return ReportRow(bundle.name, model, n, scores, mean, None
+                         if ppl_mean is None else pct_vs_ppl(mean, ppl_mean))
+
+    return ([row(m, per_model_scores[m], means[m]) for m in bundle.model_ids]
+            + [row("ensemble", selection.test_per_fold, selection.mean_test)])
 
 
 def sweep_rows(bundle: DatasetBundle, n: int) -> list[dict]:
@@ -644,12 +641,11 @@ def _write_sweep_csv(path: Path, rows: Sequence[dict]):
     header = ["dataset", "n", "k", "ens_mean", "ci_low", "ci_high",
               "best_model", "best_mean"]
     with csv_writer(path, header) as writer:
-        for row in rows:
-            writer.writerow([
-                row["dataset"], row["n"], row["k"],
-                format_score(row["ens_mean"]), format_score(row["ci_low"]),
-                format_score(row["ci_high"]), row["best_model"],
-                format_score(row["best_mean"])])
+        writer.writerows(
+            (row["dataset"], row["n"], row["k"], format_score(row["ens_mean"]),
+             format_score(row["ci_low"]), format_score(row["ci_high"]),
+             row["best_model"], format_score(row["best_mean"]))
+            for row in rows)
 
 
 def _write_trace_csv(path: Path, bundle: DatasetBundle, n: int):

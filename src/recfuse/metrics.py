@@ -114,15 +114,16 @@ def holdout_keys(holdouts: Mapping[str, Iterable[str]], users: IdIndex,
     the item index can never hit, but still make their user's holdout
     non-empty.
     """
+    kept = {user: [i for i in held if i in items]
+            for user, held in holdouts.items() if held and user in users}
+    rows = users.indices(kept)
     nonempty = np.zeros(len(users), dtype=bool)
-    keys: list[int] = []
-    for user, held in holdouts.items():
-        if held and user in users:
-            row = users.index(user)
-            nonempty[row] = True
-            keys.extend(row * len(items) + items.index(i)
-                        for i in held if i in items)
-    return HoldoutKeys(np.unique(np.asarray(keys, dtype=np.int64)), nonempty)
+    nonempty[rows] = True
+    # int64 keys: an int32 product overflows once users x items >= 2**31.
+    keys = (np.repeat(rows.astype(np.int64) * len(items),
+                      [len(held) for held in kept.values()])
+            + items.indices(i for held in kept.values() for i in held))
+    return HoldoutKeys(np.unique(keys), nonempty)
 
 
 def list_ranks(indptr: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ replacement proportional to softmax weights).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from recfuse.core import Interaction, InteractionDataset
@@ -37,6 +39,23 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     return (bits.astype(np.float64) + 1.0) / 9007199254740993.0
 
 
+def check_recipe(n_users: int, n_items: int, n_interactions: int,
+                 n_factors: int = 8, popularity_weight: float = 1.0,
+                 noise_scale: float = 0.6):
+    """Raise ValueError unless generate_interactions can take this recipe."""
+    if n_users < 1 or n_items < 1:
+        raise ValueError("need at least one user and one item")
+    if not 1 <= n_interactions <= n_users * n_items:
+        raise ValueError("n_interactions must be in [1, n_users * n_items]")
+    if n_factors < 1:
+        raise ValueError("n_factors must be >= 1")
+    for name, value in (("popularity_weight", popularity_weight),
+                        ("noise_scale", noise_scale)):
+        # False for NaN, infinities and ints beyond the float range.
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def generate_interactions(n_users: int, n_items: int, n_interactions: int,
                           seed: int, n_factors: int = 8,
                           popularity_weight: float = 1.0,
@@ -57,11 +76,8 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
         popularity_weight: strength of the shared Zipf-like item boost.
         noise_scale: Gumbel noise magnitude; higher means noisier tastes.
     """
-    if n_users < 1 or n_items < 1:
-        raise ValueError("need at least one user and one item")
-    if not 1 <= n_interactions <= n_users * n_items:
-        raise ValueError("n_interactions must be in [1, n_users * n_items]")
-
+    check_recipe(n_users, n_items, n_interactions, n_factors,
+                 popularity_weight, noise_scale)
     root = SplitMix64(seed)
     seeds = {name: root.next_u64()
              for name in ("user_f", "item_f", "pop", "quota", "noise")}

@@ -294,6 +294,27 @@ class TestErrors:
         assert re.search(message, err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,text,message", [
+        ("n_users", "0", "need at least one user and one item"),
+        ("n_interactions", "2401",
+         r"n_interactions must be in \[1, n_users \* n_items\]"),
+        ("n_factors", "0", "n_factors must be >= 1"),
+        ("noise_scale", "-1e309", "noise_scale must be finite, got -inf"),
+        ("popularity_weight", "NaN", "popularity_weight must be finite"),
+    ], ids=["users", "events", "factors", "noise-inf", "weight-nan"])
+    def test_out_of_range_recipe_rejected_at_load(self, tmp_path, capsys, key,
+                                                  text, message):
+        # JSON reads -1e309 as -inf, and Python's json accepts NaN.
+        config_path, raw = make_config(tmp_path)
+        raw["datasets"][0]["synthetic"][key] = "@"
+        config_path.write_text(json.dumps(raw).replace('"@"', text))
+        assert main(["run", "--config", str(config_path),
+                     "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config" in err
+        assert re.search(f"dataset 'toy' synthetic: {message}", err)
+        assert not (tmp_path / "out").exists()
+
     def test_no_command(self, capsys):
         assert main([]) == 1
         assert "a command is required" in capsys.readouterr().err

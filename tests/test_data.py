@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.core import Interaction, InteractionDataset, ScoredItem, PredictionMatrix
+from recfuse.core import (
+    IdIndex,
+    Interaction,
+    InteractionDataset,
+    PredictionMatrix,
+    ScoredItem,
+)
 from recfuse.data import (
     MATRIX_HEADER,
     _read_matrix_rows,
@@ -79,6 +85,62 @@ def test_generate_interactions_meets_the_total_exactly(
 
 def test_generate_interactions_allows_users_without_events():
     assert len(generate_interactions(10, 4, 5, seed=3).user_items()) == 5
+
+
+@pytest.mark.parametrize("recipe,message", [
+    ({"n_users": 0}, "need at least one user and one item"),
+    ({"n_items": 0}, "need at least one user and one item"),
+    ({"n_interactions": 0}, r"n_interactions must be in \[1, n_users \* n_items\]"),
+    ({"n_interactions": 41}, r"n_interactions must be in \[1, n_users \* n_items\]"),
+    ({"n_factors": 0}, "n_factors must be >= 1"),
+    ({"noise_scale": -math.inf}, "noise_scale must be finite, got -inf"),
+    ({"popularity_weight": math.nan}, "popularity_weight must be finite"),
+    ({"popularity_weight": 10**400}, "popularity_weight must be finite"),
+], ids=["users", "items", "no-events", "too-many-events", "factors",
+        "noise-inf", "weight-nan", "weight-huge-int"])
+def test_generate_interactions_rejects_out_of_range_recipes(recipe, message):
+    args = {"n_users": 5, "n_items": 8, "n_interactions": 20, **recipe}
+    with pytest.raises(ValueError, match=message):
+        generate_interactions(**args, seed=3)
+
+
+@given(st.lists(st.text(min_size=1, max_size=3), max_size=12),
+       st.lists(st.text(min_size=1, max_size=3), max_size=30))
+@settings(max_examples=200)
+def test_id_index_indices_match_index_in_input_order(known, queries):
+    index = IdIndex(known)
+    present = [q for q in queries if q in index] + known
+    got = index.indices(iter(present))
+    assert got.dtype == np.int32
+    assert got.tolist() == [index.index(x) for x in present]
+    missing = [q for q in queries if q not in index]
+    if missing:
+        with pytest.raises(KeyError):
+            index.indices(present + missing[:1])
+
+
+def test_id_index_indices_of_no_ids_is_empty_int32():
+    got = IdIndex(["a"]).indices([])
+    assert got.dtype == np.int32 and got.size == 0
+
+
+def test_scored_list_finds_rows_by_user_and_leaves_the_block_as_built():
+    m = PredictionMatrix.from_entries({
+        (0, "A", "u1"): [ScoredItem("i1", 2.0)],
+        (0, "A", "u3"): [ScoredItem("i2", 1.0), ScoredItem("i1", 0.5)],
+        (0, "B", "u2"): []})
+    block = m.block(0, "A")
+    before = {name: getattr(block, name) for name in type(block).__slots__}
+    for (fold, model, user), items in m.entries():
+        assert m.scored_list(fold, model, user) == items
+    assert all(getattr(block, name) is value for name, value in before.items())
+    # Before the first stored user, between two, and after the last.
+    for model, user in (("B", "u1"), ("A", "u2"), ("B", "u3")):
+        with pytest.raises(KeyError, match=f"no list for user '{user}' in "
+                                           f"fold 0, model '{model}'"):
+            m.scored_list(0, model, user)
+    with pytest.raises(KeyError):
+        m.scored_list(0, "A", "zz")
 
 
 class TestSplitFolds:
@@ -180,6 +242,18 @@ class TestInteractionFiles:
                                               "rating": "rating"})
         assert len(ds) == 1
         assert "3 malformed" in caplog.text
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_timestamp_is_malformed(self, tmp_path, caplog, stamp):
+        # int(float("inf")) raises OverflowError, not ValueError: the row is
+        # still skipped and counted.
+        p = tmp_path / "x.csv"
+        p.write_text(f"user,item,timestamp\nu1,a,5\nu2,b,{stamp}\n")
+        with caplog.at_level("WARNING"):
+            ds = load_interactions(p, "csv", {"user": "user", "item": "item",
+                                              "timestamp": "timestamp"})
+        assert [(r.user_id, r.timestamp) for r in ds.records] == [("u1", 5)]
+        assert "1 malformed" in caplog.text
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "x.csv"

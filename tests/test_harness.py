@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from recfuse import harness, metrics
 from recfuse.baselines import MODEL_KINDS
-from recfuse.core import PredictionMatrix, ScoredItem
+from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
 from recfuse.fusion import FoldFuser
 from recfuse.harness import (
     CELL_ARTIFACTS,
@@ -337,6 +337,26 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(toy_config_dict(datasets=[
                 {"name": "s", "synthetic": recipe}]))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_users", 0, "need at least one user and one item"),
+        ("n_interactions", 1201,
+         r"n_interactions must be in \[1, n_users \* n_items\]"),
+        ("n_factors", 0, "n_factors must be >= 1"),
+        ("noise_scale", -math.inf, "noise_scale must be finite"),
+        ("popularity_weight", math.nan, "popularity_weight must be finite"),
+        ("popularity_weight", 10**400, "popularity_weight must be finite"),
+    ], ids=["users", "events", "factors", "noise-inf", "weight-nan",
+            "weight-huge-int"])
+    def test_synthetic_ranges_checked(self, key, value, message):
+        # Each of these once loaded; the run then failed, or built a dataset
+        # from non-finite scores.
+        recipe = {"n_users": 30, "n_items": 40, "n_interactions": 500,
+                  key: value}
+        with pytest.raises(ValueError,
+                           match=f"dataset 's' synthetic: {message}"):
+            ExperimentConfig.from_dict(toy_config_dict(datasets=[
+                {"name": "s", "synthetic": recipe}]))
+
     def test_hash_of_valid_configs_unchanged_by_load_checks(self):
         # Pinned values: checking entries at load must not alter what is
         # hashed.
@@ -506,6 +526,30 @@ def test_each_holdout_translated_once_per_fold_and_kind(
     result = run_experiment(cfg)
     assert result.failed_cells == []
     assert len(calls) == 2 * 3 * 2
+
+
+def test_prepare_translates_ids_without_per_id_lookups(tmp_path,
+                                                      monkeypatch):
+    # Every id -> index translation in prepare goes through
+    # IdIndex.indices; IdIndex.index serves only the per-user oracles.
+    calls = []
+    real = IdIndex.index
+
+    def spy(self, id_):
+        calls.append(id_)
+        return real(self, id_)
+
+    monkeypatch.setattr(IdIndex, "index", spy)
+    cfg = ExperimentConfig.from_dict(_pinned_config(tmp_path, "greedy"))
+    cfg = dataclasses.replace(cfg, models=cfg.models + tuple(
+        ModelConfig.from_dict({"kind": kind, "id": kind, "params": {"nn": 5}})
+        for kind in MODEL_KINDS if kind != "popularity"))
+    bundle = prepare_dataset(cfg, cfg.datasets[0])
+    assert bundle.raw.models() == sorted(
+        ["ppl", "ext1", "ext2", *MODEL_KINDS[1:]])
+    assert calls == []
+    bundle.raw.scored_list(0, "ext1", "u00")
+    assert calls == ["u00"]
 
 
 def test_prepare_peak_memory_stays_near_two_item_squares():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.core import PredictionMatrix, ScoredItem
+from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
 from recfuse.metrics import (
     HoldoutKeys,
     dcg,
@@ -263,6 +263,48 @@ def test_holdout_keys_flag_users_whose_items_are_all_outside_the_catalog():
     block = matrix.block(0, "M")
     assert ndcg_rows(block.user_rows, block.indptr, block.items, 1, keys,
                      1) == 0.5
+
+
+def _reference_holdout_keys(holdouts, users, items):
+    """holdout_keys pair by pair, with Python ints."""
+    keys, nonempty = set(), [False] * len(users)
+    for user, held in holdouts.items():
+        if held and user in users:
+            row = users.index(user)
+            nonempty[row] = True
+            keys |= {row * len(items) + items.index(i)
+                     for i in held if i in items}
+    return sorted(keys), nonempty
+
+
+_IDS = st.sampled_from([f"x{i}" for i in range(8)])
+
+
+@given(st.sets(_IDS), st.sets(_IDS),
+       st.dictionaries(_IDS, st.frozensets(_IDS, max_size=6), max_size=8))
+@settings(max_examples=200)
+def test_holdout_keys_equal_a_per_pair_reference(user_ids, item_ids,
+                                                 holdouts):
+    # Ids are drawn from one pool, so holdouts name users and items on
+    # either side of each index, and may be empty.
+    users, items = IdIndex(user_ids), IdIndex(item_ids)
+    got = holdout_keys(holdouts, users, items)
+    keys, nonempty = _reference_holdout_keys(holdouts, users, items)
+    assert got.keys.dtype == np.int64
+    assert got.keys.tolist() == keys
+    assert got.nonempty.tolist() == nonempty
+
+
+def test_holdout_keys_do_not_overflow_past_two_to_the_31():
+    # 50000 x 50000 > 2**31: an int32 key for the last pair would wrap.
+    users = IdIndex(f"u{i:05d}" for i in range(50000))
+    items = IdIndex(f"i{i:05d}" for i in range(50000))
+    holdouts = {"u49999": frozenset({"i49999", "i00000"}),
+                "u00001": frozenset({"i00002"})}
+    got = holdout_keys(holdouts, users, items)
+    keys, _ = _reference_holdout_keys(holdouts, users, items)
+    assert keys[-1] == 50000**2 - 1 > 2**31
+    assert got.keys.tolist() == keys
 
 
 def test_ndcg_rows_with_no_holdout_keys_or_queries_past_the_last_key():
