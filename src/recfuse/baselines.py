@@ -6,14 +6,16 @@ interaction. Ratings are never read after load; a rating only decides
 whether its row parses. Dense is a deliberate choice: the target scale is
 desk-sized experiment datasets, where a full item-item similarity fits
 comfortably in memory. No BLAS call is made: fits and scoring are
-fixed-order row sums (`_row_sums`), so no value depends on how rows are
-batched or on the BLAS thread count. `train_incidence` turns (user, item)
-string pairs into dense indices once per fold, as `metrics.holdout_keys`
-does each (fold, holdout kind) in `harness.prepare_dataset`: one read-only
-incidence per fold, shared with its item cosine by every model fitted on it.
+fixed-order row sums (`_row_sums`, or for item-knn's sparse rows the same
+adds by `np.bincount`), so no value depends on how rows are batched or on
+the BLAS thread count. `train_incidence` turns (user, item) string pairs
+into dense indices once per fold, as `metrics.holdout_keys` does each
+(fold, holdout kind) in `harness.prepare_dataset`: one read-only incidence
+per fold, shared with its item cosine by every model fitted on it.
 
-Memory: a model keeps at most one dense similarity. Truncation, the
-cosine's normalization and scoring run `_SCORE_CHUNK` rows at a time, and
+Memory: a model keeps at most one dense similarity, and item-knn none.
+Truncation, the Grams (bm25's row weights included), the cosine's
+normalization and scoring run `_SCORE_CHUNK` rows at a time, and
 `generate_matrix` keeps no model once its lists are built, so a lazily
 fitted fold holds one model and no full-size transient at a time.
 
@@ -26,7 +28,8 @@ Similarity conventions, shared by every kind that uses one:
     (k1 + 1) / (1 + k1 (1 - b + b L / mean L)) is BM25's tf = 1 saturation
     at train length L, and zeroes the same items, as its IDF cancels too;
   - kNN kinds truncate to the top `nn` neighbors excluding self, ties broken
-    by index (= id) ascending;
+    by index (= id) ascending; item-knn keeps only the kept entries, as
+    sparse (CSR) rows of the transposed truncation;
   - item-item kinds keep the full similarity matrix, self included.
 """
 
@@ -53,6 +56,9 @@ MODEL_KINDS = (
     "item-item-tfidf",
     "item-item-bm25",
 )
+
+# The kinds whose fit reads `TrainIncidence.item_cosine()`.
+ITEM_COSINE_KINDS = ("item-knn", "item-item-cosine", "item-item-tfidf")
 
 DEFAULT_PARAMS = {
     "nn": 20,      # neighborhood size for the kNN kinds
@@ -86,25 +92,31 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(top, order, axis=1)
 
 
-def _truncate_neighbors(sim: np.ndarray, nn: int,
-                        transposed: bool = False) -> np.ndarray:
-    """Keep each row's top-nn off-diagonal entries, zero the rest; with
-    `transposed`, return that truncation's transpose, C-contiguous.
+def _kept_neighbors(sim: np.ndarray, nn: int) -> list[np.ndarray]:
+    """(rows, columns, values) of each row's top-nn off-diagonal nonzero
+    entries, row by row.
 
     `_top_k` orders by similarity descending with index-ascending ties,
     matching the package-wide tie rule. Rows are taken `_SCORE_CHUNK` at a
     time, so no transient is as large as `sim`.
     """
-    out = np.zeros_like(sim)
-    target = out.T if transposed else out
+    parts = []
     for start in range(0, sim.shape[0], _SCORE_CHUNK):
         work = sim[start:start + _SCORE_CHUNK].copy()
         rows = np.arange(work.shape[0])
         work[rows, start + rows] = -np.inf
         keep = _top_k(work, nn)  # the -inf diagonal only if nn >= n
         vals = np.take_along_axis(work, keep, axis=1)
-        np.put_along_axis(target[start:start + work.shape[0]], keep, np.where(
-            np.isfinite(vals) & (vals != 0.0), vals, 0.0), axis=1)
+        kept = np.isfinite(vals) & (vals != 0.0)
+        parts.append((start + np.nonzero(kept)[0], keep[kept], vals[kept]))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
+    """Keep each row's top-nn off-diagonal entries, zero the rest."""
+    out = np.zeros_like(sim)
+    rows, cols, vals = _kept_neighbors(sim, nn)
+    out[rows, cols] = vals
     return out
 
 
@@ -113,10 +125,11 @@ def _truncate_neighbors(sim: np.ndarray, nn: int,
 _SCORE_CHUNK = 64
 
 
-def _row_sums(source: np.ndarray, touched: np.ndarray,
-              targets: np.ndarray) -> np.ndarray:
-    """Row t: 0.0 plus touched[targets[t], r] * source[r] over the nonzero
-    touched[targets[t], r] in ascending r, however targets are grouped."""
+def _row_sums(source: np.ndarray, touched: np.ndarray, targets: np.ndarray,
+              scale: np.ndarray | None = None) -> np.ndarray:
+    """Row t: 0.0 plus touched[targets[t], r] * scale[r] * source[r] over the
+    nonzero touched[targets[t], r] in ascending r, however targets are
+    grouped; no `scale` is a scale of 1."""
     out = np.empty((targets.size, source.shape[1]))
     for start in range(0, targets.size, _SCORE_CHUNK):
         chunk = touched[targets[start:start + _SCORE_CHUNK]]
@@ -124,9 +137,8 @@ def _row_sums(source: np.ndarray, touched: np.ndarray,
         order = np.argsort(-lengths, kind="stable")
         chunk, lengths = chunk[order], lengths[order]
         owners, rows = np.nonzero(chunk)  # by target, rows ascending
-        weights = chunk[owners, rows][:, None]
-        if np.all(weights == 1.0):
-            weights = None  # a product with 1.0 is exact: skip it
+        weights = chunk[owners, rows] * (1.0 if scale is None else scale[rows])
+        weights = None if np.all(weights == 1.0) else weights[:, None]
         firsts = np.cumsum(lengths) - lengths
         acc = np.zeros((order.size, out.shape[1]))
         gathered = np.empty_like(acc)
@@ -136,7 +148,7 @@ def _row_sums(source: np.ndarray, touched: np.ndarray,
             at = firsts[:n_active] + step
             term = np.take(source, rows[at], axis=0, out=gathered[:n_active],
                            mode="clip")  # unbuffered; rows are in range
-            if weights is not None:
+            if weights is not None:  # a product with 1.0 is exact: skip it
                 term *= weights[at]
             acc[:n_active] += term
         out[start + order] = acc
@@ -148,8 +160,7 @@ def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
     V^T diag(w) V, whose (i, j) and (j, i) both add w_u over the u holding i
     and j in ascending u, times outer(inv, inv), inv = 1 / norm or 0, which
     is applied `_SCORE_CHUNK` rows at a time."""
-    touched = vectors.T if weights is None else vectors.T * weights
-    gram = _row_sums(vectors, touched, np.arange(vectors.shape[1]))
+    gram = _row_sums(vectors, vectors.T, np.arange(vectors.shape[1]), weights)
     norms = np.sqrt(np.diag(gram))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     for start in range(0, gram.shape[0], _SCORE_CHUNK):
@@ -160,7 +171,11 @@ def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrainIncidence:
-    """A train set as a read-only (users x items) 0/1 float64 matrix."""
+    """A train set as a read-only (users x items) 0/1 float64 matrix, and
+    the item cosine cached on it until `drop_item_cosine`. While a fold's
+    models are fitted one at a time, that cosine and the live model's own
+    array (bm25's, or tfidf's copy if an item is held by every train user)
+    are the only items x items arrays."""
 
     users: IdIndex
     items: IdIndex
@@ -179,6 +194,11 @@ class TrainIncidence:
                 self._cache[0].flags.writeable = False
             return self._cache[0]
 
+    def drop_item_cosine(self):
+        """Release the cached cosine; models that hold it keep it."""
+        with self._lock:
+            self._cache.clear()
+
 
 def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
     """Build the incidence of observed (user, item) pairs; repeats are fine."""
@@ -196,9 +216,10 @@ def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
 class FittedModel:
     """A trained recommender bound to one fold's train split.
 
-    A user's scores are `_row_sums` of the rows of `_rows` that the nonzero
-    entries of its row of `_touched` name, each times that entry (by
-    default: the rows of its train items, times 1).
+    A user's scores (`_scores`) are `_row_sums` of the rows of `_rows` that
+    the nonzero entries of its row of `_touched` name, each times that entry
+    (by default: the rows of its train items, times 1; item-knn's rows are
+    sparse, and it adds them in the same order).
     """
 
     def __init__(self, model_id: str, kind: str, train: TrainIncidence,
@@ -210,6 +231,10 @@ class FittedModel:
         self._incidence = train.matrix
         self._touched = train.matrix
         self.params = params
+
+    def _scores(self, rows: np.ndarray) -> np.ndarray:
+        """The scores of the train users at `rows`, one row each."""
+        return _row_sums(self._rows, self._touched, rows)
 
     def popularity_scores(self) -> np.ndarray:
         """Train interaction count per item; the cold-start fallback ranking."""
@@ -224,8 +249,7 @@ class FittedModel:
         if k < 1:
             raise ValueError("k must be >= 1")
         if user in self.users:
-            scores = _row_sums(self._rows, self._touched,
-                               self.users.indices([user]))[0]
+            scores = self._scores(self.users.indices([user]))[0]
         else:
             log.warning("cold-start user %r: popularity fallback (%s)",
                         user, self.model_id)
@@ -275,10 +299,37 @@ class _ItemKnn(FittedModel):
         super().__init__(model_id, kind, train, params)
         # score(u, i) sums sim(i, j) over the user's train items j that are
         # among i's kept neighbors: row j of the transposed truncation, the
-        # one orientation stored (`similarity` is a view of it).
-        self._rows = _truncate_neighbors(train.item_cosine(), params["nn"],
-                                         transposed=True)
-        self.similarity = self._rows.T
+        # one orientation stored, in CSR form: entries p in
+        # _indptr[j]:_indptr[j + 1] hold i = _neighbors[p], ascending, and
+        # sim(i, j) = _rows[p].
+        rows, cols, sims = _kept_neighbors(train.item_cosine(), params["nn"])
+        order = np.argsort(cols, kind="stable")  # rows stay ascending
+        self._neighbors, self._rows = rows[order], sims[order]
+        self._indptr = np.searchsorted(cols[order],
+                                       np.arange(len(self.items) + 1))
+
+    @property
+    def similarity(self) -> np.ndarray:
+        """The truncated similarity, made dense on each access."""
+        out = np.zeros((len(self.items), len(self.items)))
+        out[self._neighbors, np.repeat(np.arange(len(self.items)),
+                                       np.diff(self._indptr))] = self._rows
+        return out
+
+    def _scores(self, rows: np.ndarray) -> np.ndarray:
+        """`_row_sums` of the dense rows over the 0/1 `_touched`, bit for
+        bit: one `np.bincount` adds each cell's terms from 0.0 in input
+        order, here by user and then by train item ascending, as `_row_sums`
+        adds them. It only skips the +0.0 terms, which never move a
+        non-negative sum."""
+        n = len(self.items)
+        users, held = np.nonzero(self._touched[rows])
+        counts = np.diff(self._indptr)[held]
+        at = np.arange(counts.sum()) + np.repeat(
+            self._indptr[held] - np.cumsum(counts) + counts, counts)
+        cells = np.repeat(users * n, counts) + self._neighbors[at]
+        sums = np.bincount(cells, self._rows[at], rows.size * n)
+        return sums.reshape(-1, n).astype(np.float64, copy=False)  # if empty
 
 
 class _UserKnn(FittedModel):
@@ -347,12 +398,12 @@ def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]
 
 def _score_block(model: FittedModel, k_max: int) -> _Block:
     """A model's read-only top-k_max lists of every train user, scored,
-    masked and cut `_SCORE_CHUNK` users at a time; `_row_sums` and `_top_k`
+    masked and cut `_SCORE_CHUNK` users at a time; `_scores` and `_top_k`
     treat rows apart, so the chunking cannot change a value."""
     counts, items, scores = [], [], []
     for start in range(0, len(model.users), _SCORE_CHUNK):
         rows = np.arange(start, min(start + _SCORE_CHUNK, len(model.users)))
-        chunk = _row_sums(model._rows, model._touched, rows)
+        chunk = model._scores(rows)
         # Mask consumed items so they can never be recommended back.
         chunk[model._incidence[rows] != 0] = -np.inf
         top = _top_k(chunk, k_max)

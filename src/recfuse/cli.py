@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from recfuse import harness
-from recfuse.baselines import binarized_pairs, train_incidence
 from recfuse.data import write_fused, write_matrix, write_splits
 from recfuse.fusion import FoldFuser
 from recfuse.harness import ExperimentConfig
@@ -119,13 +118,12 @@ def _cmd_fit(config, args):
     roster = [m for m in config.models if m.kind is not None]
     for ds in config.datasets:
         for split in harness.split_dataset(config, ds):
-            train = train_incidence(binarized_pairs(split.train))
-            for m in roster:
+            for model in harness.fit_roster(split, roster):
                 # A line per model as it is fitted; none is kept.
-                harness.fit(m.kind, train, m.params, model_id=m.model_id)
                 print(f"{ds.name} fold={split.fold_index} "
-                      f"model={m.model_id} users={len(train.users)} "
-                      f"items={len(train.items)}")
+                      f"model={model.model_id} users={len(model.users)} "
+                      f"items={len(model.items)}")
+                del model
     return 0
 
 

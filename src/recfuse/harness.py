@@ -28,6 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 from recfuse import __version__ as _package_version
 from recfuse.baselines import (
+    ITEM_COSINE_KINDS,
     MODEL_KINDS,
     FittedModel,
     binarized_pairs,
@@ -419,17 +420,27 @@ def split_dataset(config: ExperimentConfig, ds: DatasetConfig
                        SplitSpec(seed=config.seed, n_folds=config.n_folds))
 
 
+def fit_roster(split: FoldSplit, models: Sequence[ModelConfig]
+               ) -> Iterator[FittedModel]:
+    """Fit built-in `models` on one fold's train split in the given order,
+    each only when the next is asked for, so a consumer that drops each
+    model first holds one at a time. The shared item cosine is dropped once
+    its last reader is fitted, so it dies with the last model holding it."""
+    train = train_incidence(binarized_pairs(split.train))
+    for at, m in enumerate(models):
+        model = fit(m.kind, train, m.params, model_id=m.model_id)
+        if not any(n.kind in ITEM_COSINE_KINDS for n in models[at + 1:]):
+            train.drop_item_cosine()
+        yield model
+        del model  # before the next fit
+
+
 def _fit_fold_models(config: ExperimentConfig, split: FoldSplit
                      ) -> Iterator[FittedModel]:
-    """Fit the built-in roster models on one fold's train split, lazily, in
-    model-id order: each is fitted only when the next one is asked for, so
-    a consumer that drops each model before asking holds one at a time. All
-    of them share one read-only train incidence and its item cosine."""
-    builtin = sorted((m for m in config.models if m.kind is not None),
-                     key=lambda m: m.model_id)
-    train = train_incidence(binarized_pairs(split.train))
-    for m in builtin:
-        yield fit(m.kind, train, m.params, model_id=m.model_id)
+    """`fit_roster` of the config's built-in models, in model-id order."""
+    return fit_roster(split, sorted(
+        (m for m in config.models if m.kind is not None),
+        key=lambda m: m.model_id))
 
 
 def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
@@ -443,8 +454,9 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
 
     Folds are fitted one after another, and within a fold each built-in model
     is fitted, scored and dropped before the next is fitted. At its peak a
-    fold so holds its train incidence, the item cosine cached on it, one
-    fitted model and the blocks already scored."""
+    fold so holds its train incidence, one fitted model, the blocks already
+    scored, row-chunk transients and, until its last reader is fitted, the
+    item cosine (see `TrainIncidence`)."""
     t0 = time.perf_counter()
     splits = split_dataset(config, ds)
     parts = []
@@ -763,8 +775,10 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
         timings[f"prepare_{ds.name}"] = time.perf_counter() - t0
         peak_rss[f"prepare_{ds.name}"] = _peak_rss_mb()
 
+        t0 = time.perf_counter()
         splits_path = out / f"splits_{ds.name}.csv"
         write_splits(bundle.splits, splits_path)
+        timings[f"splits_{ds.name}"] = time.perf_counter() - t0
         artifacts.append(splits_path.name)
 
         for n in config.n_values:

@@ -447,19 +447,18 @@ def fitted_models(draw):
 def test_batch_scores_are_fixed_order_row_sums(model):
     users = np.arange(len(model.users))
     want = np.array([fixed_order_scores(model, u) for u in users])
-    assert np.array_equal(_row_sums(model._rows, model._touched, users),
-                          want)
+    assert np.array_equal(model._scores(users), want)
 
 
 @given(fitted_models(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_scores_do_not_depend_on_the_batch(model, data):
-    full = _row_sums(model._rows, model._touched, np.arange(len(model.users)))
+    full = model._scores(np.arange(len(model.users)))
     rows = data.draw(st.permutations(range(len(model.users))))
     rows = np.array(rows[:data.draw(st.integers(0, len(rows)))], dtype=np.intp)
     with mock.patch.object(baselines, "_SCORE_CHUNK",
                            data.draw(st.integers(1, 4))):
-        got = _row_sums(model._rows, model._touched, rows)
+        got = model._scores(rows)
     assert got.shape == (rows.size, len(model.items))
     assert got.tobytes() == full[rows].tobytes()
 
@@ -642,9 +641,15 @@ def _whole_truncation(sim, nn):
     return out
 
 
+def _dense_rows(model):
+    """The rows a model scores from, dense: item-knn keeps them sparse."""
+    return model.similarity.T if model.kind == "item-knn" else model._rows
+
+
 def _whole_block(model, k_max):
-    """A model's (indptr, items, scores), scored for every user at once."""
-    scores = _row_sums(model._rows, model._touched,
+    """A model's (indptr, items, scores), scored for every user at once by
+    the dense `_row_sums`."""
+    scores = _row_sums(_dense_rows(model), model._touched,
                        np.arange(len(model.users)))
     scores[model._incidence != 0] = -np.inf
     top = _top_k(scores, k_max)
@@ -695,12 +700,12 @@ def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
             "user": baselines._cosine(users_t),
             "weighted": baselines._cosine(train.matrix, weights),
             "item-nn": baselines._truncate_neighbors(cosine, nn),
-            "item-nn-t": baselines._truncate_neighbors(cosine, nn,
-                                                       transposed=True),
             "user-nn": baselines._truncate_neighbors(want["user"], nn),
         }
         models = [fit(kind, train, params={"nn": nn}) for kind in MODEL_KINDS]
         matrix = generate_matrix({0: models}, k_max)
+    got["item-nn-t"] = np.ascontiguousarray(
+        models[MODEL_KINDS.index("item-knn")].similarity.T)
     for name in want:
         assert _same_bytes(got[name], want[name]), name
     assert got["item-nn-t"].flags.c_contiguous
@@ -711,3 +716,47 @@ def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
         for name, array in zip(("indptr", "items", "scores"),
                                _whole_block(model, k_max)):
             assert _same_bytes(getattr(block, name), array), (model.kind, name)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+@given(pairs=adversarial_pairs(), nn=st.integers(1, 12),
+       k_max=st.integers(1, 12), empty=st.integers(0, 3))
+# i_twin ties with i3 at the nn cut, and i_all is held by every user.
+@example(pairs=_TIED, nn=2, k_max=3, empty=1)
+@example(pairs=_TIED, nn=9, k_max=12, empty=0)  # nn = items - 1
+# No item keeps i_lone as a neighbor, and i_lone keeps none.
+@example(pairs=sorted(_TIED + [("u_lone", "i_lone")]), nn=3, k_max=12,
+         empty=2)
+@settings(max_examples=80, deadline=None)
+def test_item_knn_lists_score_the_dense_oracle_bits(pairs, nn, k_max, empty):
+    """item-knn keeps its neighbors as sparse rows and scores them with one
+    ordered `np.bincount`. Its kernel, `_score_block` and `recommend` must
+    each give the bits of the dense `_row_sums` over the same rows."""
+    train = train_incidence(pairs)
+    model = fit("item-knn", train, params={"nn": nn})
+    dense = model.similarity.T
+    n_users, n_items = train.matrix.shape
+    block = baselines._score_block(model, k_max)
+    indptr, items, scores = _whole_block(model, k_max)
+    assert block.indptr.tolist() == indptr.tolist()
+    assert block.items.tolist() == items.tolist()
+    assert _hex(block.scores) == _hex(scores)
+    oracle = _row_sums(dense, train.matrix, np.arange(n_users))
+    oracle[train.matrix != 0] = -np.inf
+    for user in range(n_users):
+        held = np.flatnonzero(train.matrix[user])
+        got = model.recommend(train.users.ids[user], k_max,
+                              [train.items.ids[i] for i in held])
+        top = [i for i in _top_k(oracle[user][None, :], k_max)[0]
+               if oracle[user, i] != -np.inf]
+        assert [s.item_id for s in got] == [train.items.ids[i] for i in top]
+        assert [float.hex(s.score) for s in got] == _hex(oracle[user, top])
+    # Users who hold no train item, scored among the others.
+    model._touched = np.vstack([train.matrix, np.zeros((empty, n_items))])
+    targets = np.random.default_rng(n_users).permutation(n_users + empty)
+    got = model._scores(targets)
+    want = _row_sums(dense, model._touched, targets)
+    assert _hex(got) == _hex(want) and _same_bytes(got, want)

@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse import harness, metrics
-from recfuse.baselines import MODEL_KINDS
+from recfuse import baselines, harness, metrics
+from recfuse.baselines import (
+    MODEL_KINDS,
+    binarized_pairs,
+    generate_matrix,
+    train_incidence,
+)
 from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
 from recfuse.fusion import FoldFuser
 from recfuse.harness import (
@@ -553,9 +558,10 @@ def test_prepare_translates_ids_without_per_id_lookups(tmp_path,
 
 
 def test_prepare_peak_memory_stays_near_two_item_squares():
-    # At its peak a fold holds the item cosine and item-knn's truncation,
-    # two items x items arrays, beside row-chunk transients and the splits.
-    # The peak on this config is 2.87 x n_items**2 * 8 bytes; it was 5.92
+    # At its peak a fold holds its train incidence, one items x items array
+    # (the item cosine, or bm25's own), row-chunk transients and the splits.
+    # The peak on this config is 1.92 x n_items**2 * 8 bytes. It was 2.83
+    # while item-knn kept a dense truncation beside the cosine, and 5.92
     # while a fold kept all its models and made whole-array transients.
     cfg = ExperimentConfig.from_dict(toy_config_dict(
         datasets=[{"name": "mem", "synthetic": {
@@ -571,6 +577,70 @@ def test_prepare_peak_memory_stays_near_two_item_squares():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n_items ** 2 * 8
+
+
+def test_fold_fits_hold_one_item_square_beside_the_incidence():
+    # A fold's lazy fit-and-score holds its train incidence, one items x
+    # items array and row-chunk transients: item-knn keeps sparse neighbor
+    # lists, bm25 weights its Gram inside the kernel, and the item cosine is
+    # dropped with its last reader. With no item held by every train user
+    # (tfidf then shares the cosine), the peak beyond the incidence reads
+    # 1.46 x n_items**2 * 8 bytes here; with a dense item-knn truncation and
+    # the cosine kept to the end of the fold it read 2.46.
+    cfg = ExperimentConfig.from_dict(toy_config_dict(
+        datasets=[{"name": "wide", "synthetic": {
+            "n_users": 60, "n_items": 600, "n_interactions": 3000}}],
+        models=[{"kind": kind, "id": kind} for kind in MODEL_KINDS]))
+    split = harness.split_dataset(cfg, cfg.datasets[0])[0]
+    train = train_incidence(binarized_pairs(split.train))
+    assert not train.matrix.all(axis=0).any()
+    n_items, incidence = train.matrix.shape[1], train.matrix.nbytes
+    del train
+    tracemalloc.start()
+    try:
+        generate_matrix({0: _fit_fold_models(cfg, split)}, cfg.max_k())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - incidence < 2 * n_items ** 2 * 8
+
+
+def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
+        monkeypatch):
+    cfg = ExperimentConfig.from_dict(toy_config_dict())
+    split = harness.split_dataset(cfg, cfg.datasets[0])[0]
+    # In this order tfidf is the last reader, and bm25 fits between readers.
+    roster = [ModelConfig.from_dict({"kind": kind, "id": model_id})
+              for kind, model_id in (
+                  ("item-item-cosine", "cos"), ("item-item-bm25", "bm25"),
+                  ("item-knn", "iknn"), ("item-item-tfidf", "tfidf"),
+                  ("popularity", "ppl"), ("user-knn", "uknn"))]
+    trains, built, alive = [], [], []
+    real_incidence, real_cosine, real_fit = (
+        harness.train_incidence, baselines._cosine, harness.fit)
+
+    def incidence(pairs):
+        trains.append(real_incidence(pairs))
+        return trains[-1]
+
+    def cosine(vectors, weights=None):
+        out = real_cosine(vectors, weights)
+        if vectors is trains[0].matrix and weights is None:
+            built.append(weakref.ref(out))
+        return out
+
+    def fit(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_incidence", incidence)
+    monkeypatch.setattr(baselines, "_cosine", cosine)
+    monkeypatch.setattr(harness, "fit", fit)
+    blocks = generate_matrix({0: harness.fit_roster(split, roster)}, 5)._blocks
+    assert not trains[0].matrix.all(axis=0).any()  # so tfidf shares it
+    assert len(built) == 1
+    assert alive == [[], [True], [True], [True], [False], [False]]
+    assert blocks[(0, "cos")].scores is blocks[(0, "tfidf")].scores
 
 
 def test_pipeline_runs_on_one_thread(tmp_path, monkeypatch):
@@ -780,6 +850,7 @@ class TestRunExperiment:
         peaks = timings["peak_rss_mb"]
         assert set(peaks) == {"prepare_toy", "prepare_two", "total"}
         assert set(timings["seconds"]) >= {"prepare_toy", "prepare_two",
+                                           "splits_toy", "splits_two",
                                            "total"}
         assert 0 < peaks["prepare_toy"] <= peaks["prepare_two"] <= peaks["total"]
 
