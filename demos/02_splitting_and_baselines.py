@@ -6,7 +6,7 @@ built-in recommenders fit on the train split only; here we score each one
 against the validation holdout to see how they compare before any fusion.
 """
 
-from recfuse.baselines import MODEL_KINDS, binarized_pairs, fit
+from recfuse.baselines import MODEL_KINDS, fit
 from recfuse.data import SplitSpec, split_folds
 from recfuse.metrics import ndcg_model
 from recfuse.synthetic import generate_interactions
@@ -28,7 +28,7 @@ def main():
           f"test={len(split.test.get(some_user, ()))}")
     print()
 
-    pairs = binarized_pairs(split.train)
+    pairs = split.pairs("train")
     holdouts = split.holdout("validation")
     print(f"{'model':20s} validation ndcg@5")
     for kind in MODEL_KINDS:

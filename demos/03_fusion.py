@@ -6,7 +6,7 @@ where a model's weight is its own validation NDCG. A model that ranks
 well on validation therefore pulls the fused order toward its view.
 """
 
-from recfuse.baselines import binarized_pairs, fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix
 from recfuse.data import SplitSpec, split_folds
 from recfuse.fusion import fuse_all, fuse_user, normalize_scores
 from recfuse.metrics import holdout_keys
@@ -20,7 +20,7 @@ def main():
     folds = split_folds(dataset, SplitSpec(seed=11, n_folds=2))
 
     fold_models = {
-        s.fold_index: [fit(kind, binarized_pairs(s.train), model_id=mid)
+        s.fold_index: [fit(kind, s.pairs("train"), model_id=mid)
                        for kind, mid in (("popularity", "ppl"),
                                          ("item-item-cosine", "cos"),
                                          ("user-knn", "uknn"))]

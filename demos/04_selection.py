@@ -6,7 +6,7 @@ Exhaustive scores all 2^M - 1 nonempty subsets. Both log every candidate
 they evaluate, so the search is fully auditable after the fact.
 """
 
-from recfuse.baselines import binarized_pairs, fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.data import SplitSpec, split_folds
 from recfuse.metrics import holdout_keys
@@ -27,7 +27,7 @@ def main():
     roster = (("popularity", "ppl"), ("item-item-cosine", "cos"),
               ("item-item-bm25", "bm25"), ("user-knn", "uknn"))
     fold_models = {
-        s.fold_index: [fit(kind, binarized_pairs(s.train), model_id=mid)
+        s.fold_index: [fit(kind, s.pairs("train"), model_id=mid)
                        for kind, mid in roster]
         for s in folds
     }

@@ -1,23 +1,18 @@
 """Built-in neighborhood and popularity recommenders.
 
-All models operate on the binarized user-item incidence matrix held dense
-in float64: every distinct (user, item) train row counts as one
-interaction. Ratings are never read after load; a rating only decides
-whether its row parses. Dense is a deliberate choice: the target scale is
-desk-sized experiment datasets, where a full item-item similarity fits
-comfortably in memory. No BLAS call is made: fits and scoring are
-fixed-order row sums (`_row_sums`, or for item-knn's sparse rows the same
-adds by `np.bincount`), so no value depends on how rows are batched or on
-the BLAS thread count. `train_incidence` turns (user, item) string pairs
-into dense indices once per fold, as `metrics.holdout_keys` does each
-(fold, holdout kind) in `harness.prepare_dataset`: one read-only incidence
-per fold, shared with its item cosine by every model fitted on it.
+Models read the binarized train set: each distinct (user, item) train row
+is one interaction. `train_incidence` turns the pairs into dense indices
+once per fold and keeps them as read-only CSR rows and columns (`_Csr`),
+shared with the fold's item cosine by every model fitted on it. The item
+kinds keep a dense float64 similarity, as desk-sized catalogs allow; the
+kNN kinds keep their kept neighbors as CSR rows.
 
-Memory: a model keeps at most one dense similarity, and item-knn none.
-Truncation, the Grams (bm25's row weights included), the cosine's
-normalization and scoring run `_SCORE_CHUNK` rows at a time, and
-`generate_matrix` keeps no model once its lists are built, so a lazily
-fitted fold holds one model and no full-size transient at a time.
+No BLAS call is made: every fit and score is a fixed-order row sum, of
+sparse rows by `np.bincount` (`_sparse_row_sums`: the Grams and the kNN
+scores) or of dense similarity rows (`_row_sums`), about `_SCORE_CHUNK`
+rows at a time, so no value depends on batching. `generate_matrix` keeps
+no model once its lists are built, so a lazily fitted fold holds one
+model, no users x items array and no full-size transient at a time.
 
 Similarity conventions, shared by every kind that uses one:
   - the cosine of 0/1 vectors after any weighting (`_cosine`);
@@ -28,8 +23,7 @@ Similarity conventions, shared by every kind that uses one:
     (k1 + 1) / (1 + k1 (1 - b + b L / mean L)) is BM25's tf = 1 saturation
     at train length L, and zeroes the same items, as its IDF cancels too;
   - kNN kinds truncate to the top `nn` neighbors excluding self, ties broken
-    by index (= id) ascending; item-knn keeps only the kept entries, as
-    sparse (CSR) rows of the transposed truncation;
+    by index (= id) ascending;
   - item-item kinds keep the full similarity matrix, self included.
 """
 
@@ -38,7 +32,7 @@ from __future__ import annotations
 import logging
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -68,14 +62,11 @@ DEFAULT_PARAMS = {
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each row's top-k column indices, score descending, index ascending.
-
-    Equal to `np.argsort(-scores, axis=1, kind="stable")[:, :k]`, without
-    sorting whole rows: a partition finds each row's k-th largest value,
-    the entries above it and the lowest-index entries equal to it make up
-    exactly k per row (ties straddling the cut resolve by index), and only
-    those k are stable-argsorted.
-    """
+    """Each row's top-k column indices, score descending, index ascending:
+    `np.argsort(-scores, axis=1, kind="stable")[:, :k]` without sorting
+    whole rows. A partition finds each row's k-th largest value; the entries
+    above it and the lowest-index entries equal to it make exactly k (ties
+    straddling the cut resolve by index), and only those are argsorted."""
     n_rows, n_cols = scores.shape
     width = min(k, n_cols)
     if width < 1:
@@ -92,14 +83,48 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(top, order, axis=1)
 
 
-def _kept_neighbors(sim: np.ndarray, nn: int) -> list[np.ndarray]:
-    """(rows, columns, values) of each row's top-nn off-diagonal nonzero
-    entries, row by row.
+@dataclass(frozen=True, eq=False)
+class _Csr:
+    """Sparse rows: row r holds columns indices[indptr[r]:indptr[r + 1]],
+    ascending, of n_cols, with the same slice of `values` (None: all 1.0)."""
 
-    `_top_k` orders by similarity descending with index-ascending ties,
-    matching the package-wide tie rule. Rows are taken `_SCORE_CHUNK` at a
-    time, so no transient is as large as `sim`.
-    """
+    indptr: np.ndarray
+    indices: np.ndarray
+    n_cols: int
+    values: np.ndarray | None = None
+
+    def spans(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the entries of `rows`, row after row, and where
+        each row's run starts and the last one ends."""
+        counts = self.indptr[rows + 1] - self.indptr[rows]
+        firsts = np.concatenate(([0], np.cumsum(counts)))
+        at = np.repeat(self.indptr[rows] - firsts[:-1], counts)
+        at += np.arange(at.size)
+        return at, firsts
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.indptr.size - 1, self.n_cols))
+        out[np.repeat(np.arange(out.shape[0]), np.diff(self.indptr)),
+            self.indices] = 1.0 if self.values is None else self.values
+        return out
+
+
+def _csr(keys: np.ndarray, n_rows: int, n_cols: int,
+         values: np.ndarray | None = None) -> _Csr:
+    """`_Csr` of the entries with distinct keys row * n_cols + column, in
+    any order, and their values; its index arrays are read-only."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    out = _Csr(np.searchsorted(keys, np.arange(n_rows + 1) * n_cols),
+               keys % n_cols, n_cols, None if values is None else values[order])
+    out.indptr.flags.writeable = out.indices.flags.writeable = False
+    return out
+
+
+def _kept_neighbors(sim: np.ndarray, nn: int, transposed: bool) -> _Csr:
+    """Each row's top-nn off-diagonal nonzero entries, ties to the lower
+    index as `_top_k` breaks them, as CSR rows of that truncation or of its
+    transpose. Rows are taken `_SCORE_CHUNK` at a time."""
     parts = []
     for start in range(0, sim.shape[0], _SCORE_CHUNK):
         work = sim[start:start + _SCORE_CHUNK].copy()
@@ -109,58 +134,81 @@ def _kept_neighbors(sim: np.ndarray, nn: int) -> list[np.ndarray]:
         vals = np.take_along_axis(work, keep, axis=1)
         kept = np.isfinite(vals) & (vals != 0.0)
         parts.append((start + np.nonzero(kept)[0], keep[kept], vals[kept]))
-    return [np.concatenate(p) for p in zip(*parts)]
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    n = sim.shape[0]
+    return _csr(cols * n + rows if transposed else rows * n + cols, n, n, vals)
 
 
-def _truncate_neighbors(sim: np.ndarray, nn: int) -> np.ndarray:
-    """Keep each row's top-nn off-diagonal entries, zero the rest."""
-    out = np.zeros_like(sim)
-    rows, cols, vals = _kept_neighbors(sim, nn)
-    out[rows, cols] = vals
-    return out
-
-
-# Rows per `_row_sums` pass, score or Gram: small passes stay in cache (64
-# was fastest of 16-1024 scoring 700 x 1300). No value depends on it.
+# Rows per dense pass, score or Gram: small passes stay in cache (64 was
+# fastest of 16-1024 scoring 700 x 1300). The sparse kernel's chunks hold
+# about as many floats. No value depends on it.
 _SCORE_CHUNK = 64
 
 
-def _row_sums(source: np.ndarray, touched: np.ndarray, targets: np.ndarray,
-              scale: np.ndarray | None = None) -> np.ndarray:
-    """Row t: 0.0 plus touched[targets[t], r] * scale[r] * source[r] over the
-    nonzero touched[targets[t], r] in ascending r, however targets are
-    grouped; no `scale` is a scale of 1."""
+def _row_sums(source: np.ndarray, touched: _Csr,
+              targets: np.ndarray) -> np.ndarray:
+    """Row t: 0.0 plus source[r] over the entries r of the 0/1 touched row
+    targets[t] in ascending r, however targets are grouped."""
     out = np.empty((targets.size, source.shape[1]))
     for start in range(0, targets.size, _SCORE_CHUNK):
-        chunk = touched[targets[start:start + _SCORE_CHUNK]]
-        lengths = np.count_nonzero(chunk, axis=1)
+        chunk = targets[start:start + _SCORE_CHUNK]
+        lengths = touched.indptr[chunk + 1] - touched.indptr[chunk]
         order = np.argsort(-lengths, kind="stable")
-        chunk, lengths = chunk[order], lengths[order]
-        owners, rows = np.nonzero(chunk)  # by target, rows ascending
-        weights = chunk[owners, rows] * (1.0 if scale is None else scale[rows])
-        weights = None if np.all(weights == 1.0) else weights[:, None]
-        firsts = np.cumsum(lengths) - lengths
+        firsts, lengths = touched.indptr[chunk[order]], lengths[order]
         acc = np.zeros((order.size, out.shape[1]))
         gathered = np.empty_like(acc)
         # Step t adds a row to each of the first active[t] targets.
         active = np.searchsorted(-lengths, -np.arange(lengths[0]))
         for step, n_active in enumerate(active):
-            at = firsts[:n_active] + step
-            term = np.take(source, rows[at], axis=0, out=gathered[:n_active],
-                           mode="clip")  # unbuffered; rows are in range
-            if weights is not None:  # a product with 1.0 is exact: skip it
-                term *= weights[at]
-            acc[:n_active] += term
+            acc[:n_active] += np.take(
+                source, touched.indices[firsts[:n_active] + step], axis=0,
+                out=gathered[:n_active], mode="clip")  # unbuffered; in range
         out[start + order] = acc
     return out
 
 
-def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
-    """Cosine of the columns of 0/1 V, row u weighted by w_u: the Gram
-    V^T diag(w) V, whose (i, j) and (j, i) both add w_u over the u holding i
-    and j in ascending u, times outer(inv, inv), inv = 1 / norm or 0, which
-    is applied `_SCORE_CHUNK` rows at a time."""
-    gram = _row_sums(vectors, vectors.T, np.arange(vectors.shape[1]), weights)
+def _sparse_row_sums(source: _Csr, touched: _Csr,
+                     targets: np.ndarray) -> np.ndarray:
+    """Row t: 0.0 plus w * v over each entry (r, w) of touched row
+    targets[t] in ascending r, then each entry (c, v) of source row r, into
+    column c, however targets are grouped; only one of the two has values.
+    That is the dense fixed-order sum bit for bit: `np.bincount` adds each
+    cell's terms from 0.0 in input order, a product with 1.0 is exact, and
+    only +0.0 terms, which never move a non-negative sum, are skipped. A
+    chunk of whole targets costs at most `_SCORE_CHUNK` rows (or one
+    target): a target's output row plus about four floats per term."""
+    n_cols = source.n_cols
+    out = np.empty((targets.size, n_cols))
+    at, firsts = touched.spans(targets)
+    rows = touched.indices[at]
+    weights = None if touched.values is None else touched.values[at]
+    terms = np.concatenate(([0], np.cumsum(np.diff(source.indptr)[rows])))
+    cost = 4 * terms[firsts] + n_cols * np.arange(targets.size + 1)
+    start = 0
+    while start < targets.size:
+        end = max(start + 1, np.searchsorted(
+            cost, cost[start] + _SCORE_CHUNK * n_cols, "right") - 1)
+        lo, hi = firsts[start], firsts[end]
+        at, ends = source.spans(rows[lo:hi])
+        lengths = np.diff(ends)
+        values = (np.repeat(weights[lo:hi], lengths) if weights is not None
+                  else None if source.values is None else source.values[at])
+        cells = np.repeat(np.repeat(np.arange(end - start) * n_cols,
+                                    np.diff(firsts[start:end + 1])), lengths)
+        cells += source.indices[at]
+        del at
+        out[start:end] = np.bincount(cells, values, (end - start) * n_cols
+                                     ).reshape(end - start, n_cols)
+        start = end
+    return out
+
+
+def _cosine(source: _Csr, touched: _Csr) -> np.ndarray:
+    """Cosine of the columns of 0/1 V, row u weighted by w_u, from V's rows
+    and its columns weighted by w: the Gram V^T diag(w) V, whose (i, j) and
+    (j, i) both add w_u over the u holding i and j in ascending u, times
+    outer(inv, inv), inv = 1 / norm or 0, `_SCORE_CHUNK` rows at a time."""
+    gram = _sparse_row_sums(source, touched, np.arange(source.n_cols))
     norms = np.sqrt(np.diag(gram))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     for start in range(0, gram.shape[0], _SCORE_CHUNK):
@@ -171,15 +219,16 @@ def _cosine(vectors: np.ndarray, weights=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrainIncidence:
-    """A train set as a read-only (users x items) 0/1 float64 matrix, and
-    the item cosine cached on it until `drop_item_cosine`. While a fold's
-    models are fitted one at a time, that cosine and the live model's own
-    array (bm25's, or tfidf's copy if an item is held by every train user)
-    are the only items x items arrays."""
+    """A 0/1 train set as read-only CSR rows (users to items) and columns
+    (items to users), and the item cosine cached on it until
+    `drop_item_cosine`. As a fold fits one model at a time, that cosine and
+    the live model's own (bm25's, tfidf's copy if an item is held by every
+    train user, user-knn's Gram while it fits) are its only dense squares."""
 
     users: IdIndex
     items: IdIndex
-    matrix: np.ndarray
+    rows: _Csr
+    columns: _Csr
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False)
     _cache: list = field(default_factory=list, init=False, repr=False)
@@ -190,7 +239,7 @@ class TrainIncidence:
         incidence; the pipeline itself fits on one thread."""
         with self._lock:
             if not self._cache:
-                self._cache.append(_cosine(self.matrix))
+                self._cache.append(_cosine(self.rows, self.columns))
                 self._cache[0].flags.writeable = False
             return self._cache[0]
 
@@ -201,26 +250,25 @@ class TrainIncidence:
 
 
 def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
-    """Build the incidence of observed (user, item) pairs; repeats are fine."""
+    """Build the incidence of observed (user, item) pairs, in any order;
+    repeats are fine."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty train set")
     user_ids, item_ids = zip(*pairs)
     users, items = IdIndex(user_ids), IdIndex(item_ids)
-    matrix = np.zeros((len(users), len(items)), dtype=np.float64)
-    matrix[users.indices(user_ids), items.indices(item_ids)] = 1.0
-    matrix.flags.writeable = False
-    return TrainIncidence(users, items, matrix)
+    n_users, n_items = len(users), len(items)
+    keys = np.unique(users.indices(user_ids).astype(np.int64) * n_items
+                     + items.indices(item_ids))
+    return TrainIncidence(users, items, _csr(keys, n_users, n_items), _csr(
+        keys % n_items * n_users + keys // n_items, n_items, n_users))
 
 
 class FittedModel:
-    """A trained recommender bound to one fold's train split.
-
-    A user's scores (`_scores`) are `_row_sums` of the rows of `_rows` that
-    the nonzero entries of its row of `_touched` name, each times that entry
-    (by default: the rows of its train items, times 1; item-knn's rows are
-    sparse, and it adds them in the same order).
-    """
+    """A trained recommender bound to one fold's train split. A user's scores
+    (`_scores`) add the rows of `_rows` that the entries of its row of
+    `_touched` name, in ascending order: by default the dense similarity
+    rows of its train items; the kNN kinds add sparse rows."""
 
     def __init__(self, model_id: str, kind: str, train: TrainIncidence,
                  params: dict):
@@ -228,8 +276,7 @@ class FittedModel:
         self.kind = kind
         self.users = train.users
         self.items = train.items
-        self._incidence = train.matrix
-        self._touched = train.matrix
+        self._incidence = self._touched = train.rows
         self.params = params
 
     def _scores(self, rows: np.ndarray) -> np.ndarray:
@@ -238,14 +285,13 @@ class FittedModel:
 
     def popularity_scores(self) -> np.ndarray:
         """Train interaction count per item; the cold-start fallback ranking."""
-        return self._incidence.sum(axis=0)
+        return np.bincount(self._incidence.indices,
+                           minlength=len(self.items)).astype(np.float64)
 
     def recommend(self, user: str, k: int,
                   train_items: Iterable[str] = ()) -> list[ScoredItem]:
-        """Top-k items for one user, excluding the given consumed items.
-
-        Unknown users fall back to the popularity ranking.
-        """
+        """Top-k items for one user, excluding the given consumed items;
+        unknown users fall back to the popularity ranking."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if user in self.users:
@@ -253,7 +299,7 @@ class FittedModel:
         else:
             log.warning("cold-start user %r: popularity fallback (%s)",
                         user, self.model_id)
-            scores = self.popularity_scores().astype(np.float64)
+            scores = self.popularity_scores()
         scores[self.items.indices(
             i for i in train_items if i in self.items)] = -np.inf
         ids = self.items.ids
@@ -270,8 +316,9 @@ class _Popularity(FittedModel):
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
         # Every user touches the one row of train counts.
-        self._rows = self._incidence.sum(axis=0)[None, :]
-        self._touched = np.ones((len(self.users), 1))
+        self._rows = self.popularity_scores()[None, :]
+        self._touched = _Csr(np.arange(len(self.users) + 1),
+                             np.zeros(len(self.users), dtype=np.intp), 1)
 
 
 class _ItemItem(FittedModel):
@@ -279,13 +326,14 @@ class _ItemItem(FittedModel):
         super().__init__(model_id, kind, train, params)
         if kind == "item-item-bm25":
             k1, b = params["k1"], params["b"]
-            lengths = self._incidence.sum(axis=1)
+            lengths = np.diff(train.rows.indptr)
             factor = (k1 + 1.0) / (
                 1.0 + k1 * (1.0 - b + b * lengths / lengths.mean()))
-            sim = _cosine(self._incidence, factor * factor)
+            sim = _cosine(train.rows, replace(
+                train.columns, values=(factor * factor)[train.columns.indices]))
         else:
             sim = train.item_cosine()
-        common = self._incidence.all(axis=0)  # their IDF is log(1) = 0
+        common = np.diff(train.columns.indptr) == len(self.users)  # IDF 0
         if kind != "item-item-cosine" and common.any():
             if not sim.flags.writeable:
                 sim = sim.copy()  # the shared cosine
@@ -294,59 +342,33 @@ class _ItemItem(FittedModel):
         self.similarity = self._rows = sim
 
 
-class _ItemKnn(FittedModel):
+class _Knn(FittedModel):
+    # A user adds the train rows of its kept neighbors, each times its
+    # similarity (user-knn), or for each train item j the sim(i, j) of every
+    # item i that keeps j: row j of the transposed truncation (item-knn).
     def __init__(self, model_id, kind, train, params):
         super().__init__(model_id, kind, train, params)
-        # score(u, i) sums sim(i, j) over the user's train items j that are
-        # among i's kept neighbors: row j of the transposed truncation, the
-        # one orientation stored, in CSR form: entries p in
-        # _indptr[j]:_indptr[j + 1] hold i = _neighbors[p], ascending, and
-        # sim(i, j) = _rows[p].
-        rows, cols, sims = _kept_neighbors(train.item_cosine(), params["nn"])
-        order = np.argsort(cols, kind="stable")  # rows stay ascending
-        self._neighbors, self._rows = rows[order], sims[order]
-        self._indptr = np.searchsorted(cols[order],
-                                       np.arange(len(self.items) + 1))
+        item = kind == "item-knn"
+        sim = train.item_cosine() if item else _cosine(train.columns,
+                                                       train.rows)
+        kept = _kept_neighbors(sim, params["nn"], transposed=item)
+        self._rows, self._touched = (kept, self._touched) if item else (
+            train.rows, kept)
 
     @property
     def similarity(self) -> np.ndarray:
         """The truncated similarity, made dense on each access."""
-        out = np.zeros((len(self.items), len(self.items)))
-        out[self._neighbors, np.repeat(np.arange(len(self.items)),
-                                       np.diff(self._indptr))] = self._rows
-        return out
+        return (self._rows.dense().T if self.kind == "item-knn"
+                else self._touched.dense())
 
     def _scores(self, rows: np.ndarray) -> np.ndarray:
-        """`_row_sums` of the dense rows over the 0/1 `_touched`, bit for
-        bit: one `np.bincount` adds each cell's terms from 0.0 in input
-        order, here by user and then by train item ascending, as `_row_sums`
-        adds them. It only skips the +0.0 terms, which never move a
-        non-negative sum."""
-        n = len(self.items)
-        users, held = np.nonzero(self._touched[rows])
-        counts = np.diff(self._indptr)[held]
-        at = np.arange(counts.sum()) + np.repeat(
-            self._indptr[held] - np.cumsum(counts) + counts, counts)
-        cells = np.repeat(users * n, counts) + self._neighbors[at]
-        sums = np.bincount(cells, self._rows[at], rows.size * n)
-        return sums.reshape(-1, n).astype(np.float64, copy=False)  # if empty
-
-
-class _UserKnn(FittedModel):
-    def __init__(self, model_id, kind, train, params):
-        super().__init__(model_id, kind, train, params)
-        sim = _cosine(np.ascontiguousarray(self._incidence.T))
-        self.similarity = _truncate_neighbors(sim, params["nn"])
-        # A user adds the train rows of its kept neighbors, each weighted by
-        # its similarity.
-        self._rows = self._incidence
-        self._touched = self.similarity
+        return _sparse_row_sums(self._rows, self._touched, rows)
 
 
 _CONSTRUCTORS = {
     "popularity": _Popularity,
-    "user-knn": _UserKnn,
-    "item-knn": _ItemKnn,
+    "user-knn": _Knn,
+    "item-knn": _Knn,
     "item-item-cosine": _ItemItem,
     "item-item-tfidf": _ItemItem,
     "item-item-bm25": _ItemItem,
@@ -355,12 +377,10 @@ _CONSTRUCTORS = {
 
 def fit_params(params: Mapping[str, float] | None) -> dict:
     """DEFAULT_PARAMS overridden by `params`, type- and range-checked."""
-    merged = dict(DEFAULT_PARAMS)
-    if params:
-        unknown = set(params) - set(DEFAULT_PARAMS)
-        if unknown:
-            raise ValueError(f"unknown parameters {sorted(unknown)}")
-        merged.update(params)
+    merged = {**DEFAULT_PARAMS, **(params or {})}
+    unknown = set(merged) - set(DEFAULT_PARAMS)
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)}")
     for key, kind in (("nn", int), ("k1", float), ("b", float)):
         _json_typed(merged[key], key, kind)
     if merged["nn"] < 1:
@@ -391,11 +411,6 @@ def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
                                fit_params(params))
 
 
-def binarized_pairs(train: Mapping[str, frozenset[str]]) -> list[tuple[str, str]]:
-    """Flatten a FoldSplit train mapping into sorted (user, item) pairs."""
-    return [(u, i) for u in sorted(train) for i in sorted(train[u])]
-
-
 def _score_block(model: FittedModel, k_max: int) -> _Block:
     """A model's read-only top-k_max lists of every train user, scored,
     masked and cut `_SCORE_CHUNK` users at a time; `_scores` and `_top_k`
@@ -405,7 +420,9 @@ def _score_block(model: FittedModel, k_max: int) -> _Block:
         rows = np.arange(start, min(start + _SCORE_CHUNK, len(model.users)))
         chunk = model._scores(rows)
         # Mask consumed items so they can never be recommended back.
-        chunk[model._incidence[rows] != 0] = -np.inf
+        at, firsts = model._incidence.spans(rows)
+        chunk[np.repeat(np.arange(rows.size), np.diff(firsts)),
+              model._incidence.indices[at]] = -np.inf
         top = _top_k(chunk, k_max)
         top_scores = np.take_along_axis(chunk, top, axis=1)
         valid = np.isfinite(top_scores)
@@ -427,15 +444,11 @@ def generate_matrix(models_by_fold: Mapping[int, Iterable[FittedModel]],
     """Batch-produce the prediction matrix for fitted per-fold models.
 
     A fold's models must share one train set (and so one index space);
-    folds are joined by PredictionMatrix.union. Covers every train user.
-    Lists hold the top min(k_max, recommendable) items, identical to
-    per-user recommend() output (asserted in tests).
-
-    A fold's models are drawn from their iterable one at a time, and no
-    reference to a model is kept once its block is built: given a lazy
-    iterable that fits on demand, a fold holds one fitted model at a time.
-    Scoring runs `_SCORE_CHUNK` users at a time, so no users x items array
-    is made.
+    folds are joined by PredictionMatrix.union. Lists cover every train user
+    and equal per-user recommend() output: the top min(k_max, recommendable)
+    items. A fold's models are drawn one at a time and none is kept once its
+    block is built: given a lazy iterable that fits on demand, a fold holds
+    one fitted model at a time.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

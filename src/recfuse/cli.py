@@ -205,11 +205,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # Contract violations surfaced by the pipeline are user-fixable.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

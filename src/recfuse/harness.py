@@ -31,7 +31,6 @@ from recfuse.baselines import (
     ITEM_COSINE_KINDS,
     MODEL_KINDS,
     FittedModel,
-    binarized_pairs,
     fit,
     fit_params,
     generate_matrix,
@@ -426,7 +425,7 @@ def fit_roster(split: FoldSplit, models: Sequence[ModelConfig]
     each only when the next is asked for, so a consumer that drops each
     model first holds one at a time. The shared item cosine is dropped once
     its last reader is fitted, so it dies with the last model holding it."""
-    train = train_incidence(binarized_pairs(split.train))
+    train = train_incidence(split.pairs("train"))
     for at, m in enumerate(models):
         model = fit(m.kind, train, m.params, model_id=m.model_id)
         if not any(n.kind in ITEM_COSINE_KINDS for n in models[at + 1:]):
@@ -453,10 +452,10 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
     and weight one dataset.
 
     Folds are fitted one after another, and within a fold each built-in model
-    is fitted, scored and dropped before the next is fitted. At its peak a
-    fold so holds its train incidence, one fitted model, the blocks already
-    scored, row-chunk transients and, until its last reader is fitted, the
-    item cosine (see `TrainIncidence`)."""
+    is fitted, scored and dropped before the next. At its peak a fold so
+    holds its CSR train incidence, the item cosine until its last reader is
+    fitted, one model's arrays (at most one more dense square), the blocks
+    already scored and chunk transients: no users x items array."""
     t0 = time.perf_counter()
     splits = split_dataset(config, ds)
     parts = []

@@ -123,8 +123,9 @@ def greedy_select(models: Sequence[str],
                   eval_fn: Callable[[frozenset[str]], float]) -> SelectionTrace:
     """Forward greedy subset search.
 
-    Starts from the best singleton, then repeatedly adds the unused model
-    whose addition scores highest, accepting only strict improvement
+    Each round scores the incumbent plus each unused model and keeps the
+    best. The first round, from the empty set, is accepted outright, so it
+    picks the best singleton; a later one only on strict improvement
     (> GREEDY_TOLERANCE). Candidates are evaluated in sorted model order
     and ties resolve to the earlier candidate, so the trace is deterministic.
     """
@@ -132,33 +133,21 @@ def greedy_select(models: Sequence[str],
     if not roster:
         raise ValueError("no models")
     steps: list[TraceStep] = []
-
-    best_members: frozenset[str] | None = None
-    best_score = None
-    for model in roster:
-        candidate = frozenset([model])
-        score = eval_fn(candidate)
-        steps.append(TraceStep(candidate, score))
-        if best_score is None or score > best_score:
-            best_members, best_score = candidate, score
-
-    current, current_score = best_members, best_score
-    while True:
-        unused = [m for m in roster if m not in current]
-        if not unused:
-            break
-        round_best: frozenset[str] | None = None
-        round_score = None
-        for model in unused:
+    current, current_score = frozenset(), None
+    while len(current) < len(roster):
+        round_best = round_score = None
+        for model in roster:
+            if model in current:
+                continue
             candidate = current | {model}
             score = eval_fn(candidate)
             steps.append(TraceStep(candidate, score))
             if round_score is None or score > round_score:
                 round_best, round_score = candidate, score
-        if round_score > current_score + GREEDY_TOLERANCE:
-            current, current_score = round_best, round_score
-        else:
+        if current_score is not None and not (
+                round_score > current_score + GREEDY_TOLERANCE):
             break
+        current, current_score = round_best, round_score
 
     return SelectionTrace("greedy", tuple(steps), current, current_score)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from recfuse.core import ScoredItem, PredictionMatrix
@@ -14,6 +15,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def common_items(train):
+    """Which items of a TrainIncidence every train user holds."""
+    return np.diff(train.columns.indptr) == len(train.users)
 
 
 @pytest.fixture(scope="session")

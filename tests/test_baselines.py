@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import random
 import sys
 import threading
 import weakref
@@ -9,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import common_items
 from recfuse import baselines
 from recfuse.baselines import (
     DEFAULT_PARAMS,
     MODEL_KINDS,
-    _row_sums,
+    _sparse_row_sums,
     _top_k,
-    binarized_pairs,
     fit,
     generate_matrix,
     train_incidence,
@@ -118,19 +121,19 @@ def test_similarity_matches_bruteforce(kind):
                     for u, i in zip(rng.integers(0, 25, 160),
                                     rng.integers(0, 30, 160))})
     _, _, ref = brute_similarity(pairs, kind, nn=5)
-    model = fit(kind, pairs, params={"nn": 5})
+    sim = fit(kind, pairs, params={"nn": 5}).similarity
     if kind in ("user-knn", "item-knn"):
         # Exactly tied neighbors at the nn boundary may resolve differently
         # under Gram vs loop arithmetic, moving a value to another column.
         # The kept values per row are still the same multiset.
         ref = np.array(ref)
         for row in range(ref.shape[0]):
-            got = np.sort(model.similarity[row][model.similarity[row] != 0.0])
+            got = np.sort(sim[row][sim[row] != 0.0])
             want = np.sort(ref[row][ref[row] != 0.0])
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=0, atol=1e-12)
     else:
-        assert np.allclose(model.similarity, np.array(ref), rtol=0, atol=1e-12)
+        assert np.allclose(sim, np.array(ref), rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -158,37 +161,38 @@ def adversarial_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_shared_cosine_matches_bruteforce(pairs, nn):
     train = train_incidence(pairs)
-    items = train.items
+    items, incidence = train.items, train.rows.dense()
     cosine = train.item_cosine()
     assert not cosine.flags.writeable
-    user_cosine = baselines._cosine(np.ascontiguousarray(train.matrix.T))
+    user_cosine = baselines._cosine(train.columns, train.rows)
     for sim in (cosine, user_cosine):
         assert np.array_equal(sim, sim.T)
-    every = train.matrix.all(axis=0)
+    every = common_items(train)
     for kind in [k for k in MODEL_KINDS if k != "popularity"]:
         model = fit(kind, train, params={"nn": nn})
+        sim = model.similarity  # a kNN kind's is made on each access
         _, _, ref = brute_similarity(pairs, kind, nn=nn)
         ref = np.array(ref)
         if kind in ("user-knn", "item-knn"):
             for row in range(ref.shape[0]):
-                got = np.sort(model.similarity[row][model.similarity[row] != 0])
+                got = np.sort(sim[row][sim[row] != 0])
                 want = np.sort(ref[row][ref[row] != 0.0])
                 assert got.shape == want.shape
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
             continue
-        assert np.allclose(model.similarity, ref, rtol=0, atol=1e-12)
-        assert np.array_equal(model.similarity, model.similarity.T)
+        assert np.allclose(sim, ref, rtol=0, atol=1e-12)
+        assert np.array_equal(sim, sim.T)
         if kind == "item-item-cosine":
-            assert model.similarity is cosine
+            assert sim is cosine
             assert np.all(np.diag(cosine)[every] > 0.0)
         else:
-            assert not model.similarity[every].any()
-            assert not model.similarity[:, every].any()
+            assert not sim[every].any()
+            assert not sim[:, every].any()
     if "i_twin" in items:
         twin, other = items.index("i_twin"), None
         for i in range(len(items)):
-            if i != twin and np.array_equal(train.matrix[:, i],
-                                            train.matrix[:, twin]):
+            if i != twin and np.array_equal(incidence[:, i],
+                                            incidence[:, twin]):
                 other = i
         lo, hi = sorted((twin, other))
         assert np.array_equal(cosine[lo], cosine[hi])
@@ -206,10 +210,10 @@ def test_item_cosine_is_built_once_and_only_when_needed():
     builds = []
     real = baselines._cosine
 
-    def counting(vectors, weights=None):
-        if vectors is train.matrix and weights is None:
+    def counting(source, touched):
+        if touched is train.columns:
             builds.append(threading.get_ident())
-        return real(vectors, weights)
+        return real(source, touched)
 
     with mock.patch.object(baselines, "_cosine", counting):
         for kind in ("popularity", "user-knn", "item-item-bm25"):
@@ -230,32 +234,40 @@ def test_item_cosine_is_built_once_and_only_when_needed():
                if m.kind == "item-item-cosine")
 
 
+def _truncated(kind, sim, nn):
+    """A kNN kind's kept similarity when its cosine is `sim`."""
+    n = sim.shape[0]
+    train = train_incidence([(f"u{k}", f"i{k}") for k in range(n)])
+    with mock.patch.object(baselines, "_cosine", lambda *_: sim.copy()):
+        return fit(kind, train, params={"nn": nn}).similarity
+
+
 class TestTruncateNeighbors:
-    """Exact tie and zero handling, checked on crafted similarity values."""
+    """Exact tie and zero handling of `_kept_neighbors`, checked for both
+    kNN kinds on crafted similarity values."""
+
+    KINDS = ("item-knn", "user-knn")
 
     def test_tie_keeps_lower_index(self):
-        from recfuse.baselines import _truncate_neighbors
         sim = np.array([[1.0, 0.5, 0.5, 0.2],
                         [0.5, 1.0, 0.3, 0.0],
                         [0.5, 0.3, 1.0, 0.0],
                         [0.2, 0.0, 0.0, 1.0]])
-        out = _truncate_neighbors(sim, 1)
-        assert out[0].tolist() == [0.0, 0.5, 0.0, 0.0]
+        for kind in self.KINDS:
+            assert _truncated(kind, sim, 1)[0].tolist() == [0.0, 0.5, 0.0, 0.0]
 
     def test_zero_similarities_never_kept(self):
-        from recfuse.baselines import _truncate_neighbors
         sim = np.array([[1.0, 0.0, 0.3],
                         [0.0, 1.0, 0.0],
                         [0.3, 0.0, 1.0]])
-        out = _truncate_neighbors(sim, 2)
-        assert out[1].tolist() == [0.0, 0.0, 0.0]
-        assert out[0].tolist() == [0.0, 0.0, 0.3]
+        for kind in self.KINDS:
+            out = _truncated(kind, sim, 2)
+            assert out[1].tolist() == [0.0, 0.0, 0.0]
+            assert out[0].tolist() == [0.0, 0.0, 0.3]
 
     def test_diagonal_always_dropped(self):
-        from recfuse.baselines import _truncate_neighbors
-        sim = np.eye(3)
-        out = _truncate_neighbors(sim, 2)
-        assert np.all(out == 0.0)
+        for kind in self.KINDS:
+            assert np.all(_truncated(kind, np.eye(3), 2) == 0.0)
 
 
 def test_bruteforce_scoring_matches():
@@ -302,7 +314,7 @@ class TestTfidfEqualsCosineOnBinaryData:
                         for u, i in zip(rng.integers(0, 20, 120),
                                         rng.integers(0, 25, 120))})
         train = train_incidence(pairs)
-        assert not train.matrix.all(axis=0).any()
+        assert not common_items(train).any()
         cos = fit("item-item-cosine", train)
         tfidf = fit("item-item-tfidf", train)
         assert np.array_equal(cos.similarity, tfidf.similarity)
@@ -323,8 +335,8 @@ class TestTfidfEqualsCosineOnBinaryData:
                                  rng.integers(0, 25, 120))}
         if common:
             pairs |= {(u, "every") for u, _ in pairs}
-        train = train_incidence(sorted(pairs))
-        assert train.matrix.all(axis=0).any() == common
+        train = train_incidence(pairs)
+        assert common_items(train).any() == common
         models = (fit(kind, train) for kind in
                   ("item-item-cosine", "item-knn", "item-item-tfidf"))
         blocks = generate_matrix({0: models}, 10)._blocks
@@ -411,24 +423,32 @@ def test_no_train_leakage_property(data):
         assert not (got & train_items)
 
 
-def fixed_order_scores(model, user: int) -> np.ndarray:
-    """Reference: 0.0 plus each row the user touches, in ascending index."""
-    inc = model._incidence
-    acc = np.zeros(inc.shape[1])
+def _fixed_order_sums(source, touched, targets):
+    """Reference kernel: row t is 0.0 plus touched[targets[t], r] * source[r]
+    over the nonzero touched[targets[t], r], in ascending r."""
+    out = np.zeros((len(targets), source.shape[1]))
+    for t, target in enumerate(targets):
+        for r in np.flatnonzero(touched[target]):
+            out[t] += touched[target, r] * source[r]
+    return out
+
+
+def fixed_order_scores(model) -> np.ndarray:
+    """Reference: every train user's scores, 0.0 plus each dense row the user
+    touches, in ascending index, times its weight."""
+    incidence = model._incidence.dense()
+    users = np.arange(incidence.shape[0])
     if model.kind == "popularity":
-        return acc + model.popularity_scores()
+        return _fixed_order_sums(incidence.sum(axis=0)[None, :],
+                                 np.ones((users.size, 1)), users)
+    sim = model.similarity  # a kNN kind's is made on each access
     if model.kind == "user-knn":
-        for v in range(inc.shape[0]):
-            if model.similarity[user, v] != 0.0:
-                acc += model.similarity[user, v] * inc[v]
-        return acc
+        # each kept neighbor's train row, times its similarity
+        return _fixed_order_sums(incidence, sim, users)
     # item-knn adds item j's column of the truncation: the sim(i, j) of
     # every item i that keeps j as a neighbor.
-    rows = model.similarity.T if model.kind == "item-knn" else model.similarity
-    for j in range(inc.shape[1]):
-        if inc[user, j]:
-            acc += rows[j]
-    return acc
+    rows = sim.T if model.kind == "item-knn" else sim
+    return _fixed_order_sums(rows, incidence, users)
 
 
 @st.composite
@@ -446,8 +466,7 @@ def fitted_models(draw):
 @settings(max_examples=120, deadline=None)
 def test_batch_scores_are_fixed_order_row_sums(model):
     users = np.arange(len(model.users))
-    want = np.array([fixed_order_scores(model, u) for u in users])
-    assert np.array_equal(model._scores(users), want)
+    assert np.array_equal(model._scores(users), fixed_order_scores(model))
 
 
 @given(fitted_models(), st.data())
@@ -493,14 +512,20 @@ def test_train_incidence_matches_per_pair_loop(data):
     got = train_incidence(pairs)
     users = sorted({u for u, _ in pairs})
     items = sorted({i for _, i in pairs})
-    expected = np.zeros((len(users), len(items)))
-    for u, i in pairs:
-        expected[users.index(u), items.index(i)] = 1.0
+    rows = [[] for _ in users]
+    columns = [[] for _ in items]
+    for u, i in sorted(set(pairs)):
+        rows[users.index(u)].append(items.index(i))
+        columns[items.index(i)].append(users.index(u))
     assert got.users.ids == tuple(users)
     assert got.items.ids == tuple(items)
-    assert got.matrix.dtype == np.float64
-    assert np.array_equal(got.matrix, expected)
-    assert not got.matrix.flags.writeable
+    for csr, lists, n_cols in ((got.rows, rows, len(items)),
+                               (got.columns, columns, len(users))):
+        assert csr.indptr.tolist() == [0, *itertools.accumulate(map(len, lists))]
+        assert csr.indices.tolist() == [c for held in lists for c in held]
+        assert (csr.n_cols, csr.values) == (n_cols, None)
+        assert not csr.indptr.flags.writeable
+        assert not csr.indices.flags.writeable
 
 
 class TestGenerateMatrix:
@@ -509,7 +534,7 @@ class TestGenerateMatrix:
         folds = small_folds[:2]
         by_fold = {}
         for fold in folds:
-            train = train_incidence(binarized_pairs(fold.train))
+            train = train_incidence(fold.pairs("train"))
             by_fold[fold.fold_index] = [
                 fit("popularity", train, model_id="ppl"),
                 fit("item-item-cosine", train, params={"nn": 5}, model_id="cos"),
@@ -550,7 +575,7 @@ class TestGenerateMatrix:
 
     def test_models_of_one_fold_on_different_train_sets_rejected(
             self, small_folds):
-        pairs = binarized_pairs(small_folds[0].train)
+        pairs = sorted(small_folds[0].pairs("train"))
         first_user = pairs[0][0]
         fewer_users = [(u, i) for u, i in pairs if u != first_user]
         models = [fit("popularity", pairs, model_id="ppl"),
@@ -571,7 +596,7 @@ class TestGenerateMatrix:
                 (key, lst) for key, lst in whole.entries() if key[0] == fold]
 
     def test_holds_no_model_while_the_next_is_drawn(self, small_folds):
-        train = train_incidence(binarized_pairs(small_folds[0].train))
+        train = train_incidence(small_folds[0].pairs("train"))
         live = weakref.WeakSet()
         seen = []
 
@@ -596,22 +621,24 @@ class TestGenerateMatrix:
         train = train_incidence([("u1", "a"), ("u2", "b"), ("u3", "c"),
                                  ("u4", "d")])
         matched = []
+        eye = (np.arange(5), np.arange(4))  # user u touches row u
 
         def models():
             first = fit("popularity", train, model_id="a")
-            first._rows, first._touched = np.eye(4), np.eye(4)
+            first._rows = np.zeros((4, 4))
+            first._touched = baselines._Csr(*eye, 4)
             first._rows[:] = [1.0, 2.0, 3.0, 4.0]  # every user: d, c, b, a
             ids = [id(first._rows), id(first._touched)]
             yield first
             del first
-            pool = [np.zeros((4, 4)) for _ in range(64)]
+            pool = ([np.zeros((4, 4)) for _ in range(64)]
+                    + [baselines._Csr(*eye, 4) for _ in range(64)])
             arrays = [next((a for a in pool if id(a) == i), None) for i in ids]
             matched.append(all(a is not None for a in arrays))
             second = fit("popularity", train, model_id="b")
             if matched[0]:
                 second._rows, second._touched = arrays
                 second._rows[:] = [4.0, 3.0, 2.0, 1.0]  # a, b, c, d
-                second._touched[:] = np.eye(4)
             yield second
 
         matrix = generate_matrix({0: models()}, k_max=1)
@@ -620,17 +647,19 @@ class TestGenerateMatrix:
         assert matrix.block(0, "b").items.tolist() == [1, 0, 0, 0]
 
 
-def _whole_cosine(vectors, weights=None):
-    """`_cosine` with the whole Gram normalized at once."""
-    touched = vectors.T if weights is None else vectors.T * weights
-    gram = _row_sums(vectors, touched, np.arange(vectors.shape[1]))
+def _whole_cosine(incidence, weights=None):
+    """The cosine of the columns of a dense 0/1 incidence, row u weighted by
+    weights[u]: the reference Gram, normalized at once."""
+    touched = incidence.T if weights is None else incidence.T * weights
+    gram = _fixed_order_sums(incidence, touched, np.arange(incidence.shape[1]))
     norms = np.sqrt(np.diag(gram))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return gram * np.outer(inv, inv)
 
 
 def _whole_truncation(sim, nn):
-    """`_truncate_neighbors` over the whole matrix at once."""
+    """Each row's top-nn off-diagonal nonzero entries, over the whole matrix
+    at once."""
     out = np.zeros_like(sim)
     work = sim.copy()
     np.fill_diagonal(work, -np.inf)
@@ -641,17 +670,17 @@ def _whole_truncation(sim, nn):
     return out
 
 
-def _dense_rows(model):
-    """The rows a model scores from, dense: item-knn keeps them sparse."""
-    return model.similarity.T if model.kind == "item-knn" else model._rows
+def _weighted_columns(train, weights):
+    """The train columns with entry u weighted by weights[u]."""
+    return dataclasses.replace(train.columns,
+                               values=weights[train.columns.indices])
 
 
 def _whole_block(model, k_max):
-    """A model's (indptr, items, scores), scored for every user at once by
-    the dense `_row_sums`."""
-    scores = _row_sums(_dense_rows(model), model._touched,
-                       np.arange(len(model.users)))
-    scores[model._incidence != 0] = -np.inf
+    """A model's (indptr, items, scores), from the reference scores of every
+    user at once."""
+    scores = fixed_order_scores(model)
+    scores[model._incidence.dense() != 0] = -np.inf
     top = _top_k(scores, k_max)
     top_scores = np.take_along_axis(scores, top, axis=1)
     valid = np.isfinite(top_scores)
@@ -664,12 +693,40 @@ def _same_bytes(got, want):
             and got.tobytes() == want.tobytes())
 
 
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def _assert_lists_are_the_reference_bits(model, k_max):
+    """`_score_block` and `recommend` give the reference's lists, bit for
+    bit."""
+    block = baselines._score_block(model, k_max)
+    indptr, items, scores = _whole_block(model, k_max)
+    assert block.indptr.tolist() == indptr.tolist()
+    assert block.items.tolist() == items.tolist()
+    assert _hex(block.scores) == _hex(scores)
+    incidence = model._incidence.dense()
+    reference = fixed_order_scores(model)
+    reference[incidence != 0] = -np.inf
+    ids = model.items.ids
+    for user, user_id in enumerate(model.users.ids):
+        got = model.recommend(user_id, k_max,
+                              [ids[i] for i in np.flatnonzero(incidence[user])])
+        top = [i for i in _top_k(reference[user][None, :], k_max)[0]
+               if reference[user, i] != -np.inf]
+        assert [s.item_id for s in got] == [ids[i] for i in top]
+        assert [float.hex(s.score) for s in got] == _hex(reference[user, top])
+
+
 # Nine users, ten items: i_twin ties with i3 in every similarity row, i_all is
 # held by every user, and nn = 11 reaches every row's -inf diagonal.
 _BASE = {(f"u{u}", f"i{(u * 3 + j) % 8}") for u in range(9)
          for j in range(u % 3 + 1)}
 _TIED = sorted(_BASE | {(u, "i_twin") for u, i in _BASE if i == "i3"}
                | {(f"u{u}", "i_all") for u in range(9)})
+# No item keeps i_lone as a neighbor, and i_lone keeps none; u_lone, who
+# holds only i_lone, keeps no neighbor and no user keeps u_lone.
+_LONE = sorted(_TIED + [("u_lone", "i_lone")])
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
@@ -679,36 +736,35 @@ _TIED = sorted(_BASE | {(u, "i_twin") for u, i in _BASE if i == "i3"}
 @example(pairs=_TIED, nn=2, k_max=3)
 @settings(max_examples=40, deadline=None)
 def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
-    """Truncation, the cosine's normalization and scoring run a few rows at
-    a time; each must give the bytes of its whole-array formula."""
+    """Truncation, the Grams, the cosine's normalization and scoring run a
+    few rows or terms at a time; each must give the bytes of its whole-array
+    reference."""
     train = train_incidence(pairs)
-    users_t = np.ascontiguousarray(train.matrix.T)
-    lengths = train.matrix.sum(axis=1)
+    incidence = train.rows.dense()
+    lengths = incidence.sum(axis=1)
     weights = 1.0 + lengths / lengths.max()
-    cosine = _whole_cosine(train.matrix)
+    cosine, users = _whole_cosine(incidence), _whole_cosine(incidence.T)
     want = {
         "item": cosine,
-        "user": _whole_cosine(users_t),
-        "weighted": _whole_cosine(train.matrix, weights),
-        "item-nn": _whole_truncation(cosine, nn),
-        "item-nn-t": np.ascontiguousarray(_whole_truncation(cosine, nn).T),
-        "user-nn": _whole_truncation(_whole_cosine(users_t), nn),
+        "user": users,
+        "weighted": _whole_cosine(incidence, weights),
+        "item-knn": _whole_truncation(cosine, nn),
+        "user-knn": _whole_truncation(users, nn),
     }
     with mock.patch.object(baselines, "_SCORE_CHUNK", chunk):
         got = {
-            "item": baselines._cosine(train.matrix),
-            "user": baselines._cosine(users_t),
-            "weighted": baselines._cosine(train.matrix, weights),
-            "item-nn": baselines._truncate_neighbors(cosine, nn),
-            "user-nn": baselines._truncate_neighbors(want["user"], nn),
+            "item": baselines._cosine(train.rows, train.columns),
+            "user": baselines._cosine(train.columns, train.rows),
+            "weighted": baselines._cosine(
+                train.rows, _weighted_columns(train, weights)),
         }
         models = [fit(kind, train, params={"nn": nn}) for kind in MODEL_KINDS]
         matrix = generate_matrix({0: models}, k_max)
-    got["item-nn-t"] = np.ascontiguousarray(
-        models[MODEL_KINDS.index("item-knn")].similarity.T)
+    for kind in ("item-knn", "user-knn"):
+        got[kind] = np.ascontiguousarray(
+            models[MODEL_KINDS.index(kind)].similarity)
     for name in want:
         assert _same_bytes(got[name], want[name]), name
-    assert got["item-nn-t"].flags.c_contiguous
     for model in models:
         block = matrix.block(0, model.model_id)
         assert _same_bytes(block.user_rows,
@@ -718,45 +774,87 @@ def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
             assert _same_bytes(getattr(block, name), array), (model.kind, name)
 
 
-def _hex(values):
-    return [float.hex(float(v)) for v in np.ravel(values)]
-
-
 @given(pairs=adversarial_pairs(), nn=st.integers(1, 12),
        k_max=st.integers(1, 12), empty=st.integers(0, 3))
 # i_twin ties with i3 at the nn cut, and i_all is held by every user.
 @example(pairs=_TIED, nn=2, k_max=3, empty=1)
 @example(pairs=_TIED, nn=9, k_max=12, empty=0)  # nn = items - 1
-# No item keeps i_lone as a neighbor, and i_lone keeps none.
-@example(pairs=sorted(_TIED + [("u_lone", "i_lone")]), nn=3, k_max=12,
-         empty=2)
+@example(pairs=_LONE, nn=3, k_max=12, empty=2)
 @settings(max_examples=80, deadline=None)
 def test_item_knn_lists_score_the_dense_oracle_bits(pairs, nn, k_max, empty):
-    """item-knn keeps its neighbors as sparse rows and scores them with one
-    ordered `np.bincount`. Its kernel, `_score_block` and `recommend` must
-    each give the bits of the dense `_row_sums` over the same rows."""
+    """item-knn keeps its neighbors as sparse rows and scores them with the
+    ordered `np.bincount` kernel. Its kernel, `_score_block` and `recommend`
+    must each give the bits of the reference sum over the dense rows, also
+    for users who hold no train item."""
     train = train_incidence(pairs)
     model = fit("item-knn", train, params={"nn": nn})
-    dense = model.similarity.T
-    n_users, n_items = train.matrix.shape
-    block = baselines._score_block(model, k_max)
-    indptr, items, scores = _whole_block(model, k_max)
-    assert block.indptr.tolist() == indptr.tolist()
-    assert block.items.tolist() == items.tolist()
-    assert _hex(block.scores) == _hex(scores)
-    oracle = _row_sums(dense, train.matrix, np.arange(n_users))
-    oracle[train.matrix != 0] = -np.inf
-    for user in range(n_users):
-        held = np.flatnonzero(train.matrix[user])
-        got = model.recommend(train.users.ids[user], k_max,
-                              [train.items.ids[i] for i in held])
-        top = [i for i in _top_k(oracle[user][None, :], k_max)[0]
-               if oracle[user, i] != -np.inf]
-        assert [s.item_id for s in got] == [train.items.ids[i] for i in top]
-        assert [float.hex(s.score) for s in got] == _hex(oracle[user, top])
+    _assert_lists_are_the_reference_bits(model, k_max)
     # Users who hold no train item, scored among the others.
-    model._touched = np.vstack([train.matrix, np.zeros((empty, n_items))])
+    rows = train.rows
+    model._touched = dataclasses.replace(rows, indptr=np.concatenate(
+        (rows.indptr, np.full(empty, rows.indptr[-1]))))
+    n_users, n_items = len(train.users), len(train.items)
     targets = np.random.default_rng(n_users).permutation(n_users + empty)
     got = model._scores(targets)
-    want = _row_sums(dense, model._touched, targets)
+    want = _fixed_order_sums(
+        model.similarity.T,
+        np.vstack([rows.dense(), np.zeros((empty, n_items))]), targets)
     assert _hex(got) == _hex(want) and _same_bytes(got, want)
+
+
+@given(pairs=adversarial_pairs(), nn=st.integers(1, 12),
+       k_max=st.integers(1, 12), picks=st.lists(st.integers(0, 99),
+                                                max_size=30),
+       chunk=st.integers(1, 4), shuffle=st.integers(0, 2**32 - 1))
+# Ties at the nn cut, and an item every user holds.
+@example(pairs=_TIED, nn=2, k_max=3, picks=[8, 0, 8, 3, 1], chunk=1,
+         shuffle=1)
+# nn at or above rows - 1 for both kinds.
+@example(pairs=_TIED, nn=11, k_max=12, picks=list(range(20, 0, -1)),
+         chunk=2, shuffle=2)
+# A row no row keeps, and a user with no kept neighbor.
+@example(pairs=_LONE, nn=3, k_max=12, picks=[9, 9, 2, 0, 10], chunk=3,
+         shuffle=3)
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_matches_a_dense_fixed_order_sum(pairs, nn, k_max, picks,
+                                                       chunk, shuffle):
+    """Every use of `_sparse_row_sums` (the item, user and bm25 Grams and
+    both kNN kinds' scores) gives the bits of `_fixed_order_sums` over the
+    dense operands, for targets out of order, repeated and cut into chunks
+    by a small budget; and user-knn's `_score_block` and `recommend` give the
+    reference lists. The train set is built from shuffled, repeated pairs."""
+    repeated = pairs + pairs[:len(pairs) // 2]
+    random.Random(shuffle).shuffle(repeated)
+    train = train_incidence(repeated)
+    incidence = train.rows.dense()
+    n_users, n_items = incidence.shape
+    k1, b = DEFAULT_PARAMS["k1"], DEFAULT_PARAMS["b"]
+    lengths = incidence.sum(axis=1)
+    factor = (k1 + 1.0) / (1.0 + k1 * (1.0 - b + b * lengths / lengths.mean()))
+    weights = factor * factor
+    items = np.array([p % n_items for p in picks], dtype=np.intp)
+    users = np.array([p % n_users for p in picks], dtype=np.intp)
+    with mock.patch.object(baselines, "_SCORE_CHUNK", chunk):
+        iknn, uknn = (fit(kind, train, params={"nn": nn})
+                      for kind in ("item-knn", "user-knn"))
+        bm25 = fit("item-item-bm25", train).similarity
+        uses = {  # kernel, its targets, the reference source and touched
+            "item Gram": (lambda t: _sparse_row_sums(
+                train.rows, train.columns, t), items, incidence, incidence.T),
+            "user Gram": (lambda t: _sparse_row_sums(
+                train.columns, train.rows, t), users, incidence.T, incidence),
+            "bm25 Gram": (lambda t: _sparse_row_sums(
+                train.rows, _weighted_columns(train, weights), t), items,
+                incidence, incidence.T * weights),
+            "item-knn": (iknn._scores, users, iknn.similarity.T, incidence),
+            "user-knn": (uknn._scores, users, incidence, uknn.similarity),
+        }
+        for name, (kernel, targets, source, touched) in uses.items():
+            got = kernel(targets)
+            want = _fixed_order_sums(source, touched, targets)
+            assert _hex(got) == _hex(want) and _same_bytes(got, want), name
+        _assert_lists_are_the_reference_bits(uknn, k_max)
+    want = _whole_cosine(incidence, weights)
+    common = incidence.all(axis=0)
+    want[common] = want[:, common] = 0.0
+    assert _same_bytes(bm25, want)

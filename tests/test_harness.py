@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import common_items
 from recfuse import baselines, harness, metrics
 from recfuse.baselines import (
     MODEL_KINDS,
-    binarized_pairs,
     generate_matrix,
     train_incidence,
 )
@@ -476,8 +476,9 @@ def test_fold_models_share_one_read_only_incidence(small_folds):
         assert [m.model_id for m in models] == ["cos", "ppl", "uknn"]
         shared = models[0]._incidence
         assert all(m._incidence is shared for m in models)
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 0.0
+        for array in (shared.indptr, shared.indices):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
     assert by_fold[0][0]._incidence is not by_fold[1][0]._incidence
 
 
@@ -492,7 +493,7 @@ def test_prepare_fits_one_fold_at_a_time(monkeypatch, calls):
     real_fit = harness.fit
 
     def spy(kind, train, params=None, model_id=None):
-        own = sum(m._incidence is train.matrix for m in live)
+        own = sum(m._incidence is train.rows for m in live)
         seen.append((len(live) - own, own))
         model = real_fit(kind, train, params, model_id)
         live.add(model)
@@ -560,7 +561,8 @@ def test_prepare_translates_ids_without_per_id_lookups(tmp_path,
 def test_prepare_peak_memory_stays_near_two_item_squares():
     # At its peak a fold holds its train incidence, one items x items array
     # (the item cosine, or bm25's own), row-chunk transients and the splits.
-    # The peak on this config is 1.92 x n_items**2 * 8 bytes. It was 2.83
+    # The peak on this config is 1.85 x n_items**2 * 8 bytes: 1.92 with a
+    # dense users x items incidence and user-knn truncation. It was 2.83
     # while item-knn kept a dense truncation beside the cosine, and 5.92
     # while a fold kept all its models and made whole-array transients.
     cfg = ExperimentConfig.from_dict(toy_config_dict(
@@ -579,30 +581,78 @@ def test_prepare_peak_memory_stays_near_two_item_squares():
     assert peak < 4 * n_items ** 2 * 8
 
 
+def _traced_peak(fn):
+    """`fn()` and the tracemalloc peak of what it allocates."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_fold_fits_hold_one_item_square_beside_the_incidence():
     # A fold's lazy fit-and-score holds its train incidence, one items x
-    # items array and row-chunk transients: item-knn keeps sparse neighbor
-    # lists, bm25 weights its Gram inside the kernel, and the item cosine is
-    # dropped with its last reader. With no item held by every train user
-    # (tfidf then shares the cosine), the peak beyond the incidence reads
-    # 1.46 x n_items**2 * 8 bytes here; with a dense item-knn truncation and
-    # the cosine kept to the end of the fold it read 2.46.
+    # items array and row-chunk transients: the kNN kinds keep sparse
+    # neighbor lists, bm25 weights its Gram inside the kernel, and the item
+    # cosine is dropped with its last reader. With no item held by every
+    # train user (tfidf then shares the cosine), the peak beyond the CSR
+    # incidence reads 1.40 x n_items**2 * 8 bytes here. Beyond a dense
+    # incidence it read 1.46, and 2.46 with a dense item-knn truncation
+    # and the cosine kept to the end of the fold.
     cfg = ExperimentConfig.from_dict(toy_config_dict(
         datasets=[{"name": "wide", "synthetic": {
             "n_users": 60, "n_items": 600, "n_interactions": 3000}}],
         models=[{"kind": kind, "id": kind} for kind in MODEL_KINDS]))
     split = harness.split_dataset(cfg, cfg.datasets[0])[0]
-    train = train_incidence(binarized_pairs(split.train))
-    assert not train.matrix.all(axis=0).any()
-    n_items, incidence = train.matrix.shape[1], train.matrix.nbytes
+    train = train_incidence(split.pairs("train"))
+    assert not common_items(train).any()
+    n_items, incidence = len(train.items), sum(
+        array.nbytes for csr in (train.rows, train.columns)
+        for array in (csr.indptr, csr.indices))
     del train
-    tracemalloc.start()
-    try:
-        generate_matrix({0: _fit_fold_models(cfg, split)}, cfg.max_k())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: generate_matrix(
+        {0: _fit_fold_models(cfg, split)}, cfg.max_k()))
     assert peak - incidence < 2 * n_items ** 2 * 8
+
+
+def test_long_histories_score_in_small_chunks():
+    # The sparse kernel cuts its chunks by term count, so a user who holds
+    # many items, each kept by many neighbors, cannot blow up a chunk's
+    # transients. Scoring item-knn reads 0.25 x n_items**2 * 8 bytes here
+    # (0.755 with 64 users a chunk whatever their terms), and the item
+    # Gram's transients 0.16 (0.34 on the dense kernel).
+    cfg = ExperimentConfig.from_dict(toy_config_dict(
+        datasets=[{"name": "long", "synthetic": {
+            "n_users": 60, "n_items": 600, "n_interactions": 6000}}]))
+    split = harness.split_dataset(cfg, cfg.datasets[0])[0]
+    train = train_incidence(split.pairs("train"))
+    n_items = len(train.items)
+    model = baselines.fit("item-knn", train)
+    _, peak = _traced_peak(lambda: baselines._score_block(model, 10))
+    assert peak < 0.35 * n_items ** 2 * 8
+    gram, peak = _traced_peak(lambda: baselines._cosine(train.rows,
+                                                        train.columns))
+    assert peak - gram.nbytes < 0.25 * n_items ** 2 * 8
+
+
+def test_fold_fits_make_no_users_by_items_array():
+    # Without user-knn, whose Gram is users x users, nothing a fold fits or
+    # scores is as large as users x items: the incidence is CSR and scoring
+    # runs a few users at a time. The peak reads 0.38 x users x items x 8
+    # bytes here, most of it the finished lists; a dense incidence read
+    # 1.53.
+    cfg = ExperimentConfig.from_dict(toy_config_dict(
+        datasets=[{"name": "tall", "synthetic": {
+            "n_users": 4000, "n_items": 400, "n_interactions": 24000}}],
+        models=[{"kind": kind, "id": kind} for kind in MODEL_KINDS
+                if kind != "user-knn"]))
+    split = harness.split_dataset(cfg, cfg.datasets[0])[0]
+    users = sum(1 for items in split.train.values() if items)
+    items = len({i for held in split.train.values() for i in held})
+    _, peak = _traced_peak(lambda: generate_matrix(
+        {0: _fit_fold_models(cfg, split)}, cfg.max_k()))
+    assert peak < users * items * 8
 
 
 def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
@@ -623,9 +673,9 @@ def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
         trains.append(real_incidence(pairs))
         return trains[-1]
 
-    def cosine(vectors, weights=None):
-        out = real_cosine(vectors, weights)
-        if vectors is trains[0].matrix and weights is None:
+    def cosine(source, touched):
+        out = real_cosine(source, touched)
+        if touched is trains[0].columns:
             built.append(weakref.ref(out))
         return out
 
@@ -637,7 +687,7 @@ def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
     monkeypatch.setattr(baselines, "_cosine", cosine)
     monkeypatch.setattr(harness, "fit", fit)
     blocks = generate_matrix({0: harness.fit_roster(split, roster)}, 5)._blocks
-    assert not trains[0].matrix.all(axis=0).any()  # so tfidf shares it
+    assert not common_items(trains[0]).any()  # so tfidf shares it
     assert len(built) == 1
     assert alive == [[], [True], [True], [True], [False], [False]]
     assert blocks[(0, "cos")].scores is blocks[(0, "tfidf")].scores
@@ -981,13 +1031,17 @@ def test_merge_rejects_a_repeated_block():
 
 # -- pinned bundle bytes ---------------------------------------------------------
 
-def _pinned_events(root):
+def _pinned_events(root, common=False):
     """An interaction CSV from integer arithmetic: no random stream decides
-    a byte."""
+    a byte. With `common`, every user also holds i_all, and three users in
+    four hold too few items to be split, so at the seed `_pinned_config`
+    gives, i_all stays in every fold's train set of every user."""
     lines = ["user,item"]
     for u in range(24):
+        length = 3 if common and u % 4 else 6 + u % 7
         lines += [f"u{u:02d},i{(u * 7 + j * 5 + j * j) % 40:02d}"
-                  for j in range(6 + u % 7)]
+                  for j in range(length)]
+        lines += [f"u{u:02d},i_all"] if common else []
     (root / "events.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -1045,6 +1099,16 @@ PINNED_DIGESTS = {
         "weights_pin_10.csv": "37e070c35fa1acb11b949f0a1f4e870d3d07347f472238f6a31fe52273fa424a",
         "weights_pin_5.csv": "3240986e18e2094c5de42d1a3db88cadd2b7a3e2c6b1fc981635324c204651f7",
     },
+    "six-kinds/common-item": {
+        "sweep_pin_10.csv": "d01a2eedc680a0b33597c62bfff0be9a458acea010994330423774362f128532",
+        "sweep_pin_5.csv": "d3a0fd287daa126afe66c90e328f81c53c9f949f33e28447444e22150ad2c713",
+        "tables_pin_10.csv": "ddd3e54b01c14a3dba5ba432f49ee40ebdf928410cf59350692a1cf53d1ab3c2",
+        "tables_pin_5.csv": "ff5412fdc508e37dc4738f2be801a4f084be4d540c9d8ef47f21852afd4bf115",
+        "trace_pin_10.csv": "44a0dafaa0028b2d2c22617eda483790219d73c5752b68d69698eb08305f3f5a",
+        "trace_pin_5.csv": "8b35f29e3f82b0c325c1f772c634d7d43fc48aca8b04d55ee8123a676bebc221",
+        "weights_pin_10.csv": "b1406e5f5deda93afb63d8b327b1673a03c742ac2a0c996f3ee37d4f99f6691e",
+        "weights_pin_5.csv": "7055fe41ba89fa04d4a9be700db10ac364641910835a6a645c5e52405a381c04",
+    },
     "greedy/paper-faithful/per-fold": {
         "sweep_pin_10.csv": "dac2492ca370d78b5998fbd1351924ae859901cce493d4644ff2cb0deed19d2d",
         "sweep_pin_5.csv": "1e3820f902a22d3a82da48fd2e7fb867e366dff490b2476a3642fe3131ce58fd",
@@ -1079,10 +1143,12 @@ PINNED_DIGESTS = {
 
 
 def _pinned_config(root, case):
-    """The pinned run: greedy over the six built-in kinds, or a selection
-    case "mode[/split/scope]" over popularity and the external matrices."""
-    if case == "six-kinds":
-        _pinned_events(root)
+    """The pinned run: greedy over the six built-in kinds, on the pinned
+    events or, in "six-kinds/common-item", on events with an item every
+    train user holds; or a selection case "mode[/split/scope]" over
+    popularity and the external matrices."""
+    if case.startswith("six-kinds"):
+        _pinned_events(root, common=case == "six-kinds/common-item")
         models = [{"kind": kind, "id": kind, "params": {"nn": 5}}
                   for kind in MODEL_KINDS]
         selection = {"mode": "greedy"}
@@ -1090,7 +1156,7 @@ def _pinned_config(root, case):
         models = _pinned_inputs(root)
         selection = dict(zip(("mode", "split", "scope"), case.split("/")))
     return {
-        "seed": 5,
+        "seed": 93 if case == "six-kinds/common-item" else 5,
         "output_dir": str(root / "out"),
         "datasets": [{"name": "pin", "path": str(root / "events.csv")}],
         "models": models,
@@ -1116,6 +1182,23 @@ def test_bundle_bytes_are_pinned(tmp_path, case):
                if p.name.split("_")[0] in ("trace", "tables", "sweep",
                                            "weights")}
     assert digests == PINNED_DIGESTS[case]
+
+
+def test_common_item_case_zeroes_an_item_in_every_fold(tmp_path):
+    # The "six-kinds/common-item" digests pin the branch where tfidf copies
+    # the shared cosine, zeroes the item every train user holds and scores
+    # its own lists, and bm25 zeroes that item too.
+    cfg = ExperimentConfig.from_dict(
+        _pinned_config(tmp_path, "six-kinds/common-item"))
+    for split in harness.split_dataset(cfg, cfg.datasets[0]):
+        train = train_incidence(split.pairs("train"))
+        common = common_items(train)
+        assert [train.items.ids[i] for i in np.flatnonzero(common)] == ["i_all"]
+        cos, tfidf, bm25 = (baselines.fit(kind, train).similarity for kind in (
+            "item-item-cosine", "item-item-tfidf", "item-item-bm25"))
+        assert cos[common].all() and tfidf.flags.writeable
+        for sim in (tfidf, bm25):
+            assert not sim[common].any() and not sim[:, common].any()
 
 
 def test_builtin_bytes_ignore_blas_and_fit_threads(tmp_path):

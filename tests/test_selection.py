@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.baselines import binarized_pairs, fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.metrics import holdout_keys
@@ -346,7 +346,7 @@ def small_bundle(small_folds):
     folds = small_folds[:2]
     by_fold = {}
     for fold in folds:
-        pairs = binarized_pairs(fold.train)
+        pairs = fold.pairs("train")
         by_fold[fold.fold_index] = [
             fit("popularity", pairs, model_id="ppl"),
             fit("item-item-cosine", pairs, params={"nn": 5}, model_id="cos"),
