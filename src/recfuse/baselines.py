@@ -1,11 +1,11 @@
 """Built-in neighborhood and popularity recommenders.
 
 Models read the binarized train set: each distinct (user, item) train row
-is one interaction. `train_incidence` turns the pairs into dense indices
-once per fold and keeps them as read-only CSR rows and columns (`_Csr`),
-shared with the fold's item cosine by every model fitted on it. The item
-kinds keep a dense float64 similarity, as desk-sized catalogs allow; the
-kNN kinds keep their kept neighbors as CSR rows.
+is one interaction. `train_incidence` takes a fold's train pairs by index
+(or by id) once per fold and keeps them as read-only CSR rows and columns
+(`_Csr`), shared with the fold's item cosine by every model fitted on it.
+The item kinds keep a dense float64 similarity, as desk-sized catalogs
+allow; the kNN kinds keep their kept neighbors as CSR rows.
 
 No BLAS call is made: every fit and score is a fixed-order row sum, of
 sparse rows by `np.bincount` (`_sparse_row_sums`: the Grams and the kNN
@@ -37,8 +37,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
-from recfuse.core import _Block, _json_typed
+from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, ScoredItem
+from recfuse.core import _Block, _json_typed, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -249,19 +249,22 @@ class TrainIncidence:
             self._cache.clear()
 
 
-def train_incidence(pairs: Iterable[tuple[str, str]]) -> TrainIncidence:
-    """Build the incidence of observed (user, item) pairs, in any order;
-    repeats are fine."""
-    pairs = list(pairs)
-    if not pairs:
+def train_incidence(pairs: IndexedPairs | Iterable[tuple[str, str]]
+                    ) -> TrainIncidence:
+    """Build the incidence of observed (user, item) pairs, by index or by
+    id, in any order; repeats are fine. It indexes only the users and items
+    the pairs hold."""
+    if not isinstance(pairs, IndexedPairs):
+        pairs = list(pairs)
+        pairs = IndexedPairs.of([u for u, _ in pairs], [i for _, i in pairs])
+    if not pairs.user_rows.size:
         raise ValueError("empty train set")
-    user_ids, item_ids = zip(*pairs)
-    users, items = IdIndex(user_ids), IdIndex(item_ids)
-    n_users, n_items = len(users), len(items)
-    keys = np.unique(users.indices(user_ids).astype(np.int64) * n_items
-                     + items.indices(item_ids))
-    return TrainIncidence(users, items, _csr(keys, n_users, n_items), _csr(
-        keys % n_items * n_users + keys // n_items, n_items, n_users))
+    pairs = pairs.compact()
+    n_users, n_items = len(pairs.users), len(pairs.items)
+    keys = sorted_unique(pairs.keys())
+    return TrainIncidence(pairs.users, pairs.items, _csr(keys, n_users, n_items),
+                          _csr(keys % n_items * n_users + keys // n_items,
+                               n_items, n_users))
 
 
 class FittedModel:

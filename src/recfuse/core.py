@@ -1,10 +1,13 @@
 """Shared domain types for the rank-fusion pipeline.
 
-Everything here is immutable after construction and safe to share across
-parallel workers. String user/item ids are the external currency; internally
-ids are mapped to dense integer indices (sorted by id, so index order equals
-id order) because the hot loops fan out over (user x model x k). Ids become
-indices in one place, `IdIndex.indices`, at the file and API edges.
+Everything here is immutable after construction, bar caches filled on
+first use, and safe to share across parallel workers. String user/item ids
+are the external currency; internally ids are mapped to dense integer
+indices (sorted by id, so index order equals id order) because the hot
+loops fan out over (user x model x k). Ids become indices in one place,
+`IdIndex.indices`, at the file and API edges: a dataset and its folds are
+`IndexedPairs` arrays, and their `Interaction` records and per-user
+mappings are built only when asked for.
 """
 
 from __future__ import annotations
@@ -58,9 +61,14 @@ class IdIndex:
     def index(self, id_: str) -> int:
         return self._pos[id_]
 
-    def indices(self, ids: Iterable[str]) -> np.ndarray:
-        """The int32 index of each id, in input order; KeyError if unknown."""
-        return np.fromiter(map(self._pos.__getitem__, ids), dtype=np.int32)
+    def indices(self, ids: Iterable[str], missing: int | None = None
+                ) -> np.ndarray:
+        """The int32 index of each id, in input order; an unknown id raises
+        KeyError or, when given, maps to `missing`."""
+        if missing is None:
+            return np.fromiter(map(self._pos.__getitem__, ids), dtype=np.int32)
+        get = self._pos.get
+        return np.fromiter((get(id_, missing) for id_ in ids), dtype=np.int32)
 
     def id(self, index: int) -> str:
         return self._ids[index]
@@ -70,112 +78,260 @@ class IdIndex:
         return self._ids
 
 
-@dataclass(frozen=True)
-class InteractionDataset:
-    """Deduplicated (user, item) events.
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort and a neighbour mask, where
+    numpy 2's np.unique hashes integers before it sorts them."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))] if out.size else out
 
-    Invariants checked at construction: ids are non-empty strings and no
-    (user_id, item_id) pair appears twice. Loaders are responsible for
-    collapsing duplicates before building the dataset (see data module).
+
+class IndexedPairs(NamedTuple):
+    """(user, item) pairs by index: pair r is (users.id(user_rows[r]),
+    items.id(item_cols[r]))."""
+
+    users: IdIndex
+    items: IdIndex
+    user_rows: np.ndarray
+    item_cols: np.ndarray
+
+    @classmethod
+    def of(cls, user_ids: Sequence[str], item_ids: Sequence[str]
+           ) -> "IndexedPairs":
+        """The pairs (user_ids[r], item_ids[r]) over the ids they hold."""
+        users, items = IdIndex(user_ids), IdIndex(item_ids)
+        return cls(users, items, users.indices(user_ids),
+                   items.indices(item_ids))
+
+    def keys(self) -> np.ndarray:
+        """user * n_items + item per pair, in int64: an int32 product
+        overflows once users x items >= 2**31."""
+        return self.user_rows.astype(np.int64) * len(self.items) + self.item_cols
+
+    def compact(self) -> "IndexedPairs":
+        """The same pairs over indexes of only the ids they hold."""
+        users, user_rows = _held(self.users, self.user_rows)
+        items, item_cols = _held(self.items, self.item_cols)
+        return IndexedPairs(users, items, user_rows, item_cols)
+
+    def take(self, rows: np.ndarray) -> "IndexedPairs":
+        """The pairs at `rows`, over the same indexes."""
+        return self._replace(user_rows=self.user_rows[rows],
+                             item_cols=self.item_cols[rows])
+
+
+def _held(index: IdIndex, rows: np.ndarray) -> tuple[IdIndex, np.ndarray]:
+    """The ids of `index` that rows name, as an index, and rows over it."""
+    held = np.bincount(rows, minlength=len(index)) > 0
+    return (IdIndex(index.ids[i] for i in np.flatnonzero(held).tolist()),
+            (np.cumsum(held, dtype=np.int32) - 1)[rows])
+
+
+class InteractionDataset:
+    """Deduplicated (user, item) events, held by columns.
+
+    `indexed` holds each event's pair over the ids that occur, sorted by
+    (user index, item index), so each user's events are one run in item-id
+    order. `records` gives the same events as `Interaction`s, built when
+    first asked: in the order given or, from `_latest`, in the order of each
+    pair's first row. Building from records checks that ids are non-empty
+    strings and that no (user_id, item_id) pair appears twice.
     """
 
-    records: tuple[Interaction, ...]
+    __slots__ = ("indexed", "_records", "_values")
 
-    def __post_init__(self):
-        seen: set[tuple[str, str]] = set()
-        for rec in self.records:
-            if not rec.user_id or not rec.item_id:
-                raise ValueError("user_id and item_id must be non-empty strings")
-            key = (rec.user_id, rec.item_id)
-            if key in seen:
-                raise ValueError(f"duplicate interaction {key}")
-            seen.add(key)
+    def __init__(self, records: Iterable[Interaction]):
+        records = tuple(records)
+        user_ids = [rec.user_id for rec in records]
+        item_ids = [rec.item_id for rec in records]
+        if not all(user_ids) or not all(item_ids):
+            raise ValueError("user_id and item_id must be non-empty strings")
+        pairs = IndexedPairs.of(user_ids, item_ids)
+        order, starts = _pair_runs(pairs)
+        if starts.size < order.size:  # the first record to repeat a pair
+            rec = records[int(np.delete(order, starts).min())]
+            raise ValueError(
+                f"duplicate interaction {(rec.user_id, rec.item_id)}")
+        self.indexed = pairs.take(order)
+        self._records = records
+        self._values = None
+
+    @classmethod
+    def _of(cls, indexed: IndexedPairs, ratings: np.ndarray,
+            rated: np.ndarray, timestamps: np.ndarray,
+            order: np.ndarray | None = None) -> "InteractionDataset":
+        """The dataset of sorted, distinct indexed pairs and each pair's
+        rating (where `rated`) and timestamp (where not NaN); `order` lists
+        the pairs in record order, None for sorted order."""
+        out = cls.__new__(cls)
+        out.indexed = indexed
+        out._records = None
+        out._values = (ratings, rated, timestamps, order)
+        return out
+
+    @classmethod
+    def _latest(cls, user_ids: Sequence[str], item_ids: Sequence[str],
+                ratings: np.ndarray, rated: np.ndarray,
+                timestamps: np.ndarray) -> "InteractionDataset":
+        """One event per distinct pair of the rows (user_ids[r],
+        item_ids[r]): the row with the latest timestamp, where a missing
+        (NaN) one loses and among equal ones the last row wins. Records
+        follow each pair's first row."""
+        pairs = IndexedPairs.of(user_ids, item_ids)
+        order, starts = _pair_runs(pairs)
+        stamps = np.nan_to_num(timestamps[order], nan=-np.inf)
+        latest = np.repeat(np.maximum.reduceat(stamps, starts),
+                           np.diff(np.append(starts, order.size)))
+        winners = order[np.maximum.reduceat(
+            np.where(stamps == latest, np.arange(order.size), -1), starts)]
+        firsts = order[starts]
+        return cls._of(pairs.take(firsts), ratings[winners], rated[winners],
+                       timestamps[winners], np.argsort(firsts))
+
+    @property
+    def records(self) -> tuple[Interaction, ...]:
+        if self._records is None:
+            ratings, rated, timestamps, order = self._values
+            take = slice(None) if order is None else order
+            users, items = self.indexed.users.ids, self.indexed.items.ids
+            self._records = tuple(
+                Interaction(users[u], items[i], r if ok else None,
+                            None if math.isnan(t) else int(t))
+                for u, i, r, ok, t in zip(
+                    self.indexed.user_rows[take].tolist(),
+                    self.indexed.item_cols[take].tolist(),
+                    ratings[take].tolist(), rated[take].tolist(),
+                    timestamps[take].tolist()))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.indexed.user_rows.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionDataset):
+            return NotImplemented
+        return self.records == other.records
 
     def pairs(self) -> set[tuple[str, str]]:
-        return {(r.user_id, r.item_id) for r in self.records}
+        users, items = self.indexed.users.ids, self.indexed.items.ids
+        return {(users[u], items[i]) for u, i in zip(
+            self.indexed.user_rows.tolist(), self.indexed.item_cols.tolist())}
 
     def user_items(self) -> dict[str, list[str]]:
         """Items per user, each list in ascending item order."""
-        out: dict[str, list[str]] = {}
-        for rec in self.records:
-            out.setdefault(rec.user_id, []).append(rec.item_id)
-        for items in out.values():
-            items.sort()
-        return out
+        return dict(_runs(self.indexed, np.arange(len(self))))
 
     def users(self) -> list[str]:
-        return sorted({r.user_id for r in self.records})
+        return list(self.indexed.users.ids)
 
     def items(self) -> list[str]:
-        return sorted({r.item_id for r in self.records})
+        return list(self.indexed.items.ids)
 
 
-def collapse_duplicates(records: Iterable[Interaction]) -> list[Interaction]:
-    """Collapse repeated (user, item) pairs, keeping the latest timestamp.
-
-    Records without timestamps lose to records with one; among equal (or
-    absent) timestamps the record seen last wins.
-    """
-    best: dict[tuple[str, str], Interaction] = {}
-    for rec in records:
-        key = (rec.user_id, rec.item_id)
-        prev = best.get(key)
-        if prev is None:
-            best[key] = rec
-            continue
-        prev_ts = prev.timestamp if prev.timestamp is not None else -math.inf
-        cur_ts = rec.timestamp if rec.timestamp is not None else -math.inf
-        if cur_ts >= prev_ts:
-            best[key] = rec
-    return list(best.values())
+def _pair_runs(pairs: IndexedPairs) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in (user, item) order, equal pairs in row order, and where
+    each pair's run starts in that order; one stable sort of the keys."""
+    keys = pairs.keys()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.ones(keys.size, dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return order, np.flatnonzero(starts)
 
 
-_SUBSETS = ("train", "validation", "test")
+def _runs(indexed: IndexedPairs, rows: np.ndarray
+          ) -> Iterator[tuple[str, list[str]]]:
+    """(user id, item ids) of each run of one user among the pairs at rows,
+    which are sorted by user."""
+    if not rows.size:
+        return
+    users, items = indexed.users.ids, indexed.items.ids
+    user_rows = indexed.user_rows[rows]
+    bounds = np.flatnonzero(user_rows[1:] != user_rows[:-1]) + 1
+    for user, cols in zip(user_rows[np.concatenate(([0], bounds))].tolist(),
+                          np.split(indexed.item_cols[rows], bounds)):
+        yield users[user], [items[i] for i in cols.tolist()]
 
 
-@dataclass(frozen=True)
+SUBSETS = ("train", "validation", "test")
+
+
 class FoldSplit:
     """One train/validation/test partition of a dataset's (user, item) pairs.
 
-    Each subset maps user_id to a frozen set of item_ids. The three subsets
-    are pairwise disjoint per user (checked at construction).
+    `indexed` holds the pairs, sorted by (user index, item index) and
+    distinct, and `codes` each pair's subset as a uint8 position in SUBSETS.
+    The per-user subset mappings are built from these when first asked for;
+    the pipeline reads only the codes. Built from three {user_id: frozenset
+    of item_ids} mappings, a pair in two subsets is rejected.
     """
 
-    fold_index: int
-    train: Mapping[str, frozenset[str]]
-    validation: Mapping[str, frozenset[str]]
-    test: Mapping[str, frozenset[str]]
+    __slots__ = ("fold_index", "indexed", "codes", "_maps")
 
-    def __post_init__(self):
-        if self.fold_index < 0:
+    def __init__(self, fold_index: int,
+                 train: Mapping[str, frozenset[str]],
+                 validation: Mapping[str, frozenset[str]],
+                 test: Mapping[str, frozenset[str]]):
+        if fold_index < 0:
             raise ValueError("fold_index must be non-negative")
-        users = set(self.train) | set(self.validation) | set(self.test)
-        for user in users:
-            tr = self.train.get(user, frozenset())
-            va = self.validation.get(user, frozenset())
-            te = self.test.get(user, frozenset())
-            if tr & va or tr & te or va & te:
-                raise ValueError(f"subsets overlap for user {user!r} in fold {self.fold_index}")
+        held = [(user, item, code)
+                for code, subset in enumerate((train, validation, test))
+                for user, items in subset.items() for item in items]
+        user_ids, item_ids, codes = zip(*held) if held else ((), (), ())
+        pairs = IndexedPairs.of(user_ids, item_ids)
+        order, starts = _pair_runs(pairs)
+        if starts.size < order.size:
+            user = pairs.users.ids[pairs.user_rows[np.delete(order, starts)[0]]]
+            raise ValueError(f"subsets overlap for user {user!r} in fold {fold_index}")
+        self.fold_index = fold_index
+        self.indexed = pairs.take(order)
+        self.codes = np.array(codes, dtype=np.uint8)[order]
+        self._maps = {"train": train, "validation": validation, "test": test}
+
+    @classmethod
+    def _of_codes(cls, fold_index: int, indexed: IndexedPairs,
+                  codes: np.ndarray) -> "FoldSplit":
+        out = cls.__new__(cls)
+        out.fold_index, out.indexed, out.codes = fold_index, indexed, codes
+        out._maps = {}
+        return out
+
+    def _rows(self, name: str) -> np.ndarray:
+        """Where `codes` names subset `name`."""
+        if name not in SUBSETS:
+            raise ValueError(f"unknown subset {name!r}")
+        return np.flatnonzero(self.codes == SUBSETS.index(name))
+
+    def indexed_subset(self, name: str) -> IndexedPairs:
+        """The pairs of one subset, over the indexes of `indexed`."""
+        return self.indexed.take(self._rows(name))
 
     def subset(self, name: str) -> Mapping[str, frozenset[str]]:
-        if name not in _SUBSETS:
-            raise ValueError(f"unknown subset {name!r}")
-        return getattr(self, name)
+        if name not in self._maps:
+            self._maps[name] = {user: frozenset(items) for user, items
+                                in _runs(self.indexed, self._rows(name))}
+        return self._maps[name]
+
+    train = property(lambda self: self.subset("train"))
+    validation = property(lambda self: self.subset("validation"))
+    test = property(lambda self: self.subset("test"))
 
     def holdout(self, kind: str) -> Mapping[str, frozenset[str]]:
         """The validation or test item sets, keyed by user."""
         if kind not in ("validation", "test"):
             raise ValueError(f"holdout kind must be 'validation' or 'test', got {kind!r}")
-        return getattr(self, kind)
+        return self.subset(kind)
 
     def pairs(self, name: str) -> set[tuple[str, str]]:
         return {(u, i) for u, items in self.subset(name).items() for i in items}
 
     def users(self) -> list[str]:
         return sorted(set(self.train) | set(self.validation) | set(self.test))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FoldSplit):
+            return NotImplemented
+        return self.fold_index == other.fold_index and all(
+            self.subset(name) == other.subset(name) for name in SUBSETS)
 
 
 LIST_FAULTS = ("not contiguous", "non-increasing", "tie order", "duplicate item")

@@ -5,7 +5,15 @@ a library generator so the same seed reproduces the same splits on any
 platform or language. Stream derivation: a SplitMix64 seeded with the config
 seed emits one sub-seed per fold, and each user's shuffle stream is seeded
 with fold_seed XOR fnv1a64(user_id). Shuffling is Fisher-Yates with
-rejection-sampled bounds (no modulo bias).
+rejection-sampled bounds (no modulo bias): step t of a user's c items draws
+below c - t from the stream's next output.
+
+Output t of SplitMix64(seed), counted from 1, is the finalizer
+mix(seed + t * gamma) (Steele, Lea & Flood, OOPSLA 2014), so `split_folds`
+draws every user's outputs of a fold in one flat numpy pass, redraws only
+the lanes a rejection shifted, and runs the swaps per user on the drawn
+indices. Datasets and folds stay index arrays (core.IndexedPairs) with a
+subset code per pair; ids are read and written only at the file edges.
 """
 
 from __future__ import annotations
@@ -15,20 +23,21 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from recfuse.core import (
+    SUBSETS,
     FoldSplit,
     IdIndex,
-    Interaction,
     InteractionDataset,
     ModelWeights,
     PredictionMatrix,
-    collapse_duplicates,
     list_contract_fault,
 )
 
@@ -61,21 +70,64 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (2**64 // bound) * bound
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % bound
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _shuffle(items: list, rng: SplitMix64):
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
+def splitmix64_outputs(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Output counters[k] (1-based) of SplitMix64(seeds[k]), elementwise:
+    the finalizer of seed + counter * gamma, all in uint64."""
+    with np.errstate(over="ignore"):
+        z = seeds + counters * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _below_draws(seeds: np.ndarray, lanes: np.ndarray, steps: np.ndarray,
+                 bounds: np.ndarray) -> np.ndarray:
+    """Draw d is a uniform integer below bounds[d], the steps[d]-th draw
+    (from 0) of lane lanes[d] from SplitMix64(seeds[lane]), by rejection: an
+    output at or above 2**64 - (2**64 mod bound) is thrown away and the
+    next one tried. Every draw is made at once; after a rejection, each
+    later draw of its lane moves one output on and is made again."""
+    bounds = bounds.astype(np.uint64)
+    counters = steps.astype(np.uint64) + np.uint64(1)
+    with np.errstate(over="ignore"):
+        highest = np.uint64(_MASK64) - (np.uint64(0) - bounds) % bounds
+    out = np.empty(steps.size, dtype=np.int64)
+    todo = np.arange(steps.size)
+    while todo.size:
+        outputs = splitmix64_outputs(seeds[lanes[todo]], counters[todo])
+        out[todo] = outputs % bounds[todo]
+        rejected = todo[outputs > highest[todo]]
+        if not rejected.size:
+            break
+        first = np.full(seeds.size, steps.size)
+        np.minimum.at(first, lanes[rejected], rejected)
+        todo = todo[todo >= first[lanes[todo]]]
+        counters[todo] += np.uint64(1)
+    return out
+
+
+def _shuffled(seeds: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Lane l's Fisher-Yates shuffle of range(counts[l]) under
+    SplitMix64(seeds[l]), lanes end to end: for i from count - 1 down to 1,
+    swap positions i and a draw below i + 1."""
+    steps_per_lane = np.maximum(counts - 1, 0)
+    lanes = np.repeat(np.arange(counts.size), steps_per_lane)
+    steps = np.arange(lanes.size) - np.repeat(
+        np.cumsum(steps_per_lane) - steps_per_lane, steps_per_lane)
+    draws = _below_draws(seeds, lanes, steps, counts[lanes] - steps).tolist()
+    out: list[int] = []
+    at = 0
+    for count in counts.tolist():
+        items = list(range(count))
+        for i, j in zip(range(count - 1, 0, -1), draws[at:at + count - 1]):
+            items[i], items[j] = items[j], items[i]
+        at += max(count - 1, 0)
+        out += items
+    return np.array(out, dtype=np.int64)
 
 
 # Users with fewer interactions than this go entirely to train.
@@ -97,38 +149,37 @@ class SplitSpec:
 def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]:
     """Independent seeded train/validation/test re-splits of a dataset.
 
-    Per user and fold: the user's n interactions are shuffled, then the
-    last n // 5 go to test, the n // 5 before them to validation, and the
-    rest (n - 2 (n // 5), so at least 60%) to train. Users with fewer than
-    MIN_SPLIT_INTERACTIONS interactions go entirely to train.
+    Per user and fold: the user's n interactions, in item-id order, are
+    shuffled, then the last n // 5 go to test, the n // 5 before them to
+    validation, and the rest (n - 2 (n // 5), so at least 60%) to train.
+    Users with fewer than MIN_SPLIT_INTERACTIONS interactions go entirely
+    to train. Each fold is a subset code per pair of `dataset.indexed`.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    user_items = dataset.user_items()
-    seed_stream = SplitMix64(spec.seed)
-    fold_seeds = [seed_stream.next_u64() for _ in range(spec.n_folds)]
+    indexed = dataset.indexed
+    counts = np.bincount(indexed.user_rows, minlength=len(indexed.users))
+    lanes = np.flatnonzero(counts >= MIN_SPLIT_INTERACTIONS)
+    user_ids = indexed.users.ids
+    hashes = np.array([fnv1a64(user_ids[u].encode("utf-8"))
+                       for u in lanes.tolist()], dtype=np.uint64)
+    # Where each lane's items start, and the subset of each shuffled rank.
+    lane_counts = counts[lanes]
+    starts = np.repeat((np.cumsum(counts) - counts)[lanes], lane_counts)
+    ranks = np.arange(starts.size) - np.repeat(
+        np.cumsum(lane_counts) - lane_counts, lane_counts)
+    n_val = np.repeat(lane_counts // 5, lane_counts)
+    n_train = np.repeat(lane_counts, lane_counts) - 2 * n_val
+    subsets = ((ranks >= n_train).astype(np.uint8)
+               + (ranks >= n_train + n_val))
 
-    users = sorted(user_items)
-    user_hashes = [fnv1a64(user.encode("utf-8")) for user in users]
+    seed_stream = SplitMix64(spec.seed)
     folds = []
-    for fold_index, fold_seed in enumerate(fold_seeds):
-        train: dict[str, frozenset[str]] = {}
-        validation: dict[str, frozenset[str]] = {}
-        test: dict[str, frozenset[str]] = {}
-        for user, user_hash in zip(users, user_hashes):
-            items = list(user_items[user])
-            count = len(items)
-            if count < MIN_SPLIT_INTERACTIONS:
-                train[user] = frozenset(items)
-                continue
-            rng = SplitMix64(fold_seed ^ user_hash)
-            _shuffle(items, rng)
-            n_val = count // 5
-            n_train = count - 2 * n_val
-            train[user] = frozenset(items[:n_train])
-            validation[user] = frozenset(items[n_train:n_train + n_val])
-            test[user] = frozenset(items[n_train + n_val:])
-        folds.append(FoldSplit(fold_index, train, validation, test))
+    for fold_index in range(spec.n_folds):
+        fold_seed = np.uint64(seed_stream.next_u64())
+        codes = np.zeros(len(dataset), dtype=np.uint8)
+        codes[starts + _shuffled(fold_seed ^ hashes, lane_counts)] = subsets
+        folds.append(FoldSplit._of_codes(fold_index, indexed, codes))
     return folds
 
 
@@ -208,8 +259,6 @@ def load_interactions(path: str | Path, format: str = "csv",
     by_name = isinstance(column_map["user"], str)
 
     path = Path(path)
-    records: list[Interaction] = []
-    malformed = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=_DELIMITERS[format])
         if by_name:
@@ -223,34 +272,50 @@ def load_interactions(path: str | Path, format: str = "csv",
                 positions[field] = header.index(name)
         else:
             positions = dict(column_map)
-
         needed = max(positions.values()) + 1
-        for row in reader:
-            if len(row) < needed:
-                malformed += 1
-                continue
-            user = row[positions["user"]].strip()
-            item = row[positions["item"]].strip()
-            if not user or not item:
-                malformed += 1
-                continue
-            rating = None
-            timestamp = None
-            try:
-                if "rating" in positions and row[positions["rating"]].strip():
-                    rating = float(row[positions["rating"]])
-                if "timestamp" in positions and row[positions["timestamp"]].strip():
-                    timestamp = int(float(row[positions["timestamp"]]))
-            except (ValueError, OverflowError):  # int(inf) overflows
-                malformed += 1
-                continue
-            records.append(Interaction(user, item, rating, timestamp))
+        rows = list(reader)
 
+    # One column at a time; a row is malformed if any of its fields is.
+    whole = [row for row in rows if len(row) >= needed]
+    user_ids = [row[positions["user"]].strip() for row in whole]
+    item_ids = [row[positions["item"]].strip() for row in whole]
+    valid = (np.fromiter(map(bool, user_ids), bool, len(whole))
+             & np.fromiter(map(bool, item_ids), bool, len(whole)))
+    ratings, rated = _numbers(whole, positions.get("rating"), valid)
+    timestamps, stamped = _numbers(whole, positions.get("timestamp"), valid)
+    # int() takes a finite float only, and truncates it.
+    valid &= np.isfinite(timestamps) | ~stamped
+    timestamps = np.trunc(timestamps)
+
+    malformed = len(rows) - int(valid.sum())
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
-    if not records:
+    if not valid.any():
         raise ValueError(f"{path}: no valid interaction rows")
-    return InteractionDataset(tuple(collapse_duplicates(records)))
+    if not valid.all():
+        user_ids = list(compress(user_ids, valid))
+        item_ids = list(compress(item_ids, valid))
+    return InteractionDataset._latest(user_ids, item_ids, ratings[valid],
+                                      rated[valid], timestamps[valid])
+
+
+def _numbers(rows: list[list[str]], position: int | None, valid: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's field at `position` as float() reads it (NaN where it is
+    blank or there is no such column), and whether it is non-blank. Clears
+    `valid` where float() rejects the field."""
+    values = np.full(len(rows), math.nan)
+    present = np.zeros(len(rows), dtype=bool)
+    if position is not None:
+        for r, row in enumerate(rows):
+            text = row[position]
+            if text.strip():
+                present[r] = True
+                try:
+                    values[r] = float(text)
+                except ValueError:
+                    valid[r] = False
+    return values, present
 
 
 def write_interactions(dataset: InteractionDataset, path: str | Path,
@@ -508,15 +573,33 @@ SPLITS_HEADER = ["fold", "user", "item", "subset"]
 
 
 def write_splits(folds: Sequence[FoldSplit], path: str | Path):
-    """Audit export: one row per (fold, user, item) with its subset label."""
-    with csv_writer(path, SPLITS_HEADER) as writer:
+    """Audit export: one row per (fold, user, item) with its subset label,
+    in (fold, user, item) order. Each id is rendered by csv.writer once and
+    the rows are joined from the fields, so the bytes are csv.writer's."""
+    labels = np.array([f"{name}\n" for name in SUBSETS], dtype=object)
+    rendered: dict[IdIndex, list[str]] = {}
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(SPLITS_HEADER) + "\n")
         for fold in folds:
-            # A pair lies in one subset, so tuple order is (user, item) order.
-            writer.writerows(sorted(
-                (fold.fold_index, user, item, subset)
-                for subset in ("train", "validation", "test")
-                for user, items in fold.subset(subset).items()
-                for item in items))
+            # The pairs lie sorted by (user, item) index, which is id order.
+            indexed, codes = fold.indexed, fold.codes
+            for index in (indexed.users, indexed.items):
+                if index not in rendered:
+                    rendered[index] = _csv_fields(index.ids)
+            users = np.array([f"{fold.fold_index},{user},"
+                              for user in rendered[indexed.users]], dtype=object)
+            items = np.array([f"{item}," for item in rendered[indexed.items]],
+                             dtype=object)
+            fh.write("".join((users[indexed.user_rows] + items[indexed.item_cols]
+                              + labels[codes]).tolist()))
+
+
+def _csv_fields(values: Sequence[str]) -> list[str]:
+    """Each value as csv.writer renders it as one field of a row."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows([value] for value in values)
+    return [line[:-1] for line in lines]
 
 
 def read_splits(path: str | Path) -> list[FoldSplit]:

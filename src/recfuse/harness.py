@@ -399,6 +399,7 @@ class DatasetBundle:
     holdouts: dict[tuple[int, str], HoldoutKeys]  # (fold, kind), raw's indexes
     weights: dict[int, ModelWeights]          # keyed by n
     model_ids: list[str]
+    input_s: float = 0.0                      # seconds to load and split
     _selections: dict = field(default_factory=dict)  # (n, k) -> result
     _test_tables: dict = field(default_factory=dict)
 
@@ -425,7 +426,7 @@ def fit_roster(split: FoldSplit, models: Sequence[ModelConfig]
     each only when the next is asked for, so a consumer that drops each
     model first holds one at a time. The shared item cosine is dropped once
     its last reader is fitted, so it dies with the last model holding it."""
-    train = train_incidence(split.pairs("train"))
+    train = train_incidence(split.indexed_subset("train"))
     for at, m in enumerate(models):
         model = fit(m.kind, train, m.params, model_id=m.model_id)
         if not any(n.kind in ITEM_COSINE_KINDS for n in models[at + 1:]):
@@ -458,6 +459,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
     already scored and chunk transients: no users x items array."""
     t0 = time.perf_counter()
     splits = split_dataset(config, ds)
+    input_s = time.perf_counter() - t0
     parts = []
     if any(m.kind is not None for m in config.models):
         for split in splits:
@@ -479,7 +481,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
             parts.append(external)
     raw = _merge_matrices(parts)
     holdouts = {(s.fold_index, kind): holdout_keys(
-                    s.holdout(kind), raw.user_index, raw.item_index)
+                    s.indexed_subset(kind), raw.user_index, raw.item_index)
                 for s in splits for kind in ("validation", "test")}
     norm = normalize_scores(raw, config.normalization)
     validation = {f: h for (f, kind), h in holdouts.items()
@@ -492,7 +494,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
     }
     log.info("prepared dataset %s in %.1fs", ds.name, time.perf_counter() - t0)
     return DatasetBundle(config, ds.name, splits, raw, norm, holdouts, weights,
-                         [m.model_id for m in config.models])
+                         [m.model_id for m in config.models], input_s)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -772,6 +774,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None
                 failed.append(f"{ds.name}/n={n}: {exc}")
             continue
         timings[f"prepare_{ds.name}"] = time.perf_counter() - t0
+        timings[f"input_{ds.name}"] = bundle.input_s
         peak_rss[f"prepare_{ds.name}"] = _peak_rss_mb()
 
         t0 = time.perf_counter()

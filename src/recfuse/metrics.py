@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from recfuse.core import IdIndex
+from recfuse.core import IdIndex, IndexedPairs, sorted_unique
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -106,24 +106,26 @@ class HoldoutKeys(NamedTuple):
     nonempty: np.ndarray
 
 
-def holdout_keys(holdouts: Mapping[str, Iterable[str]], users: IdIndex,
-                 items: IdIndex) -> HoldoutKeys:
-    """Translate a {user_id: item ids} holdout to HoldoutKeys.
+def holdout_keys(holdouts: IndexedPairs | Mapping[str, Iterable[str]],
+                 users: IdIndex, items: IdIndex) -> HoldoutKeys:
+    """Translate a holdout, as (user, item) pairs by index or as {user_id:
+    item ids}, to HoldoutKeys over the given indexes.
 
     Users outside the user index own no list and are dropped. Items outside
     the item index can never hit, but still make their user's holdout
     non-empty.
     """
-    kept = {user: [i for i in held if i in items]
-            for user, held in holdouts.items() if held and user in users}
-    rows = users.indices(kept)
+    if not isinstance(holdouts, IndexedPairs):
+        held = [(user, item) for user, items in holdouts.items()
+                for item in items]
+        holdouts = IndexedPairs.of([u for u, _ in held], [i for _, i in held])
+    rows = users.indices(holdouts.users.ids, missing=-1)[holdouts.user_rows]
+    cols = items.indices(holdouts.items.ids, missing=-1)[holdouts.item_cols]
     nonempty = np.zeros(len(users), dtype=bool)
-    nonempty[rows] = True
-    # int64 keys: an int32 product overflows once users x items >= 2**31.
-    keys = (np.repeat(rows.astype(np.int64) * len(items),
-                      [len(held) for held in kept.values()])
-            + items.indices(i for held in kept.values() for i in held))
-    return HoldoutKeys(np.unique(keys), nonempty)
+    nonempty[rows[rows >= 0]] = True
+    hits = (rows >= 0) & (cols >= 0)
+    keys = rows[hits].astype(np.int64) * len(items) + cols[hits]
+    return HoldoutKeys(sorted_unique(keys), nonempty)
 
 
 def list_ranks(indptr: np.ndarray) -> np.ndarray:

@@ -15,22 +15,14 @@ import sys
 
 import numpy as np
 
-from recfuse.core import Interaction, InteractionDataset
-from recfuse.data import SplitMix64
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+from recfuse.core import IdIndex, IndexedPairs, InteractionDataset
+from recfuse.data import SplitMix64, splitmix64_outputs
 
 
 def _splitmix64_array(seed: int, count: int) -> np.ndarray:
     """The first `count` outputs of SplitMix64(seed), vectorized."""
-    with np.errstate(over="ignore"):
-        z = (np.uint64(seed & (2**64 - 1))
-             + np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    return splitmix64_outputs(np.uint64(seed & (2**64 - 1)),
+                              np.arange(1, count + 1, dtype=np.uint64))
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
@@ -122,14 +114,15 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
 
     user_width = max(4, len(str(n_users - 1)))
     item_width = max(5, len(str(n_items - 1)))
-    item_ids = [f"i{j:0{item_width}d}" for j in range(n_items)]
-
-    records = []
-    timestamp = 0
-    for u in range(n_users):
-        user_id = f"u{u:0{user_width}d}"
-        top = np.argsort(-scores[u], kind="stable")[:int(quotas[u])]
-        for j in np.sort(top):
-            records.append(Interaction(user_id, item_ids[int(j)], 1.0, timestamp))
-            timestamp += 1
-    return InteractionDataset(tuple(records))
+    # Each user's top-quota items, in item order: events sorted by (user,
+    # item), timestamped in that order.
+    cols = np.concatenate([np.sort(np.argsort(-scores[u], kind="stable")
+                                   [:int(quotas[u])]) for u in range(n_users)])
+    indexed = IndexedPairs(
+        IdIndex(f"u{u:0{user_width}d}" for u in range(n_users)),
+        IdIndex(f"i{j:0{item_width}d}" for j in range(n_items)),
+        np.repeat(np.arange(n_users, dtype=np.int32), quotas),
+        cols.astype(np.int32)).compact()
+    return InteractionDataset._of(indexed, np.ones(cols.size),
+                                  np.ones(cols.size, dtype=bool),
+                                  np.arange(cols.size, dtype=np.float64))

@@ -23,7 +23,7 @@ from recfuse.baselines import (
     generate_matrix,
     train_incidence,
 )
-from recfuse.core import PredictionMatrix
+from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix
 from recfuse.data import SplitSpec, split_folds
 
 
@@ -509,7 +509,16 @@ def test_train_incidence_matches_per_pair_loop(data):
     pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
     repeats = pairs[:data.draw(st.integers(0, len(pairs)))]
     pairs = data.draw(st.permutations(pairs + repeats))
-    got = train_incidence(pairs)
+    if data.draw(st.booleans()):
+        # By index, over indexes that may hold ids no pair holds.
+        extra = data.draw(st.lists(ids, max_size=3))
+        users, items = (IdIndex([pair[side] for pair in pairs] + extra)
+                        for side in (0, 1))
+        got = train_incidence(IndexedPairs(
+            users, items, users.indices(u for u, _ in pairs),
+            items.indices(i for _, i in pairs)))
+    else:
+        got = train_incidence(pairs)
     users = sorted({u for u, _ in pairs})
     items = sorted({i for _, i in pairs})
     rows = [[] for _ in users]

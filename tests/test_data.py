@@ -1,11 +1,13 @@
+import csv
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recfuse.core import (
+    FoldSplit,
     IdIndex,
     Interaction,
     InteractionDataset,
@@ -14,8 +16,11 @@ from recfuse.core import (
 )
 from recfuse.data import (
     MATRIX_HEADER,
+    MIN_SPLIT_INTERACTIONS,
+    _below_draws,
     _read_matrix_rows,
     _read_plain_matrix,
+    _shuffled,
     SplitMix64,
     SplitSpec,
     fnv1a64,
@@ -61,8 +66,128 @@ class TestPinnedRng:
 
     def test_below_is_unbiased_range(self):
         g = SplitMix64(99)
-        draws = [g.below(7) for _ in range(2000)]
+        draws = [_below(g, 7) for _ in range(2000)]
         assert set(draws) == set(range(7))
+
+
+# -- the scalar split: the oracle of the flat draws ---------------------------
+
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _below(rng: SplitMix64, bound: int) -> int:
+    """Uniform integer in [0, bound) via rejection sampling."""
+    limit = (2**64 // bound) * bound
+    while True:
+        v = rng.next_u64()
+        if v < limit:
+            return v % bound
+
+
+def _shuffle(items: list, rng: SplitMix64):
+    for i in range(len(items) - 1, 0, -1):
+        j = _below(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _reference_split(dataset, spec):
+    """split_folds one user and one draw at a time."""
+    user_items = dataset.user_items()
+    seed_stream = SplitMix64(spec.seed)
+    fold_seeds = [seed_stream.next_u64() for _ in range(spec.n_folds)]
+    folds = []
+    for fold_index, fold_seed in enumerate(fold_seeds):
+        subsets = {"train": {}, "validation": {}, "test": {}}
+        for user in sorted(user_items):
+            items = list(user_items[user])
+            if len(items) < MIN_SPLIT_INTERACTIONS:
+                subsets["train"][user] = frozenset(items)
+                continue
+            _shuffle(items, SplitMix64(fold_seed ^ fnv1a64(user.encode())))
+            n_val = len(items) // 5
+            n_train = len(items) - 2 * n_val
+            subsets["train"][user] = frozenset(items[:n_train])
+            subsets["validation"][user] = frozenset(
+                items[n_train:n_train + n_val])
+            subsets["test"][user] = frozenset(items[n_train + n_val:])
+        folds.append(FoldSplit(fold_index, **subsets))
+    return folds
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _seed_whose_output_is(target: int, counter: int) -> int:
+    """A seed whose SplitMix64 output `counter` (from 1) is target: the
+    finalizer inverted, less counter gammas."""
+    z = _unxorshift(target, 31)
+    z = _unxorshift(z * pow(_MIX[1], -1, 2**64) & _MASK64, 27)
+    z = _unxorshift(z * pow(_MIX[0], -1, 2**64) & _MASK64, 30)
+    return (z - counter * _GAMMA) & _MASK64
+
+
+# At bound 3, below rejects exactly 2**64 - 1: a lane of 3 items whose
+# first draw is rejected, a lane of 5 whose third draw (bound 3) is, and a
+# lane of 3 whose first draw is the largest output accepted.
+_FIRST_REJECTED = _seed_whose_output_is(_MASK64, 1)
+_THIRD_REJECTED = _seed_whose_output_is(_MASK64, 3)
+_FIRST_AT_LIMIT = _seed_whose_output_is(_MASK64 - 1, 1)
+
+
+def test_crafted_lanes_are_rejected_where_they_should_be():
+    first, third = SplitMix64(_FIRST_REJECTED), SplitMix64(_THIRD_REJECTED)
+    assert first.next_u64() == _MASK64
+    assert [third.next_u64() for _ in range(3)][2] == _MASK64
+    assert SplitMix64(_FIRST_AT_LIMIT).next_u64() == _MASK64 - 1
+
+
+_counts = st.one_of(st.integers(0, 5), st.sampled_from([8, 16, 32, 64]),
+                    st.integers(0, 40))
+
+
+@given(st.lists(st.tuples(st.integers(0, _MASK64), _counts), max_size=12))
+@example([(_FIRST_REJECTED, 3), (7, 5), (_THIRD_REJECTED, 5), (9, 3)])
+@example([(_THIRD_REJECTED, 5)] * 3)
+@example([(_FIRST_AT_LIMIT, 3), (_FIRST_REJECTED, 3)])
+@settings(max_examples=300)
+def test_flat_shuffle_matches_the_scalar_oracle(lanes):
+    expected = []
+    for seed, count in lanes:
+        items = list(range(count))
+        _shuffle(items, SplitMix64(seed))
+        expected += items
+    got = _shuffled(np.array([seed for seed, _ in lanes], dtype=np.uint64),
+                    np.array([count for _, count in lanes], dtype=np.int64))
+    assert got.tolist() == expected
+
+
+# Bounds above 2**63 reject about half the outputs, powers of two none.
+_bounds = st.one_of(st.integers(0, 63).map(lambda e: 2**e),
+                    st.integers(1, _MASK64), st.integers(2**63, _MASK64))
+
+
+@given(st.lists(st.tuples(st.integers(0, _MASK64),
+                          st.lists(_bounds, max_size=8)), max_size=6))
+@settings(max_examples=300)
+def test_flat_draws_match_below_one_draw_at_a_time(lanes):
+    expected, lane_of, steps, bounds = [], [], [], []
+    for lane, (seed, lane_bounds) in enumerate(lanes):
+        rng = SplitMix64(seed)
+        expected += [_below(rng, bound) for bound in lane_bounds]
+        lane_of += [lane] * len(lane_bounds)
+        steps += range(len(lane_bounds))
+        bounds += lane_bounds
+    got = _below_draws(np.array([seed for seed, _ in lanes], dtype=np.uint64),
+                       np.array(lane_of, dtype=np.int64),
+                       np.array(steps, dtype=np.int64),
+                       np.array(bounds, dtype=np.uint64))
+    assert got.astype(np.uint64).tolist() == expected
 
 
 @pytest.mark.parametrize("n_users,n_items,n_interactions,seed", [
@@ -143,6 +268,21 @@ def test_scored_list_finds_rows_by_user_and_leaves_the_block_as_built():
         m.scored_list(0, "A", "zz")
 
 
+def test_dataset_and_fold_constructors_reject_bad_pairs():
+    with pytest.raises(ValueError, match="must be non-empty strings"):
+        InteractionDataset([Interaction("u1", "a"), Interaction("", "b")])
+    # The first record that repeats an earlier pair is named.
+    with pytest.raises(ValueError, match=r"duplicate interaction \('u2', 'b'\)"):
+        InteractionDataset([Interaction(u, i) for u, i in (
+            ("u2", "b"), ("u1", "a"), ("u1", "c"), ("u2", "b"), ("u1", "a"))])
+    with pytest.raises(ValueError, match="subsets overlap for user 'u2' in "
+                                         "fold 3"):
+        FoldSplit(3, {"u1": frozenset("ab"), "u2": frozenset("c")},
+                  {"u1": frozenset("c")}, {"u2": frozenset("dc")})
+    with pytest.raises(ValueError, match="fold_index must be non-negative"):
+        FoldSplit(-1, {}, {}, {})
+
+
 class TestSplitFolds:
     # (train, validation, test) sizes of one user's interactions per count:
     # validation and test get count // 5 each, train the rest; under five
@@ -174,6 +314,23 @@ class TestSplitFolds:
         b = split_folds(small_dataset, SplitSpec(seed=77))
         for fa, fb in zip(a, b):
             assert fa == fb
+
+    def test_matches_the_scalar_reference(self, small_dataset, small_folds):
+        assert small_folds == _reference_split(small_dataset,
+                                               SplitSpec(seed=202, n_folds=5))
+
+    @given(st.dictionaries(st.text(min_size=1, max_size=3),
+                           st.sets(st.text(min_size=1, max_size=2),
+                                   min_size=1, max_size=12),
+                           min_size=1, max_size=8),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_datasets_match_the_scalar_reference(self, held, seed):
+        dataset = InteractionDataset(Interaction(user, item)
+                                     for user, items in held.items()
+                                     for item in items)
+        spec = SplitSpec(seed=seed, n_folds=2)
+        assert split_folds(dataset, spec) == _reference_split(dataset, spec)
 
     def test_folds_differ_from_each_other(self, small_folds):
         assignments = [fold.pairs("test") for fold in small_folds]
@@ -274,6 +431,97 @@ class TestInteractionFiles:
                                             "rating": "rating",
                                             "timestamp": "timestamp"})
         assert back.pairs() == small_dataset.pairs()
+
+
+class TestColumnLoader:
+    """Edges of the column loader: its dedup, its malformed-row rule and the
+    split file it leads to must match the per-row rules they replaced."""
+
+    def test_huge_and_missing_timestamps_keep_the_latest_wins_rule(
+            self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("user,item,rating,timestamp\n"
+                     "u1,a,1,1e30\nu2,b,1,\nu1,a,2,\nu1,a,3,5\n"
+                     "u2,b,2,\n"                      # both missing: last wins
+                     "u3,c,1,7\nu3,c,2,\n"            # missing loses
+                     "u4,d,1,2e30\nu4,d,2,2e30\n"     # equal and huge: last
+                     "u5,e,1,1e19\nu5,e,2,9223372036854775807\n"
+                     "u6,f,1,\nu6,f,2,-1e30\n"        # missing loses to -1e30
+                     "u7,g,1,5.9\nu7,g,2,5.1\n")      # both truncate to 5
+        ds = load_interactions(p, "csv", {"user": "user", "item": "item",
+                                          "rating": "rating",
+                                          "timestamp": "timestamp"})
+        assert [(r.user_id, r.item_id, r.rating, r.timestamp)
+                for r in ds.records] == [
+            ("u1", "a", 1.0, int(1e30)), ("u2", "b", 2.0, None),
+            ("u3", "c", 1.0, 7), ("u4", "d", 2.0, int(2e30)),
+            ("u5", "e", 1.0, int(1e19)), ("u6", "f", 2.0, int(-1e30)),
+            ("u7", "g", 2.0, 5)]
+        assert len(ds) == 7
+
+    def test_every_malformed_kind_is_counted_once(self, tmp_path, caplog):
+        p = tmp_path / "x.csv"
+        p.write_text("user,item,rating,timestamp\n"
+                     "u1,a,1,1\n"
+                     "u2,b,1\n"           # too few fields
+                     ",c,1,1\n"           # blank user
+                     "u3, ,1,1\n"         # blank item after strip
+                     "u4,d,x,1\n"         # bad rating
+                     "u5,e,1,y\n"         # bad timestamp
+                     "u6,f,1,nan\n"       # timestamp int() rejects
+                     ",g,x,inf\n"         # three faults, one row
+                     "u8,h, ,\n"          # blank rating and timestamp: fine
+                     " u9 ,i,nan,3.5\n")  # ids stripped, NaN rating kept
+        with caplog.at_level("WARNING"):
+            ds = load_interactions(p, "csv", {"user": "user", "item": "item",
+                                              "rating": "rating",
+                                              "timestamp": "timestamp"})
+        assert "skipped 7 malformed row(s)" in caplog.text
+        got = [(r.user_id, r.item_id, r.rating, r.timestamp)
+               for r in ds.records]
+        assert got[:2] == [("u1", "a", 1.0, 1), ("u8", "h", None, None)]
+        assert got[2][:2] == ("u9", "i") and math.isnan(got[2][2])
+        assert got[2][3] == 3
+
+    @pytest.mark.parametrize("through_file", [True, False])
+    def test_ids_that_need_quoting_write_the_csv_writer_bytes(
+            self, tmp_path, through_file):
+        # The split file of ids holding a comma, a quote, a line break and
+        # non-ASCII text equals what csv.writer writes for the same rows, for
+        # a dataset loaded from a file and one built from records. Ids with
+        # edge spaces, which the loader strips, or a CR, which csv.writer
+        # leaves unquoted under LF line ends, go in only by records.
+        users = ["plain", "a,b", 'q"x', "line\nbreak", "caf\u00e9"]
+        items = ["i,1", '"i2"', "i\n3", "\u00e9t\u00e9", "i5", "i 6", "i7"]
+        if not through_file:
+            users += [" lead", "cr\rx"]
+        records = tuple(Interaction(u, i) for n, u in enumerate(users)
+                        for i in items[:5 + n % 3])
+        dataset = InteractionDataset(records)
+        if through_file:
+            events = tmp_path / "events.csv"
+            write_interactions(dataset, events)
+            dataset = load_interactions(events)
+            assert dataset.pairs() == InteractionDataset(records).pairs()
+        folds = split_folds(dataset, SplitSpec(seed=3, n_folds=2))
+        got = tmp_path / "splits.csv"
+        write_splits(folds, got)
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["fold", "user", "item", "subset"])
+            writer.writerows(sorted(
+                (fold.fold_index, user, item, subset)
+                for fold in folds
+                for subset in ("train", "validation", "test")
+                for user, held in fold.subset(subset).items()
+                for item in held))
+        assert got.read_bytes() == expected.read_bytes()
+        if through_file:
+            # Folds read back hold mappings; they write the same bytes.
+            assert read_splits(got) == folds
+            write_splits(read_splits(got), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == got.read_bytes()
 
 
 class TestMatrixFiles:

@@ -904,6 +904,21 @@ class TestRunExperiment:
                                            "total"}
         assert 0 < peaks["prepare_toy"] <= peaks["prepare_two"] <= peaks["total"]
 
+    def test_timings_record_input_seconds_inside_prepare(self, tmp_path):
+        # input_<ds> is the load or generation and the split of a dataset,
+        # timed inside its prepare.
+        _pinned_events(tmp_path)
+        cfg = ExperimentConfig.from_dict(toy_config_dict(
+            output_dir=str(tmp_path / "run"),
+            datasets=[{"name": "syn", "synthetic": {
+                "n_users": 50, "n_items": 70, "n_interactions": 1500}},
+                {"name": "file", "path": str(tmp_path / "events.csv")}]))
+        run_experiment(cfg)
+        seconds = json.loads(
+            (tmp_path / "run" / "timings.json").read_text())["seconds"]
+        for name in ("syn", "file"):
+            assert 0 < seconds[f"input_{name}"] < seconds[f"prepare_{name}"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = ExperimentConfig.from_dict(
             toy_config_dict(output_dir=str(tmp_path / "a")))
@@ -1070,6 +1085,7 @@ def _pinned_inputs(root):
 
 PINNED_DIGESTS = {
     "greedy": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "5a36b024f80792a507a7220fb0ba9d315c38fdb8ca5dcb19350de930d81da741",
         "sweep_pin_5.csv": "05360e92c22cd8fa8e6c28e4d10874c27f57edad6c2cbf9b978afe20ccfe7d8a",
         "tables_pin_10.csv": "f3621f5f50c2c718f2ce2209048cf18c9ef3c1e3ff84862a6a2f0636220946c9",
@@ -1080,6 +1096,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
     },
     "exhaustive": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "5a36b024f80792a507a7220fb0ba9d315c38fdb8ca5dcb19350de930d81da741",
         "sweep_pin_5.csv": "05360e92c22cd8fa8e6c28e4d10874c27f57edad6c2cbf9b978afe20ccfe7d8a",
         "tables_pin_10.csv": "c03b79c9bbdb1adcea8b9252c568b9d6ddabeab9b08e635500183c2cd262536b",
@@ -1090,6 +1107,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
     },
     "six-kinds": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "76ed6f348c0314e25496d3dbde58e1c1688b018937e76b67b9ccab30040e5d29",
         "sweep_pin_5.csv": "891297b6aecc3d52fdc65eb32ad73de98f32d337f1cf7e6c7a3e7f032279102c",
         "tables_pin_10.csv": "db4d8749dd584dd111361154b964cf55938906eec0f0d511f1fba1d9fa9d9b1c",
@@ -1100,6 +1118,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "3240986e18e2094c5de42d1a3db88cadd2b7a3e2c6b1fc981635324c204651f7",
     },
     "six-kinds/common-item": {
+        "splits_pin.csv": "bb2cc48777e11a4ad037f3986cd57dc4dfb929a50afeed7b4e799820826369ab",
         "sweep_pin_10.csv": "d01a2eedc680a0b33597c62bfff0be9a458acea010994330423774362f128532",
         "sweep_pin_5.csv": "d3a0fd287daa126afe66c90e328f81c53c9f949f33e28447444e22150ad2c713",
         "tables_pin_10.csv": "ddd3e54b01c14a3dba5ba432f49ee40ebdf928410cf59350692a1cf53d1ab3c2",
@@ -1110,6 +1129,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "7055fe41ba89fa04d4a9be700db10ac364641910835a6a645c5e52405a381c04",
     },
     "greedy/paper-faithful/per-fold": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "dac2492ca370d78b5998fbd1351924ae859901cce493d4644ff2cb0deed19d2d",
         "sweep_pin_5.csv": "1e3820f902a22d3a82da48fd2e7fb867e366dff490b2476a3642fe3131ce58fd",
         "tables_pin_10.csv": "6259e623abc1c84b670902c8ce6e5c0df31504bad168510783a45624b81fc9a7",
@@ -1120,6 +1140,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
     },
     "greedy/validation/fixed-subset": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "58bae67f9fc0b1a40b8409d1cec1fa2d27d006255f5b4f2a134fccb2253761e7",
         "sweep_pin_5.csv": "337b717321916635be6ec951ca5b16521a1c3d3376e08a8760db6ee4d2194b0a",
         "tables_pin_10.csv": "3162bf8102804b196ff06b17ed164e2cd3de2fcbef79109a98c0e9d504b61d30",
@@ -1130,6 +1151,7 @@ PINNED_DIGESTS = {
         "weights_pin_5.csv": "2f605711f4f0c99ed2bc51ac38875c48b4565b8db3dff9c4a1190df8147e0994",
     },
     "exhaustive/paper-faithful/fixed-subset": {
+        "splits_pin.csv": "26b475977d8320e98601512fca4d73498dadd022215f55ec2a8c981105f5be77",
         "sweep_pin_10.csv": "ff482f397fe94e523eaaaad3d72bf5cccc201100514222d31af0ee471f8675f2",
         "sweep_pin_5.csv": "8d3ccdfb62c45ad7073adf333c62e1100cfd2028b7581a1e2fbafaaa08eaa1cd",
         "tables_pin_10.csv": "8ec9c4ddb8cff8769d2bc7bec305b50eb3b0e50ca281c02526799e5570fea07b",
@@ -1173,14 +1195,15 @@ def test_bundle_bytes_are_pinned(tmp_path, case):
     # byte of these files fails here. The greedy and exhaustive digests were
     # taken before any such change; the six-kind ones once every similarity
     # was built without BLAS; the split and scope cases before the trace
-    # writer moved into harness.
+    # writer moved into harness; and every splits_pin.csv digest while the
+    # split still drew one scalar SplitMix64 output at a time.
     cfg = ExperimentConfig.from_dict(_pinned_config(tmp_path, case))
     result = run_experiment(cfg, threads=1)
     assert result.failed_cells == []
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(result.output_dir.iterdir())
-               if p.name.split("_")[0] in ("trace", "tables", "sweep",
-                                           "weights")}
+               if p.name.split("_")[0] in ("splits", "trace", "tables",
+                                           "sweep", "weights")}
     assert digests == PINNED_DIGESTS[case]
 
 
