@@ -6,7 +6,7 @@ built-in recommenders fit on the train split only; here we score each one
 against the validation holdout to see how they compare before any fusion.
 """
 
-from recfuse.baselines import MODEL_KINDS, fit
+from recfuse.baselines import MODEL_KINDS, fit, train_incidence
 from recfuse.data import SplitSpec, split_folds
 from recfuse.metrics import ndcg_model
 from recfuse.synthetic import generate_interactions
@@ -28,11 +28,13 @@ def main():
           f"test={len(split.test.get(some_user, ()))}")
     print()
 
-    pairs = split.pairs("train")
+    # The models of a fold share one train incidence, built from the train
+    # pairs by index.
+    train = train_incidence(split.indexed_subset("train"))
     holdouts = split.holdout("validation")
     print(f"{'model':20s} validation ndcg@5")
     for kind in MODEL_KINDS:
-        model = fit(kind, pairs)
+        model = fit(kind, train)
         lists = {u: [si.item_id
                      for si in model.recommend(u, 5, split.train[u])]
                  for u in split.train}
@@ -40,7 +42,7 @@ def main():
         print(f"{kind:20s} {score:.4f}")
 
     print()
-    model = fit("item-item-cosine", pairs)
+    model = fit("item-item-cosine", train)
     consumed = split.train[some_user]
     print(f"item-item-cosine top-5 for {some_user!r} "
           f"(already-consumed items are never recommended):")

@@ -6,7 +6,7 @@ where a model's weight is its own validation NDCG. A model that ranks
 well on validation therefore pulls the fused order toward its view.
 """
 
-from recfuse.baselines import fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix, train_incidence
 from recfuse.data import SplitSpec, split_folds
 from recfuse.fusion import fuse_all, fuse_user, normalize_scores
 from recfuse.metrics import holdout_keys
@@ -19,18 +19,19 @@ def main():
                                     n_interactions=3600, seed=3)
     folds = split_folds(dataset, SplitSpec(seed=11, n_folds=2))
 
-    fold_models = {
-        s.fold_index: [fit(kind, s.pairs("train"), model_id=mid)
-                       for kind, mid in (("popularity", "ppl"),
-                                         ("item-item-cosine", "cos"),
-                                         ("user-knn", "uknn"))]
-        for s in folds
-    }
+    fold_models = {}
+    for s in folds:
+        train = train_incidence(s.indexed_subset("train"))
+        fold_models[s.fold_index] = [
+            fit(kind, train, model_id=mid)
+            for kind, mid in (("popularity", "ppl"),
+                              ("item-item-cosine", "cos"),
+                              ("user-knn", "uknn"))]
     raw = generate_matrix(fold_models, k_max=10)
     norm = normalize_scores(raw, "global-minmax")
     # Weights score each model against its fold's validation holdout,
     # translated once to dense (user, item) keys over the matrix's indexes.
-    validation = {s.fold_index: holdout_keys(s.holdout("validation"),
+    validation = {s.fold_index: holdout_keys(s.indexed_subset("validation"),
                                              raw.user_index, raw.item_index)
                   for s in folds}
     weights = compute_weights(raw, validation, n=5)

@@ -6,7 +6,7 @@ Exhaustive scores all 2^M - 1 nonempty subsets. Both log every candidate
 they evaluate, so the search is fully auditable after the fact.
 """
 
-from recfuse.baselines import fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix, train_incidence
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.data import SplitSpec, split_folds
 from recfuse.metrics import holdout_keys
@@ -26,16 +26,16 @@ def main():
 
     roster = (("popularity", "ppl"), ("item-item-cosine", "cos"),
               ("item-item-bm25", "bm25"), ("user-knn", "uknn"))
-    fold_models = {
-        s.fold_index: [fit(kind, s.pairs("train"), model_id=mid)
-                       for kind, mid in roster]
-        for s in folds
-    }
+    fold_models = {}
+    for s in folds:
+        train = train_incidence(s.indexed_subset("train"))
+        fold_models[s.fold_index] = [fit(kind, train, model_id=mid)
+                                     for kind, mid in roster]
     raw = generate_matrix(fold_models, 10)
     norm = normalize_scores(raw)
     # Each validation holdout is translated once: the weights and the
     # selection both score against it.
-    validation = {s.fold_index: holdout_keys(s.holdout("validation"),
+    validation = {s.fold_index: holdout_keys(s.indexed_subset("validation"),
                                              raw.user_index, raw.item_index)
                   for s in folds}
     weights = compute_weights(raw, validation, n=5)

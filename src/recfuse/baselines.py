@@ -2,10 +2,10 @@
 
 Models read the binarized train set: each distinct (user, item) train row
 is one interaction. `train_incidence` takes a fold's train pairs by index
-(or by id) once per fold and keeps them as read-only CSR rows and columns
-(`_Csr`), shared with the fold's item cosine by every model fitted on it.
-The item kinds keep a dense float64 similarity, as desk-sized catalogs
-allow; the kNN kinds keep their kept neighbors as CSR rows.
+once and keeps them as read-only CSR rows and columns (`_Csr`), shared
+with the fold's item cosine by every model fitted on it. The item kinds
+keep a dense float64 similarity, as desk-sized catalogs allow; the kNN
+kinds keep their kept neighbors as CSR rows.
 
 No BLAS call is made: every fit and score is a fixed-order row sum, of
 sparse rows by `np.bincount` (`_sparse_row_sums`: the Grams and the kNN
@@ -41,15 +41,6 @@ from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, ScoredItem
 from recfuse.core import _Block, _json_typed, sorted_unique
 
 log = logging.getLogger(__name__)
-
-MODEL_KINDS = (
-    "popularity",
-    "user-knn",
-    "item-knn",
-    "item-item-cosine",
-    "item-item-tfidf",
-    "item-item-bm25",
-)
 
 # The kinds whose fit reads `TrainIncidence.item_cosine()`.
 ITEM_COSINE_KINDS = ("item-knn", "item-item-cosine", "item-item-tfidf")
@@ -249,14 +240,9 @@ class TrainIncidence:
             self._cache.clear()
 
 
-def train_incidence(pairs: IndexedPairs | Iterable[tuple[str, str]]
-                    ) -> TrainIncidence:
-    """Build the incidence of observed (user, item) pairs, by index or by
-    id, in any order; repeats are fine. It indexes only the users and items
-    the pairs hold."""
-    if not isinstance(pairs, IndexedPairs):
-        pairs = list(pairs)
-        pairs = IndexedPairs.of([u for u, _ in pairs], [i for _, i in pairs])
+def train_incidence(pairs: IndexedPairs) -> TrainIncidence:
+    """Build the incidence of observed (user, item) pairs, in any order;
+    repeats are fine. It indexes only the users and items the pairs hold."""
     if not pairs.user_rows.size:
         raise ValueError("empty train set")
     pairs = pairs.compact()
@@ -376,6 +362,7 @@ _CONSTRUCTORS = {
     "item-item-tfidf": _ItemItem,
     "item-item-bm25": _ItemItem,
 }
+MODEL_KINDS = tuple(_CONSTRUCTORS)
 
 
 def fit_params(params: Mapping[str, float] | None) -> dict:
@@ -395,21 +382,19 @@ def fit_params(params: Mapping[str, float] | None) -> dict:
     return merged
 
 
-def fit(kind: str, train: TrainIncidence | Iterable[tuple[str, str]],
+def fit(kind: str, train: TrainIncidence,
         params: Mapping[str, float] | None = None,
         model_id: str | None = None) -> FittedModel:
     """Fit one recommender on a train set.
 
     Args:
         kind: one of MODEL_KINDS.
-        train: a shared TrainIncidence, or observed (user, item) pairs.
+        train: the fold's train_incidence, shared by its models.
         params: overrides for DEFAULT_PARAMS (nn, k1, b).
         model_id: defaults to the kind name.
     """
     if kind not in _CONSTRUCTORS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if not isinstance(train, TrainIncidence):
-        train = train_incidence(train)
     return _CONSTRUCTORS[kind](model_id or kind, kind, train,
                                fit_params(params))
 

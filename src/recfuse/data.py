@@ -55,22 +55,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-class SplitMix64:
-    """SplitMix64 generator (Steele, Lea & Flood 2014); 64-bit outputs."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -82,6 +66,12 @@ def splitmix64_outputs(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """Outputs 1..count of SplitMix64(seed mod 2**64), as uint64."""
+    return splitmix64_outputs(np.uint64(int(seed) & _MASK64),
+                              np.arange(1, count + 1, dtype=np.uint64))
 
 
 def _below_draws(seeds: np.ndarray, lanes: np.ndarray, steps: np.ndarray,
@@ -173,10 +163,9 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
     subsets = ((ranks >= n_train).astype(np.uint8)
                + (ranks >= n_train + n_val))
 
-    seed_stream = SplitMix64(spec.seed)
     folds = []
-    for fold_index in range(spec.n_folds):
-        fold_seed = np.uint64(seed_stream.next_u64())
+    for fold_index, fold_seed in enumerate(
+            splitmix64_stream(spec.seed, spec.n_folds)):
         codes = np.zeros(len(dataset), dtype=np.uint8)
         codes[starts + _shuffled(fold_seed ^ hashes, lane_counts)] = subsets
         folds.append(FoldSplit._of_codes(fold_index, indexed, codes))
@@ -185,12 +174,18 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
 
 # -- CSV helpers -------------------------------------------------------------
 
+def _lf_writer(write, delimiter: str = ","):
+    """A csv.writer handing `write` LF-ended rows: rendered CRLF, they quote CR."""
+    return csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")),
+                      delimiter=delimiter, lineterminator="\r\n")
+
+
 @contextmanager
 def csv_writer(path: str | Path, header: Sequence[str], delimiter: str = ","
                ) -> Iterator:
     """A csv writer on a new UTF-8 file with LF line ends, header written."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = _lf_writer(fh.write, delimiter)
         writer.writerow(header)
         yield writer
 
@@ -321,8 +316,7 @@ def _numbers(rows: list[list[str]], position: int | None, valid: np.ndarray
 def write_interactions(dataset: InteractionDataset, path: str | Path,
                        format: str = "csv"):
     """Write a dataset with a user,item,rating,timestamp header."""
-    if format not in _DELIMITERS:
-        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'tsv'")
+    check_interaction_format(format, None)
     with csv_writer(path, ["user", "item", "rating", "timestamp"],
                     _DELIMITERS[format]) as writer:
         writer.writerows(
@@ -597,8 +591,7 @@ def write_splits(folds: Sequence[FoldSplit], path: str | Path):
 def _csv_fields(values: Sequence[str]) -> list[str]:
     """Each value as csv.writer renders it as one field of a row."""
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerows([value] for value in values)
+    _lf_writer(lines.append).writerows([value] for value in values)
     return [line[:-1] for line in lines]
 
 

@@ -106,19 +106,14 @@ class HoldoutKeys(NamedTuple):
     nonempty: np.ndarray
 
 
-def holdout_keys(holdouts: IndexedPairs | Mapping[str, Iterable[str]],
-                 users: IdIndex, items: IdIndex) -> HoldoutKeys:
-    """Translate a holdout, as (user, item) pairs by index or as {user_id:
-    item ids}, to HoldoutKeys over the given indexes.
+def holdout_keys(holdouts: IndexedPairs, users: IdIndex, items: IdIndex
+                 ) -> HoldoutKeys:
+    """A holdout's (user, item) pairs as HoldoutKeys over these indexes.
 
     Users outside the user index own no list and are dropped. Items outside
     the item index can never hit, but still make their user's holdout
     non-empty.
     """
-    if not isinstance(holdouts, IndexedPairs):
-        held = [(user, item) for user, items in holdouts.items()
-                for item in items]
-        holdouts = IndexedPairs.of([u for u, _ in held], [i for _, i in held])
     rows = users.indices(holdouts.users.ids, missing=-1)[holdouts.user_rows]
     cols = items.indices(holdouts.items.ids, missing=-1)[holdouts.item_cols]
     nonempty = np.zeros(len(users), dtype=bool)

@@ -1,12 +1,12 @@
 """Seeded synthetic interaction datasets with recommender-friendly structure.
 
 Generation is driven entirely by the package's pinned SplitMix64 stream
-(vectorized here as a counter-based mix), not by numpy's RNG, so a seed
-reproduces the same dataset on any platform and numpy version. The model:
-users and items get latent factors, items get a Zipf-like popularity boost,
-and each user's interactions are their top-quota items under
-affinity + popularity + Gumbel noise (which is exactly sampling without
-replacement proportional to softmax weights).
+(`data.splitmix64_stream`), not by numpy's RNG, so a seed reproduces the
+same dataset on any platform and numpy version. The model: users and items
+get latent factors, items get a Zipf-like popularity boost, and each user's
+interactions are their top-quota items under affinity + popularity + Gumbel
+noise (which is exactly sampling without replacement proportional to
+softmax weights).
 """
 
 from __future__ import annotations
@@ -16,18 +16,12 @@ import sys
 import numpy as np
 
 from recfuse.core import IdIndex, IndexedPairs, InteractionDataset
-from recfuse.data import SplitMix64, splitmix64_outputs
-
-
-def _splitmix64_array(seed: int, count: int) -> np.ndarray:
-    """The first `count` outputs of SplitMix64(seed), vectorized."""
-    return splitmix64_outputs(np.uint64(seed & (2**64 - 1)),
-                              np.arange(1, count + 1, dtype=np.uint64))
+from recfuse.data import splitmix64_stream
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
     """count uniforms in (0, 1), 53-bit resolution, never exactly 0."""
-    bits = _splitmix64_array(seed, count) >> np.uint64(11)
+    bits = splitmix64_stream(seed, count) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) / 9007199254740993.0
 
 
@@ -70,9 +64,8 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
     """
     check_recipe(n_users, n_items, n_interactions, n_factors,
                  popularity_weight, noise_scale)
-    root = SplitMix64(seed)
-    seeds = {name: root.next_u64()
-             for name in ("user_f", "item_f", "pop", "quota", "noise")}
+    seeds = dict(zip(("user_f", "item_f", "pop", "quota", "noise"),
+                     splitmix64_stream(seed, 5).tolist()))
 
     user_f = _uniforms(seeds["user_f"], n_users * n_factors).reshape(
         n_users, n_factors)
@@ -82,7 +75,7 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
     # Zipf-like boost over a seeded item permutation, normalized to [0, 1].
     rank_weight = 1.0 / np.power(np.arange(1, n_items + 1, dtype=np.float64), 0.8)
     rank_weight /= rank_weight[0]
-    perm = np.argsort(_splitmix64_array(seeds["pop"], n_items), kind="stable")
+    perm = np.argsort(splitmix64_stream(seeds["pop"], n_items), kind="stable")
     popularity = np.empty(n_items, dtype=np.float64)
     popularity[perm] = rank_weight
 

@@ -1,7 +1,10 @@
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
-from recfuse.core import ScoredItem, PredictionMatrix
+from recfuse.baselines import train_incidence
+from recfuse.core import IndexedPairs, ScoredItem, PredictionMatrix
 from recfuse.data import SplitSpec, split_folds
 from recfuse.synthetic import generate_interactions
 
@@ -15,6 +18,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def indexed_pairs(pairs):
+    """Literal (user, item) id pairs, or a {user: item ids} holdout, as
+    core.IndexedPairs over the ids they hold."""
+    if isinstance(pairs, Mapping):
+        pairs = [(user, item) for user, items in pairs.items()
+                 for item in items]
+    pairs = list(pairs)
+    return IndexedPairs.of([u for u, _ in pairs], [i for _, i in pairs])
+
+
+def train_of(pairs):
+    """The TrainIncidence of literal (user, item) id pairs."""
+    return train_incidence(indexed_pairs(pairs))
 
 
 def common_items(train):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import common_items
+from conftest import common_items, indexed_pairs, train_of
 from recfuse import baselines
 from recfuse.baselines import (
     DEFAULT_PARAMS,
@@ -86,30 +86,30 @@ def brute_similarity(pairs, kind, nn=20, k1=1.2, b=0.75):
 
 class TestPopularity:
     def test_counts(self):
-        m = fit("popularity", [("u1", "a"), ("u2", "a"), ("u1", "b")])
+        m = fit("popularity", train_of([("u1", "a"), ("u2", "a"), ("u1", "b")]))
         assert m.popularity_scores().tolist() == [2.0, 1.0]
         assert m.recommend("u1", 2) == [("a", 2.0), ("b", 1.0)]
 
     def test_count_tie_broken_by_item_id(self):
-        m = fit("popularity", [("u1", "b"), ("u2", "a")])
+        m = fit("popularity", train_of([("u1", "b"), ("u2", "a")]))
         assert [si.item_id for si in m.recommend("u1", 2)] == ["a", "b"]
 
 
 class TestCosineSimilarity:
     def test_hand_computed_three_users(self):
-        m = fit("item-item-cosine", THREE_USERS)
+        m = fit("item-item-cosine", train_of(THREE_USERS))
         # columns: a=(1,1,0), b=(1,0,1), c=(0,0,1) over users u1,u2,u3
         assert m.similarity[0, 1] == pytest.approx(0.5, abs=1e-12)
         assert m.similarity[0, 2] == pytest.approx(0.0, abs=1e-12)
         assert m.similarity[1, 2] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_identical_columns_have_similarity_one(self):
-        m = fit("item-item-cosine", [("u1", "a"), ("u1", "b"),
-                                     ("u2", "a"), ("u2", "b")])
+        m = fit("item-item-cosine", train_of([("u1", "a"), ("u1", "b"),
+                                              ("u2", "a"), ("u2", "b")]))
         assert m.similarity[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_with_unit_diagonal(self):
-        m = fit("item-item-cosine", THREE_USERS)
+        m = fit("item-item-cosine", train_of(THREE_USERS))
         assert np.array_equal(m.similarity, m.similarity.T)
         assert np.max(np.abs(np.diag(m.similarity) - 1.0)) <= 1e-12
 
@@ -121,7 +121,7 @@ def test_similarity_matches_bruteforce(kind):
                     for u, i in zip(rng.integers(0, 25, 160),
                                     rng.integers(0, 30, 160))})
     _, _, ref = brute_similarity(pairs, kind, nn=5)
-    sim = fit(kind, pairs, params={"nn": 5}).similarity
+    sim = fit(kind, train_of(pairs), params={"nn": 5}).similarity
     if kind in ("user-knn", "item-knn"):
         # Exactly tied neighbors at the nn boundary may resolve differently
         # under Gram vs loop arithmetic, moving a value to another column.
@@ -160,7 +160,7 @@ def adversarial_pairs(draw):
 @given(adversarial_pairs(), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_shared_cosine_matches_bruteforce(pairs, nn):
-    train = train_incidence(pairs)
+    train = train_of(pairs)
     items, incidence = train.items, train.rows.dense()
     cosine = train.item_cosine()
     assert not cosine.flags.writeable
@@ -206,7 +206,7 @@ def test_item_cosine_is_built_once_and_only_when_needed():
     pairs = sorted({(f"u{int(u)}", f"i{int(i)}")
                     for u, i in zip(rng.integers(0, 40, 400),
                                     rng.integers(0, 60, 400))})
-    train = train_incidence(pairs)
+    train = train_of(pairs)
     builds = []
     real = baselines._cosine
 
@@ -237,7 +237,7 @@ def test_item_cosine_is_built_once_and_only_when_needed():
 def _truncated(kind, sim, nn):
     """A kNN kind's kept similarity when its cosine is `sim`."""
     n = sim.shape[0]
-    train = train_incidence([(f"u{k}", f"i{k}") for k in range(n)])
+    train = train_of([(f"u{k}", f"i{k}") for k in range(n)])
     with mock.patch.object(baselines, "_cosine", lambda *_: sim.copy()):
         return fit(kind, train, params={"nn": nn}).similarity
 
@@ -278,7 +278,7 @@ def test_bruteforce_scoring_matches():
     users, items, _ = brute_similarity(pairs, "item-item-cosine")
     consumed = {u: {i for uu, i in pairs if uu == u} for u in users}
     for kind in MODEL_KINDS:
-        model = fit(kind, pairs, params={"nn": 5})
+        model = fit(kind, train_of(pairs), params={"nn": 5})
         if kind == "popularity":
             continue
         if kind in ("user-knn", "item-knn"):
@@ -313,7 +313,7 @@ class TestTfidfEqualsCosineOnBinaryData:
         pairs = sorted({(f"u{int(u)}", f"i{int(i)}")
                         for u, i in zip(rng.integers(0, 20, 120),
                                         rng.integers(0, 25, 120))})
-        train = train_incidence(pairs)
+        train = train_of(pairs)
         assert not common_items(train).any()
         cos = fit("item-item-cosine", train)
         tfidf = fit("item-item-tfidf", train)
@@ -335,7 +335,7 @@ class TestTfidfEqualsCosineOnBinaryData:
                                  rng.integers(0, 25, 120))}
         if common:
             pairs |= {(u, "every") for u, _ in pairs}
-        train = train_incidence(pairs)
+        train = train_of(pairs)
         assert common_items(train).any() == common
         models = (fit(kind, train) for kind in
                   ("item-item-cosine", "item-knn", "item-item-tfidf"))
@@ -354,23 +354,24 @@ class TestTfidfEqualsCosineOnBinaryData:
 
 class TestRecommend:
     def test_never_recommends_consumed_items(self):
-        m = fit("item-item-cosine", THREE_USERS)
+        m = fit("item-item-cosine", train_of(THREE_USERS))
         got = [si.item_id for si in m.recommend("u1", 3, ["a", "b"])]
         assert "a" not in got and "b" not in got
 
     def test_all_items_consumed_gives_empty_list(self):
-        m = fit("popularity", [("u1", "a"), ("u1", "b")])
+        m = fit("popularity", train_of([("u1", "a"), ("u1", "b")]))
         assert m.recommend("u1", 5, ["a", "b"]) == []
 
     def test_cold_start_user_gets_popularity_order(self, caplog):
-        m = fit("item-item-cosine", [("u1", "a"), ("u2", "a"), ("u1", "b")])
+        m = fit("item-item-cosine",
+                train_of([("u1", "a"), ("u2", "a"), ("u1", "b")]))
         with caplog.at_level("WARNING"):
             got = m.recommend("stranger", 2)
         assert [si.item_id for si in got] == ["a", "b"]
         assert "cold-start" in caplog.text
 
     def test_k_below_one_rejected(self):
-        m = fit("popularity", [("u1", "a")])
+        m = fit("popularity", train_of([("u1", "a")]))
         with pytest.raises(ValueError, match="k must be >= 1"):
             m.recommend("u1", 0)
 
@@ -378,27 +379,30 @@ class TestRecommend:
 class TestFit:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):
-            fit("matrix-factorization", [("u1", "a")])
+            fit("matrix-factorization", train_of([("u1", "a")]))
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty train set"):
-            fit("popularity", [])
+            train_incidence(indexed_pairs([]))
         with pytest.raises(ValueError, match="empty train set"):
-            train_incidence([])
+            train_incidence(IndexedPairs(IdIndex(["u1"]), IdIndex(["a"]),
+                                         np.empty(0, np.int32),
+                                         np.empty(0, np.int32)))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
-            fit("popularity", [("u1", "a")], params={"gamma": 2})
+            fit("popularity", train_of([("u1", "a")]), params={"gamma": 2})
         with pytest.raises(ValueError, match="nn must be >= 1"):
-            fit("user-knn", [("u1", "a")], params={"nn": 0})
+            fit("user-knn", train_of([("u1", "a")]), params={"nn": 0})
         with pytest.raises(ValueError, match="b must be in"):
-            fit("item-item-bm25", [("u1", "a")], params={"b": 1.5})
+            fit("item-item-bm25", train_of([("u1", "a")]), params={"b": 1.5})
         for key, value, name in (("nn", "5", "int"), ("nn", 2.5, "int"),
                                  ("nn", True, "int"), ("k1", "1.2", "number"),
                                  ("b", None, "number")):
             with pytest.raises(ValueError,
                                match=f"{key} must be a JSON {name}, got"):
-                fit("item-item-bm25", [("u1", "a")], params={key: value})
+                fit("item-item-bm25", train_of([("u1", "a")]),
+                    params={key: value})
 
     def test_default_params(self):
         assert DEFAULT_PARAMS == {"nn": 20, "k1": 1.2, "b": 0.75}
@@ -414,7 +418,7 @@ def test_no_train_leakage_property(data):
     pairs = data.draw(st.lists(st.sampled_from(pair_pool), min_size=6,
                                max_size=40, unique=True))
     kind = data.draw(st.sampled_from(MODEL_KINDS))
-    model = fit(kind, pairs, params={"nn": 3})
+    model = fit(kind, train_of(pairs), params={"nn": 3})
     consumed = {}
     for u, i in pairs:
         consumed.setdefault(u, set()).add(i)
@@ -458,7 +462,7 @@ def fitted_models(draw):
     pool = [(f"u{u}", f"i{i}") for u in range(n_users) for i in range(n_items)]
     pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=400,
                           unique=True))
-    return fit(draw(st.sampled_from(MODEL_KINDS)), pairs,
+    return fit(draw(st.sampled_from(MODEL_KINDS)), train_of(pairs),
                params={"nn": draw(st.integers(1, 5))})
 
 
@@ -518,7 +522,7 @@ def test_train_incidence_matches_per_pair_loop(data):
             users, items, users.indices(u for u, _ in pairs),
             items.indices(i for _, i in pairs)))
     else:
-        got = train_incidence(pairs)
+        got = train_of(pairs)
     users = sorted({u for u, _ in pairs})
     items = sorted({i for _, i in pairs})
     rows = [[] for _ in users]
@@ -543,7 +547,7 @@ class TestGenerateMatrix:
         folds = small_folds[:2]
         by_fold = {}
         for fold in folds:
-            train = train_incidence(fold.pairs("train"))
+            train = train_incidence(fold.indexed_subset("train"))
             by_fold[fold.fold_index] = [
                 fit("popularity", train, model_id="ppl"),
                 fit("item-item-cosine", train, params={"nn": 5}, model_id="cos"),
@@ -587,8 +591,8 @@ class TestGenerateMatrix:
         pairs = sorted(small_folds[0].pairs("train"))
         first_user = pairs[0][0]
         fewer_users = [(u, i) for u, i in pairs if u != first_user]
-        models = [fit("popularity", pairs, model_id="ppl"),
-                  fit("popularity", fewer_users, model_id="ppl2")]
+        models = [fit("popularity", train_of(pairs), model_id="ppl"),
+                  fit("popularity", train_of(fewer_users), model_id="ppl2")]
         with pytest.raises(ValueError, match="model 'ppl2' was fitted on "
                                              "another train set"):
             generate_matrix({0: models}, k_max=5)
@@ -605,7 +609,7 @@ class TestGenerateMatrix:
                 (key, lst) for key, lst in whole.entries() if key[0] == fold]
 
     def test_holds_no_model_while_the_next_is_drawn(self, small_folds):
-        train = train_incidence(small_folds[0].pairs("train"))
+        train = train_incidence(small_folds[0].indexed_subset("train"))
         live = weakref.WeakSet()
         seen = []
 
@@ -627,8 +631,7 @@ class TestGenerateMatrix:
         # Block sharing must compare arrays, not id()s: CPython gives a freed
         # array's id to a new one, so a model drawn after another was dropped
         # can hold arrays with the dropped one's ids and other scores.
-        train = train_incidence([("u1", "a"), ("u2", "b"), ("u3", "c"),
-                                 ("u4", "d")])
+        train = train_of([("u1", "a"), ("u2", "b"), ("u3", "c"), ("u4", "d")])
         matched = []
         eye = (np.arange(5), np.arange(4))  # user u touches row u
 
@@ -748,7 +751,7 @@ def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
     """Truncation, the Grams, the cosine's normalization and scoring run a
     few rows or terms at a time; each must give the bytes of its whole-array
     reference."""
-    train = train_incidence(pairs)
+    train = train_of(pairs)
     incidence = train.rows.dense()
     lengths = incidence.sum(axis=1)
     weights = 1.0 + lengths / lengths.max()
@@ -795,7 +798,7 @@ def test_item_knn_lists_score_the_dense_oracle_bits(pairs, nn, k_max, empty):
     ordered `np.bincount` kernel. Its kernel, `_score_block` and `recommend`
     must each give the bits of the reference sum over the dense rows, also
     for users who hold no train item."""
-    train = train_incidence(pairs)
+    train = train_of(pairs)
     model = fit("item-knn", train, params={"nn": nn})
     _assert_lists_are_the_reference_bits(model, k_max)
     # Users who hold no train item, scored among the others.
@@ -834,7 +837,7 @@ def test_sparse_kernel_matches_a_dense_fixed_order_sum(pairs, nn, k_max, picks,
     reference lists. The train set is built from shuffled, repeated pairs."""
     repeated = pairs + pairs[:len(pairs) // 2]
     random.Random(shuffle).shuffle(repeated)
-    train = train_incidence(repeated)
+    train = train_of(repeated)
     incidence = train.rows.dense()
     n_users, n_items = incidence.shape
     k1, b = DEFAULT_PARAMS["k1"], DEFAULT_PARAMS["b"]

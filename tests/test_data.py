@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from recfuse.data import (
     _read_matrix_rows,
     _read_plain_matrix,
     _shuffled,
-    SplitMix64,
     SplitSpec,
     fnv1a64,
     format_score,
@@ -30,13 +30,14 @@ from recfuse.data import (
     read_splits,
     read_weights,
     split_folds,
+    splitmix64_stream,
     write_interactions,
     write_matrix,
     write_splits,
     write_weights,
 )
 from recfuse.core import ModelWeights
-from recfuse.synthetic import _splitmix64_array, generate_interactions
+from recfuse.synthetic import generate_interactions
 
 
 class TestPinnedRng:
@@ -53,10 +54,11 @@ class TestPinnedRng:
         assert g.next_u64() == 6457827717110365317
         assert g.next_u64() == 3203168211198807973
 
-    @pytest.mark.parametrize("seed", [0, 1234567, 99, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1234567, 99, 2**64 - 1, -3,
+                                      2**64 + 5])
     def test_vectorized_splitmix64_is_the_same_generator(self, seed):
         g = SplitMix64(seed)
-        assert (_splitmix64_array(seed, 5).tolist()
+        assert (splitmix64_stream(seed, 5).tolist()
                 == [g.next_u64() for _ in range(5)])
 
     def test_fnv1a64_reference_vectors(self):
@@ -75,6 +77,21 @@ class TestPinnedRng:
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+class SplitMix64:
+    """SplitMix64 generator (Steele, Lea & Flood 2014), one 64-bit output at
+    a time, its seed taken mod 2**64."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK64
+        return z ^ (z >> 31)
 
 
 def _below(rng: SplitMix64, bound: int) -> int:
@@ -486,15 +503,15 @@ class TestColumnLoader:
     @pytest.mark.parametrize("through_file", [True, False])
     def test_ids_that_need_quoting_write_the_csv_writer_bytes(
             self, tmp_path, through_file):
-        # The split file of ids holding a comma, a quote, a line break and
-        # non-ASCII text equals what csv.writer writes for the same rows, for
-        # a dataset loaded from a file and one built from records. Ids with
-        # edge spaces, which the loader strips, or a CR, which csv.writer
-        # leaves unquoted under LF line ends, go in only by records.
-        users = ["plain", "a,b", 'q"x', "line\nbreak", "caf\u00e9"]
+        # The split file of ids holding a comma, a quote, a line break, a CR
+        # and non-ASCII text equals csv.writer's rows under CRLF line ends,
+        # which quote a CR, each written with an LF end instead, for a
+        # dataset loaded from a file and one built from records. Ids with
+        # edge spaces, which the loader strips, go in only by records.
+        users = ["plain", "a,b", 'q"x', "line\nbreak", "caf\u00e9", "cr\rx"]
         items = ["i,1", '"i2"', "i\n3", "\u00e9t\u00e9", "i5", "i 6", "i7"]
         if not through_file:
-            users += [" lead", "cr\rx"]
+            users += [" lead"]
         records = tuple(Interaction(u, i) for n, u in enumerate(users)
                         for i in items[:5 + n % 3])
         dataset = InteractionDataset(records)
@@ -506,22 +523,23 @@ class TestColumnLoader:
         folds = split_folds(dataset, SplitSpec(seed=3, n_folds=2))
         got = tmp_path / "splits.csv"
         write_splits(folds, got)
-        expected = tmp_path / "expected.csv"
-        with expected.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fold", "user", "item", "subset"])
-            writer.writerows(sorted(
-                (fold.fold_index, user, item, subset)
-                for fold in folds
-                for subset in ("train", "validation", "test")
-                for user, held in fold.subset(subset).items()
-                for item in held))
-        assert got.read_bytes() == expected.read_bytes()
-        if through_file:
-            # Folds read back hold mappings; they write the same bytes.
-            assert read_splits(got) == folds
-            write_splits(read_splits(got), tmp_path / "again.csv")
-            assert (tmp_path / "again.csv").read_bytes() == got.read_bytes()
+        rows = []
+        writer = csv.writer(SimpleNamespace(write=rows.append),
+                            lineterminator="\r\n")
+        writer.writerow(["fold", "user", "item", "subset"])
+        writer.writerows(sorted(
+            (fold.fold_index, user, item, subset)
+            for fold in folds
+            for subset in ("train", "validation", "test")
+            for user, held in fold.subset(subset).items()
+            for item in held))
+        assert all(row.endswith("\r\n") for row in rows)
+        expected = "".join(row[:-2] + "\n" for row in rows)
+        assert got.read_bytes() == expected.encode("utf-8")
+        # Folds read back hold mappings; they write the same bytes.
+        assert read_splits(got) == folds
+        write_splits(read_splits(got), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == got.read_bytes()
 
 
 class TestMatrixFiles:
@@ -908,3 +926,99 @@ def test_from_entries_names_the_faulty_list(data):
             {k: [ScoredItem(*e) for e in v] for k, v in lists.items()})
     assert str(err.value) == (f"{what} in fold {block[0]}, model {block[1]!r}, "
                               f"user {user!r}")
+
+
+# -- property: every file a writer makes reads back, whatever its ids ---------
+
+# Ids drawn from characters that need quoting or decoding care: CR, LF, a
+# quote, a comma, a tab, a space, NUL, a BOM and non-ASCII letters, between
+# plain ones.
+_ID_CHARS = "ab\r\n\",\t \0\ufeff\u00e9\u4e2d"
+_any_id = st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=5)
+# load_interactions strips edge whitespace from ids; the other readers keep
+# every character.
+_unpadded_id = _any_id.filter(lambda text: text == text.strip())
+_ALL_COLUMNS = {"user": "user", "item": "item", "rating": "rating",
+                "timestamp": "timestamp"}
+
+
+@given(st.lists(st.tuples(_unpadded_id, _unpadded_id,
+                          st.none() | st.floats(allow_nan=False),
+                          st.none() | st.integers(-2**53, 2**53)),
+                min_size=1, max_size=8, unique_by=lambda row: row[:2]),
+       st.sampled_from(["csv", "tsv"]))
+@example([("cr\rx", "a", None, None), ("b", "i\rj", 1.5, 7)], "csv")
+@example([("cr\rx", "a", None, None), ("b", "i\rj", 1.5, 7)], "tsv")
+@settings(max_examples=150, deadline=None)
+def test_interaction_files_round_trip_any_ids(tmp_path_factory, rows, format):
+    dataset = InteractionDataset(Interaction(*row) for row in rows)
+    path = tmp_path_factory.mktemp("rt") / f"events.{format}"
+    write_interactions(dataset, path, format)
+    back = load_interactions(path, format, _ALL_COLUMNS)
+
+    def by_pair(records):
+        return sorted(records, key=lambda r: (r.user_id, r.item_id))
+    assert by_pair(back.records) == by_pair(dataset.records)
+
+
+@st.composite
+def _matrices_of_any_ids(draw):
+    """Lists of drawn ids, with scores from a small set so ties are common,
+    ties in item id order."""
+    ids = st.lists(_any_id, min_size=1, max_size=3, unique=True)
+    models, users = draw(ids), draw(ids)
+    items = draw(st.lists(_any_id, min_size=1, max_size=5, unique=True))
+    entries = {}
+    for fold in range(draw(st.integers(1, 2))):
+        for model in models:
+            for user in users:
+                held = draw(st.lists(st.sampled_from(items), min_size=1,
+                                     unique=True))
+                scored = [(item, draw(st.sampled_from([0.25, 0.5, 1.0])))
+                          for item in held]
+                entries[(fold, model, user)] = [
+                    ScoredItem(*pair)
+                    for pair in sorted(scored, key=lambda p: (-p[1], p[0]))]
+    return PredictionMatrix.from_entries(entries)
+
+
+@given(_matrices_of_any_ids())
+@example(PredictionMatrix.from_entries(
+    {(0, "m\rx", "u\r"): [ScoredItem("a\rb", 1.0), ScoredItem("c", 0.5)]}))
+@settings(max_examples=150, deadline=None)
+def test_matrix_files_round_trip_any_ids(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("rt") / "m.csv"
+    write_matrix(m, path)
+    # The column reader takes plain files and declines the rest.
+    assert _read_plain_matrix(path.read_bytes()) in (None, m)
+    assert read_matrix(path) == m
+    assert _read_matrix_rows(path) == m
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), _any_id, _any_id,
+                          st.sampled_from(["train", "validation", "test"])),
+                min_size=1, max_size=12, unique_by=lambda row: row[:3]))
+@example([(0, "cr\rx", "a", "train"), (1, "b", "i\r", "test")])
+@settings(max_examples=150, deadline=None)
+def test_split_files_round_trip_any_ids(tmp_path_factory, rows):
+    held = {}
+    for fold, user, item, subset in rows:
+        subsets = held.setdefault(fold, {"train": {}, "validation": {},
+                                         "test": {}})
+        subsets[subset][user] = subsets[subset].get(user, frozenset()) | {item}
+    folds = [FoldSplit(fold, **held[fold]) for fold in sorted(held)]
+    path = tmp_path_factory.mktemp("rt") / "splits.csv"
+    write_splits(folds, path)
+    assert read_splits(path) == folds
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), _any_id),
+                       st.floats(0.0, 1.0), min_size=1, max_size=6),
+       st.integers(1, 50))
+@example({(0, "m\rx"): 0.5, (1, "a"): 1.0}, 5)
+@settings(max_examples=150, deadline=None)
+def test_weight_files_round_trip_any_ids(tmp_path_factory, table, n):
+    path = tmp_path_factory.mktemp("rt") / "weights.csv"
+    write_weights(ModelWeights(table, n), path)
+    back = read_weights(path)
+    assert (back.weights, back.cutoff_n) == (table, n)

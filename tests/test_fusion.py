@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import indexed_pairs
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.fusion import (
     NORMALIZATION_MODES,
@@ -275,7 +276,8 @@ class TestFoldFuser:
         holdouts = {"u1": frozenset({"i2"}), "u2": frozenset({"i1", "i3"})}
         for fold in (0, 1):
             fuser = FoldFuser(normed, fold, k=3)
-            keys = holdout_keys(holdouts, normed.user_index, normed.item_index)
+            keys = holdout_keys(indexed_pairs(holdouts),
+                                normed.user_index, normed.item_index)
             for members in ({"A"}, {"B"}, {"A", "B"}):
                 fused = fuse_all(normed, weights, members, fold, k=3, n=2)
                 lists = {u: fl.item_ids() for u, fl in fused.items()}
@@ -287,8 +289,8 @@ class TestFoldFuser:
         normed = normalize_scores(tiny_matrix)
         weights = ModelWeights({(0, "A"): 0.3, (0, "B"): 0.9}, 2)
         fuser = FoldFuser(normed, 0, k=1)
-        keys = holdout_keys({"u1": frozenset({"i1"})}, normed.user_index,
-                            normed.item_index)
+        keys = holdout_keys(indexed_pairs({"u1": frozenset({"i1"})}),
+                            normed.user_index, normed.item_index)
         with pytest.raises(ValueError, match="k must be ≥ N"):
             fuser.ndcg(["A"], weights, keys, 2)
 
@@ -300,7 +302,8 @@ class TestFoldFuser:
         weights = ModelWeights({(0, "A"): 1.0}, 1)
         holdouts = {"u1": frozenset({"a"}), "u2": frozenset({"a"})}
         fuser = FoldFuser(m, 0, k=1)
-        keys = holdout_keys(holdouts, m.user_index, m.item_index)
+        keys = holdout_keys(indexed_pairs(holdouts),
+                            m.user_index, m.item_index)
         got = fuser.ndcg(["A"], weights, keys, 1)
         fused = fuse_all(m, weights, {"A"}, 0, k=1, n=1)
         lists = {u: fl.item_ids() for u, fl in fused.items()}
@@ -323,7 +326,8 @@ class TestFoldFuser:
         for held, want in (("b", 1 / math.log2(3) / idcg(2)), ("z", 0.0)):
             holdouts = {"u1": frozenset({held})}
             split = FoldSplit(0, train={}, validation={}, test=holdouts)
-            keys = holdout_keys(holdouts, m.user_index, m.item_index)
+            keys = holdout_keys(indexed_pairs(holdouts),
+                                m.user_index, m.item_index)
             got = fuser.ndcg(["A", "B"], weights, keys, 2)
             assert got == want
             assert got == evaluate_ensemble(["A", "B"], m, weights, split,
@@ -340,8 +344,8 @@ class TestFoldFuser:
         })
         weights = ModelWeights({(0, "A"): 1.0, (0, "B"): 1.0, (0, "C"): 1.0},
                                1)
-        keys = holdout_keys({"u1": frozenset({"b"})}, m.user_index,
-                            m.item_index)
+        keys = holdout_keys(indexed_pairs({"u1": frozenset({"b"})}),
+                            m.user_index, m.item_index)
         assert FoldFuser(m, 0, k=2).ndcg(["A", "B", "C"], weights, keys,
                                          1) == 1.0
 
@@ -358,7 +362,8 @@ class TestFoldFuser:
         for held, rank in (("y", 2), ("z", 3)):
             holdouts = {"u1": frozenset({held})}
             split = FoldSplit(0, train={}, validation={}, test=holdouts)
-            keys = holdout_keys(holdouts, m.user_index, m.item_index)
+            keys = holdout_keys(indexed_pairs(holdouts),
+                                m.user_index, m.item_index)
             got = fuser.ndcg(["A", "B"], weights, keys, 3)
             assert got == 1 / math.log2(rank + 1) / idcg(3)
             assert got == evaluate_ensemble(["A", "B"], m, weights, split,
@@ -367,8 +372,8 @@ class TestFoldFuser:
     def test_member_without_lists_rejected(self, tiny_matrix):
         weights = ModelWeights({(0, "A"): 0.3, (0, "Z"): 0.9}, 2)
         fuser = FoldFuser(tiny_matrix, 0, k=3)
-        keys = holdout_keys({"u1": frozenset({"i1"})}, tiny_matrix.user_index,
-                            tiny_matrix.item_index)
+        keys = holdout_keys(indexed_pairs({"u1": frozenset({"i1"})}),
+                            tiny_matrix.user_index, tiny_matrix.item_index)
         with pytest.raises(ValueError, match="no lists for model 'Z' in fold 0"):
             fuser.ndcg(["A", "Z"], weights, keys, 2)
 
@@ -385,8 +390,8 @@ class TestFoldFuser:
     def test_n_below_one_rejected(self, tiny_matrix, n):
         weights = ModelWeights({(0, "A"): 0.3}, 2)
         fuser = FoldFuser(tiny_matrix, 0, k=3)
-        keys = holdout_keys({"u1": frozenset({"i1"})}, tiny_matrix.user_index,
-                            tiny_matrix.item_index)
+        keys = holdout_keys(indexed_pairs({"u1": frozenset({"i1"})}),
+                            tiny_matrix.user_index, tiny_matrix.item_index)
         with pytest.raises(ValueError, match="invalid length"):
             fuser.ndcg(["A"], weights, keys, n)
 
@@ -452,7 +457,8 @@ def fold_fuser_instances(draw):
 def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
     matrix, weights, members, holdouts, k, n = instance
     split = FoldSplit(0, train={}, validation={}, test=holdouts)
-    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    keys = holdout_keys(indexed_pairs(holdouts),
+                        matrix.user_index, matrix.item_index)
     fuser = FoldFuser(matrix, 0, k)
     assert (top_n_rows(fuser, members, weights, n)
             == fuse_all_rows(matrix, weights, members, 0, k, n))
@@ -486,7 +492,8 @@ def test_fold_fuser_carries_no_state_between_calls(instance, data):
              for u in range(8) if data.draw(st.booleans(), label=f"other_{u}")}
 
     def keyed(held):
-        return holdout_keys(held, matrix.user_index, matrix.item_index)
+        return holdout_keys(indexed_pairs(held),
+                            matrix.user_index, matrix.item_index)
 
     before = [(holdouts, keyed(holdouts)), (other, keyed(other))]
     fuser = FoldFuser(matrix, 0, k)
@@ -601,7 +608,8 @@ def test_fold_fuser_grid_edge_cases(instance, include_empty):
         assert (top_n_rows(fuser, members, weights, n)
                 == fuse_all_rows(matrix, weights, members, fold, k, n))
         split = FoldSplit(fold, train={}, validation={}, test=holdouts)
-        keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+        keys = holdout_keys(indexed_pairs(holdouts),
+                            matrix.user_index, matrix.item_index)
         try:
             want = evaluate_ensemble(members, matrix, weights, split, k, n,
                                      "test", include_empty)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import common_items
-from recfuse import baselines, harness, metrics
+from conftest import common_items, indexed_pairs
+from recfuse import baselines, core, harness, metrics
 from recfuse.baselines import (
     MODEL_KINDS,
     generate_matrix,
@@ -462,9 +462,9 @@ class TestPreparedBundle:
         assert sorted(bundle.holdouts) == [
             (f, kind) for f in range(3) for kind in ("test", "validation")]
         for (fold, kind), keys in bundle.holdouts.items():
-            expected = holdout_keys(bundle.splits[fold].holdout(kind),
-                                    bundle.raw.user_index,
-                                    bundle.raw.item_index)
+            expected = holdout_keys(
+                indexed_pairs(bundle.splits[fold].holdout(kind)),
+                bundle.raw.user_index, bundle.raw.item_index)
             assert np.array_equal(keys.keys, expected.keys)
             assert np.array_equal(keys.nonempty, expected.nonempty)
 
@@ -605,7 +605,7 @@ def test_fold_fits_hold_one_item_square_beside_the_incidence():
             "n_users": 60, "n_items": 600, "n_interactions": 3000}}],
         models=[{"kind": kind, "id": kind} for kind in MODEL_KINDS]))
     split = harness.split_dataset(cfg, cfg.datasets[0])[0]
-    train = train_incidence(split.pairs("train"))
+    train = train_incidence(split.indexed_subset("train"))
     assert not common_items(train).any()
     n_items, incidence = len(train.items), sum(
         array.nbytes for csr in (train.rows, train.columns)
@@ -626,7 +626,7 @@ def test_long_histories_score_in_small_chunks():
         datasets=[{"name": "long", "synthetic": {
             "n_users": 60, "n_items": 600, "n_interactions": 6000}}]))
     split = harness.split_dataset(cfg, cfg.datasets[0])[0]
-    train = train_incidence(split.pairs("train"))
+    train = train_incidence(split.indexed_subset("train"))
     n_items = len(train.items)
     model = baselines.fit("item-knn", train)
     _, peak = _traced_peak(lambda: baselines._score_block(model, 10))
@@ -1207,6 +1207,51 @@ def test_bundle_bytes_are_pinned(tmp_path, case):
     assert digests == PINNED_DIGESTS[case]
 
 
+@pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+def test_seeds_outside_uint64_run_as_their_residue(tmp_path, seed):
+    # SplitMix64 takes its seed mod 2**64, for the synthetic events and the
+    # split alike: every byte of the bundle but the manifest, which records
+    # the seed as given, is that of the residue.
+    bundles = []
+    for name, given in (("given", seed), ("residue", seed % 2**64)):
+        cfg = ExperimentConfig.from_dict(toy_config_dict(
+            seed=given, output_dir=str(tmp_path / name)))
+        result = run_experiment(cfg, threads=1)
+        bundles.append({p.name: p.read_bytes()
+                        for p in sorted(result.output_dir.iterdir())
+                        if p.name not in ("timings.json", "manifest.json")})
+    assert "splits_toy.csv" in bundles[0]
+    assert bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("case", ["toy", "six-kinds", "greedy/paper-faithful"])
+def test_a_run_stays_on_the_index_path(tmp_path, monkeypatch, case):
+    # Ids are read and written only at the file edges: a run, loaded,
+    # generated or ingested, builds no Interaction record and no per-user
+    # subset mapping of a fold.
+    calls = {"Interaction": 0, "FoldSplit.subset": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(core.Interaction, "__init__", "Interaction")
+    counted(core.FoldSplit, "subset", "FoldSplit.subset")
+    raw = (toy_config_dict(output_dir=str(tmp_path / "out")) if case == "toy"
+           else _pinned_config(tmp_path, case))
+    cfg = ExperimentConfig.from_dict(raw)
+    assert run_experiment(cfg, threads=1).failed_cells == []
+    assert calls == {"Interaction": 0, "FoldSplit.subset": 0}
+    # The counters see the edges that do build them.
+    harness.split_dataset(cfg, cfg.datasets[0])[0].holdout("test")
+    core.Interaction("u", "i")
+    assert calls == {"Interaction": 1, "FoldSplit.subset": 1}
+
+
 def test_common_item_case_zeroes_an_item_in_every_fold(tmp_path):
     # The "six-kinds/common-item" digests pin the branch where tfidf copies
     # the shared cosine, zeroes the item every train user holds and scores
@@ -1214,7 +1259,7 @@ def test_common_item_case_zeroes_an_item_in_every_fold(tmp_path):
     cfg = ExperimentConfig.from_dict(
         _pinned_config(tmp_path, "six-kinds/common-item"))
     for split in harness.split_dataset(cfg, cfg.datasets[0]):
-        train = train_incidence(split.pairs("train"))
+        train = train_incidence(split.indexed_subset("train"))
         common = common_items(train)
         assert [train.items.ids[i] for i in np.flatnonzero(common)] == ["i_all"]
         cos, tfidf, bm25 = (baselines.fit(kind, train).similarity for kind in (

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.core import IdIndex, PredictionMatrix, ScoredItem
+from conftest import indexed_pairs
+from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, ScoredItem
 from recfuse.metrics import (
     HoldoutKeys,
     dcg,
@@ -233,7 +234,8 @@ def ranked_blocks(draw):
 def test_ndcg_rows_equals_ndcg_model_exactly(instance, n, include_empty):
     matrix, holdouts = instance
     block = matrix.block(0, "M")
-    keys = holdout_keys(holdouts, matrix.user_index, matrix.item_index)
+    keys = holdout_keys(indexed_pairs(holdouts),
+                        matrix.user_index, matrix.item_index)
     lists = {u: matrix.ranked_ids(0, "M", u, limit=n)
              for u in matrix.users(0, "M")}
 
@@ -255,8 +257,9 @@ def test_holdout_keys_flag_users_whose_items_are_all_outside_the_catalog():
         (0, "M", "u1"): [ScoredItem("a", 1.0)],
         (0, "M", "u2"): [ScoredItem("a", 1.0)],
     })
-    keys = holdout_keys({"u1": frozenset({"a", "zz"}), "u2": frozenset({"zz"}),
-                         "u3": frozenset({"a"})},
+    keys = holdout_keys(indexed_pairs({"u1": frozenset({"a", "zz"}),
+                                       "u2": frozenset({"zz"}),
+                                       "u3": frozenset({"a"})}),
                         matrix.user_index, matrix.item_index)
     assert keys.keys.tolist() == [0]
     assert keys.nonempty.tolist() == [True, True]
@@ -281,14 +284,22 @@ _IDS = st.sampled_from([f"x{i}" for i in range(8)])
 
 
 @given(st.sets(_IDS), st.sets(_IDS),
-       st.dictionaries(_IDS, st.frozensets(_IDS, max_size=6), max_size=8))
+       st.dictionaries(_IDS, st.frozensets(_IDS, max_size=6), max_size=8),
+       st.sets(_IDS))
 @settings(max_examples=200)
 def test_holdout_keys_equal_a_per_pair_reference(user_ids, item_ids,
-                                                 holdouts):
+                                                 holdouts, extra):
     # Ids are drawn from one pool, so holdouts name users and items on
-    # either side of each index, and may be empty.
+    # either side of each index, and may be empty. The holdout's pairs lie
+    # over indexes that may hold ids no pair holds, as a fold's subset does.
     users, items = IdIndex(user_ids), IdIndex(item_ids)
-    got = holdout_keys(holdouts, users, items)
+    held = indexed_pairs(holdouts)
+    own_users, own_items = (IdIndex(index.ids + tuple(extra))
+                            for index in (held.users, held.items))
+    got = holdout_keys(IndexedPairs(
+        own_users, own_items,
+        own_users.indices(held.users.ids)[held.user_rows],
+        own_items.indices(held.items.ids)[held.item_cols]), users, items)
     keys, nonempty = _reference_holdout_keys(holdouts, users, items)
     assert got.keys.dtype == np.int64
     assert got.keys.tolist() == keys
@@ -301,7 +312,7 @@ def test_holdout_keys_do_not_overflow_past_two_to_the_31():
     items = IdIndex(f"i{i:05d}" for i in range(50000))
     holdouts = {"u49999": frozenset({"i49999", "i00000"}),
                 "u00001": frozenset({"i00002"})}
-    got = holdout_keys(holdouts, users, items)
+    got = holdout_keys(indexed_pairs(holdouts), users, items)
     keys, _ = _reference_holdout_keys(holdouts, users, items)
     assert keys[-1] == 50000**2 - 1 > 2**31
     assert got.keys.tolist() == keys

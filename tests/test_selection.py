@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recfuse.baselines import fit, generate_matrix
+from recfuse.baselines import fit, generate_matrix, train_incidence
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.metrics import holdout_keys
@@ -246,7 +246,7 @@ class TestSelectionTrace:
 
 def validation_keys(matrix, splits):
     """Each split's validation holdout over the matrix's indexes."""
-    return {s.fold_index: holdout_keys(s.holdout("validation"),
+    return {s.fold_index: holdout_keys(s.indexed_subset("validation"),
                                        matrix.user_index, matrix.item_index)
             for s in splits}
 
@@ -346,11 +346,11 @@ def small_bundle(small_folds):
     folds = small_folds[:2]
     by_fold = {}
     for fold in folds:
-        pairs = fold.pairs("train")
+        train = train_incidence(fold.indexed_subset("train"))
         by_fold[fold.fold_index] = [
-            fit("popularity", pairs, model_id="ppl"),
-            fit("item-item-cosine", pairs, params={"nn": 5}, model_id="cos"),
-            fit("user-knn", pairs, params={"nn": 5}, model_id="uknn"),
+            fit("popularity", train, model_id="ppl"),
+            fit("item-item-cosine", train, params={"nn": 5}, model_id="cos"),
+            fit("user-knn", train, params={"nn": 5}, model_id="uknn"),
         ]
     raw = generate_matrix(by_fold, k_max=10)
     normalized = normalize_scores(raw)
@@ -367,8 +367,8 @@ def test_fold_fuser_matches_reference(small_bundle):
     for split in folds:
         fuser = FoldFuser(normalized, split.fold_index, 10)
         for holdout in ("validation", "test"):
-            keys = holdout_keys(split.holdout(holdout), normalized.user_index,
-                                normalized.item_index)
+            keys = holdout_keys(split.indexed_subset(holdout),
+                                normalized.user_index, normalized.item_index)
             for members in ALL_SUBSETS:
                 reference = evaluate_ensemble(
                     sorted(members), normalized, weights, split, k=10, n=5,
