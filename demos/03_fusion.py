@@ -7,6 +7,7 @@ well on validation therefore pulls the fused order toward its view.
 """
 
 from recfuse.baselines import fit, generate_matrix, train_incidence
+from recfuse.core import PredictionMatrix
 from recfuse.data import SplitSpec, split_folds
 from recfuse.fusion import fuse_all, fuse_user, normalize_scores
 from recfuse.metrics import holdout_keys
@@ -19,15 +20,16 @@ def main():
                                     n_interactions=3600, seed=3)
     folds = split_folds(dataset, SplitSpec(seed=11, n_folds=2))
 
-    fold_models = {}
+    # Each fold's models score their lists; the folds join into one matrix.
+    parts = []
     for s in folds:
         train = train_incidence(s.indexed_subset("train"))
-        fold_models[s.fold_index] = [
+        parts.append(generate_matrix(s.fold_index, [
             fit(kind, train, model_id=mid)
             for kind, mid in (("popularity", "ppl"),
                               ("item-item-cosine", "cos"),
-                              ("user-knn", "uknn"))]
-    raw = generate_matrix(fold_models, k_max=10)
+                              ("user-knn", "uknn"))], k_max=10))
+    raw = PredictionMatrix.union(parts)
     norm = normalize_scores(raw, "global-minmax")
     # Weights score each model against its fold's validation holdout,
     # translated once to dense (user, item) keys over the matrix's indexes.

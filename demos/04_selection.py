@@ -7,6 +7,7 @@ they evaluate, so the search is fully auditable after the fact.
 """
 
 from recfuse.baselines import fit, generate_matrix, train_incidence
+from recfuse.core import PredictionMatrix
 from recfuse.fusion import FoldFuser, normalize_scores
 from recfuse.data import SplitSpec, split_folds
 from recfuse.metrics import holdout_keys
@@ -26,12 +27,13 @@ def main():
 
     roster = (("popularity", "ppl"), ("item-item-cosine", "cos"),
               ("item-item-bm25", "bm25"), ("user-knn", "uknn"))
-    fold_models = {}
+    parts = []
     for s in folds:
         train = train_incidence(s.indexed_subset("train"))
-        fold_models[s.fold_index] = [fit(kind, train, model_id=mid)
-                                     for kind, mid in roster]
-    raw = generate_matrix(fold_models, 10)
+        parts.append(generate_matrix(
+            s.fold_index, [fit(kind, train, model_id=mid)
+                           for kind, mid in roster], 10))
+    raw = PredictionMatrix.union(parts)
     norm = normalize_scores(raw)
     # Each validation holdout is translated once: the weights and the
     # selection both score against it.

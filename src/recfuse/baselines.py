@@ -10,9 +10,10 @@ kinds keep their kept neighbors as CSR rows.
 No BLAS call is made: every fit and score is a fixed-order row sum, of
 sparse rows by `np.bincount` (`_sparse_row_sums`: the Grams and the kNN
 scores) or of dense similarity rows (`_row_sums`), about `_SCORE_CHUNK`
-rows at a time, so no value depends on batching. `generate_matrix` keeps
-no model once its lists are built, so a lazily fitted fold holds one
-model, no users x items array and no full-size transient at a time.
+rows at a time, so no value depends on batching. `generate_matrix` scores
+one fold's models into that fold's matrix and keeps none once its lists
+are built: a lazily fitted fold holds one model, no users x items array
+and no full-size transient at a time.
 
 Similarity conventions, shared by every kind that uses one:
   - the cosine of 0/1 vectors after any weighting (`_cosine`);
@@ -38,7 +39,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, ScoredItem
-from recfuse.core import _Block, _json_typed, sorted_unique
+from recfuse.core import _Block, _json_typed, _top_k, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -50,28 +51,6 @@ DEFAULT_PARAMS = {
     "k1": 1.2,     # BM25 term-frequency saturation
     "b": 0.75,     # BM25 length normalization
 }
-
-
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each row's top-k column indices, score descending, index ascending:
-    `np.argsort(-scores, axis=1, kind="stable")[:, :k]` without sorting
-    whole rows. A partition finds each row's k-th largest value; the entries
-    above it and the lowest-index entries equal to it make exactly k (ties
-    straddling the cut resolve by index), and only those are argsorted."""
-    n_rows, n_cols = scores.shape
-    width = min(k, n_cols)
-    if width < 1:
-        return np.empty((n_rows, 0), dtype=np.intp)
-    cut = np.partition(scores, n_cols - width, axis=1)[:, n_cols - width, None]
-    keep = scores > cut
-    rows, cols = np.nonzero(scores == cut)
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    fill = rank < width - np.count_nonzero(keep, axis=1)[rows]
-    keep[rows[fill], cols[fill]] = True
-    top = np.nonzero(keep)[1].reshape(n_rows, width)
-    order = np.argsort(-np.take_along_axis(scores, top, axis=1), axis=1,
-                       kind="stable")
-    return np.take_along_axis(top, order, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,23 +118,20 @@ _SCORE_CHUNK = 64
 def _row_sums(source: np.ndarray, touched: _Csr,
               targets: np.ndarray) -> np.ndarray:
     """Row t: 0.0 plus source[r] over the entries r of the 0/1 touched row
-    targets[t] in ascending r, however targets are grouped."""
-    out = np.empty((targets.size, source.shape[1]))
-    for start in range(0, targets.size, _SCORE_CHUNK):
-        chunk = targets[start:start + _SCORE_CHUNK]
-        lengths = touched.indptr[chunk + 1] - touched.indptr[chunk]
-        order = np.argsort(-lengths, kind="stable")
-        firsts, lengths = touched.indptr[chunk[order]], lengths[order]
-        acc = np.zeros((order.size, out.shape[1]))
-        gathered = np.empty_like(acc)
-        # Step t adds a row to each of the first active[t] targets.
-        active = np.searchsorted(-lengths, -np.arange(lengths[0]))
-        for step, n_active in enumerate(active):
-            acc[:n_active] += np.take(
-                source, touched.indices[firsts[:n_active] + step], axis=0,
-                out=gathered[:n_active], mode="clip")  # unbuffered; in range
-        out[start + order] = acc
-    return out
+    targets[t] in ascending r, in one pass: callers hand it at most
+    `_SCORE_CHUNK` targets, and rows are summed apart."""
+    lengths = touched.indptr[targets + 1] - touched.indptr[targets]
+    order = np.argsort(-lengths, kind="stable")
+    firsts, lengths = touched.indptr[targets[order]], lengths[order]
+    acc = np.zeros((targets.size, source.shape[1]))
+    gathered = np.empty_like(acc)
+    # Step t adds a row to each of the first active[t] targets.
+    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    for step, n_active in enumerate(active):
+        acc[:n_active] += np.take(
+            source, touched.indices[firsts[:n_active] + step], axis=0,
+            out=gathered[:n_active], mode="clip")  # unbuffered; in range
+    return acc[np.argsort(order)]
 
 
 def _sparse_row_sums(source: _Csr, touched: _Csr,
@@ -427,44 +403,39 @@ def _score_block(model: FittedModel, k_max: int) -> _Block:
     return block
 
 
-def generate_matrix(models_by_fold: Mapping[int, Iterable[FittedModel]],
+def generate_matrix(fold: int, models: Iterable[FittedModel],
                     k_max: int) -> PredictionMatrix:
-    """Batch-produce the prediction matrix for fitted per-fold models.
-
-    A fold's models must share one train set (and so one index space);
-    folds are joined by PredictionMatrix.union. Lists cover every train user
-    and equal per-user recommend() output: the top min(k_max, recommendable)
-    items. A fold's models are drawn one at a time and none is kept once its
-    block is built: given a lazy iterable that fits on demand, a fold holds
+    """The checked prediction matrix of one fold's models, which share one
+    train set; folds join by PredictionMatrix.union. Lists cover every train
+    user and equal per-user recommend() output: the top min(k_max,
+    recommendable) items. Models are drawn one at a time and none is kept
+    once its block is built, so a lazy iterable that fits on demand holds
     one fitted model at a time.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    parts = []
-    for fold in sorted(models_by_fold):
-        users = items = None
-        blocks: dict[tuple[int, str], _Block] = {}
-        # Models that hold the same arrays score the same lists, so they
-        # share one read-only block. tfidf holds the shared item cosine
-        # unless some item is held by every train user. Arrays are compared
-        # through weak references: a dead model's arrays match nothing, even
-        # where a new array reuses a freed one's id().
-        scored: list[tuple[tuple[weakref.ref, ...], _Block]] = []
-        for model in models_by_fold[fold]:
-            if users is None:
-                users, items = model.users, model.items
-            if (model.users.ids, model.items.ids) != (users.ids, items.ids):
-                raise ValueError(f"fold {fold}: model {model.model_id!r} was "
-                                 f"fitted on another train set")
-            arrays = (model._rows, model._touched, model._incidence)
-            block = next((b for refs, b in scored
-                          if all(r() is a for r, a in zip(refs, arrays))), None)
-            if block is None:
-                block = _score_block(model, k_max)
-                scored.append((tuple(map(weakref.ref, arrays)), block))
-            blocks[(fold, model.model_id)] = block
-            del model, arrays  # let it die before the next fit
+    users = items = None
+    blocks: dict[tuple[int, str], _Block] = {}
+    # Models that hold the same arrays score the same lists, so they share
+    # one read-only block. tfidf holds the shared item cosine unless some
+    # item is held by every train user. Arrays are compared through weak
+    # references: a dead model's arrays match nothing, even where a new
+    # array reuses a freed one's id().
+    scored: list[tuple[tuple[weakref.ref, ...], _Block]] = []
+    for model in models:
         if users is None:
-            raise ValueError(f"fold {fold}: no models")
-        parts.append(PredictionMatrix(users, items, blocks))
-    return PredictionMatrix.union(parts)
+            users, items = model.users, model.items
+        if (model.users.ids, model.items.ids) != (users.ids, items.ids):
+            raise ValueError(f"fold {fold}: model {model.model_id!r} was "
+                             f"fitted on another train set")
+        arrays = (model._rows, model._touched, model._incidence)
+        block = next((b for refs, b in scored
+                      if all(r() is a for r, a in zip(refs, arrays))), None)
+        if block is None:
+            block = _score_block(model, k_max)
+            scored.append((tuple(map(weakref.ref, arrays)), block))
+        blocks[(fold, model.model_id)] = block
+        del model, arrays  # let it die before the next fit
+    if users is None:
+        raise ValueError(f"fold {fold}: no models")
+    return PredictionMatrix(users, items, blocks)._validate()

@@ -85,6 +85,28 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return out[np.concatenate(([True], out[1:] != out[:-1]))] if out.size else out
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's top-k column indices, score descending, index ascending:
+    `np.argsort(-scores, axis=1, kind="stable")[:, :k]` without sorting
+    whole rows. A partition finds each row's k-th largest value; the entries
+    above it and the lowest-index entries equal to it make exactly k (ties
+    straddling the cut resolve by index), and only those are argsorted."""
+    n_rows, n_cols = scores.shape
+    width = min(k, n_cols)
+    if width < 1:
+        return np.empty((n_rows, 0), dtype=np.intp)
+    cut = np.partition(scores, n_cols - width, axis=1)[:, n_cols - width, None]
+    keep = scores > cut
+    rows, cols = np.nonzero(scores == cut)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    fill = rank < width - np.count_nonzero(keep, axis=1)[rows]
+    keep[rows[fill], cols[fill]] = True
+    top = np.nonzero(keep)[1].reshape(n_rows, width)
+    order = np.argsort(-np.take_along_axis(scores, top, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(top, order, axis=1)
+
+
 class IndexedPairs(NamedTuple):
     """(user, item) pairs by index: pair r is (users.id(user_rows[r]),
     items.id(item_cols[r]))."""
@@ -396,17 +418,15 @@ class PredictionMatrix:
 
     The central exchange format of the pipeline. Lists are sorted by score
     descending with ties broken by item id ascending, contain no duplicate
-    items, and hold only finite scores; all three properties are validated
-    at construction so downstream code never re-checks them.
+    items, and hold only finite scores; each producer of new lists checks
+    them once (`_validate`), so downstream code never re-checks them.
     """
 
     def __init__(self, user_index: IdIndex, item_index: IdIndex,
-                 blocks: Mapping[tuple[int, str], _Block], validate: bool = True):
+                 blocks: Mapping[tuple[int, str], _Block]):
         self._users = user_index
         self._items = item_index
         self._blocks = dict(blocks)
-        if validate:
-            self._validate()
 
     # -- construction -----------------------------------------------------
 
@@ -420,13 +440,12 @@ class PredictionMatrix:
             [(int(fold), model, user) for (fold, model, user) in entries],
             [len(lst) for lst in entries.values()],
             items.indices(si.item_id for si in flat),
-            np.array([si.score for si in flat], dtype=np.float64), items)
+            np.array([si.score for si in flat], float), items)._validate()
 
     @classmethod
     def _from_lists(cls, keys: Sequence[tuple[int, str, str]],
-                    lengths: Sequence[int], items: np.ndarray,
-                    scores: np.ndarray, item_index: IdIndex,
-                    validate: bool = True) -> "PredictionMatrix":
+                    lengths: Sequence[int], items: np.ndarray, scores: np.ndarray,
+                    item_index: IdIndex) -> "PredictionMatrix":
         """Build from lists laid end to end: list r, with the unique key
         keys[r] = (fold, model, user), owns the next lengths[r] entries of
         the flat item-index and score arrays. Lists may be empty."""
@@ -444,7 +463,7 @@ class PredictionMatrix:
                     + np.arange(indptr[-1]))
             blocks[(fold, model)] = _Block(list_users[rows], indptr,
                                            items[take], scores[take])
-        return cls(users, item_index, blocks, validate=validate)
+        return cls(users, item_index, blocks)
 
     @classmethod
     def union(cls, parts: Sequence["PredictionMatrix"]) -> "PredictionMatrix":
@@ -464,9 +483,9 @@ class PredictionMatrix:
                 blocks[(fold, model)] = _Block(
                     user_map[block.user_rows], block.indptr,
                     item_map[block.items], block.scores)
-        return cls(users, items, blocks, validate=False)
+        return cls(users, items, blocks)
 
-    def _validate(self):
+    def _validate(self) -> "PredictionMatrix":
         for (fold, model), block in self._blocks.items():
             if block.user_rows.size and np.any(np.diff(block.user_rows) <= 0):
                 raise ValueError(f"duplicate user lists in fold {fold}, model {model!r}")
@@ -481,6 +500,7 @@ class PredictionMatrix:
                     reason, "list not sorted (score desc, ties by item id)")
                 user = self._users.id(int(block.user_rows[rows[pos]]))
                 raise ValueError(f"{what} in fold {fold}, model {model!r}, user {user!r}")
+        return self
 
     # -- accessors ---------------------------------------------------------
 

@@ -423,7 +423,7 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
         raise ValueError(f"{path}: no data rows")
     # Contiguous lists, numbered by first appearance, lie end to end in order.
     return PredictionMatrix._from_lists(keys, np.bincount(ids), items,
-                                        flat_scores, item_index, validate=False)
+                                        flat_scores, item_index)
 
 
 _MATRIX_HEADER_LINE = (",".join(MATRIX_HEADER) + "\n").encode()
@@ -472,7 +472,7 @@ def _read_plain_matrix(data: bytes) -> PredictionMatrix | None:
         return None
     return PredictionMatrix._from_lists(
         list(lists), np.diff(np.append(np.flatnonzero(new_list), scores.size)),
-        items, scores, item_index, validate=False)
+        items, scores, item_index)
 
 
 def _plain_columns(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray,

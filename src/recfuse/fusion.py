@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from recfuse.core import ModelWeights, PredictionMatrix, ScoredItem
-from recfuse.core import _Block
+from recfuse.core import _Block, sorted_unique
 from recfuse.metrics import HoldoutKeys, _holdout_hits, list_ranks, mean_ndcg
 
 NORMALIZATION_MODES = ("global-minmax", "per-user-minmax")
@@ -45,30 +45,27 @@ class FusedList:
         return [si.item_id for si in self.items]
 
 
-def _normalize_block(block: _Block, mode: str) -> np.ndarray:
-    """Min-max rescale one (fold, model) block's scores to [0, 1].
-
-    Constant stretches map to 1.0: a model that cannot distinguish items
-    still contributes its full weight to each of them.
-    """
+def _normalize_block(matrix: PredictionMatrix, fold: int, model: str,
+                     mode: str) -> _Block:
+    """One (fold, model) block, its scores min-max rescaled to [0, 1] over
+    stretches: the whole block (global) or each non-empty list (per user).
+    A constant stretch maps to 1.0: a model that cannot distinguish items
+    still gives each its full weight. A minimum maps to +0.0, even a -0.0
+    under a +0.0 minimum, as fusion rejects a negative sign."""
+    block = matrix.block(fold, model)
     scores = block.scores
-    if scores.size == 0:
-        return np.empty_like(scores)
-    if mode == "global-minmax":
-        lo, hi = scores.min(), scores.max()
-        if hi > lo:
-            out = scores - lo
-            out /= hi - lo
-            return out
-        return np.ones_like(scores)
-    # per-user-minmax: each entry gets its own list's range
-    lengths = np.diff(block.indptr)
-    filled = lengths > 0
-    starts = block.indptr[:-1][filled]
-    lo = np.repeat(np.minimum.reduceat(scores, starts), lengths[filled])
-    hi = np.repeat(np.maximum.reduceat(scores, starts), lengths[filled])
-    return np.divide(scores - lo, hi - lo, out=np.ones_like(scores),
-                     where=hi - lo > 0)
+    lengths = (np.diff(block.indptr) if mode == "per-user-minmax"
+               else np.array([scores.size]))
+    lengths = lengths[lengths > 0]
+    starts = np.cumsum(lengths) - lengths
+    lo = np.minimum.reduceat(scores, starts)
+    span = np.maximum.reduceat(scores, starts) - lo
+    if not np.isfinite(span).all():
+        raise ValueError(f"scores of model {model!r} in fold {fold} span "
+                         f"more than a float64 holds: cannot min-max them")
+    lo, span = np.repeat([lo, span], lengths, axis=1)
+    return _Block(block.user_rows, block.indptr, block.items, np.divide(
+        scores - lo + 0.0, span, out=np.ones_like(scores), where=span > 0))
 
 
 def normalize_scores(matrix: PredictionMatrix, mode: str = "global-minmax"
@@ -77,21 +74,16 @@ def normalize_scores(matrix: PredictionMatrix, mode: str = "global-minmax"
 
     Modes: 'global-minmax' rescales over all of a model's scores within a
     fold; 'per-user-minmax' rescales each user's list independently.
-    Min-max is strictly increasing wherever the range is positive, and a
-    zero-range stretch is constant both before and after, so within-list
-    order never changes and the stored ordering stays valid as-is.
+    Min-max never decreases along a list, so within-list order never
+    changes, though rounding can tie two adjacent scores with their items
+    out of id order. A stretch whose max - min overflows float64 raises
+    ValueError.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    blocks = {}
-    for fold in matrix.folds():
-        for model in matrix.models(fold):
-            block = matrix.block(fold, model)
-            blocks[(fold, model)] = _Block(
-                block.user_rows, block.indptr, block.items,
-                _normalize_block(block, mode))
-    return PredictionMatrix(matrix.user_index, matrix.item_index, blocks,
-                            validate=False)
+    return PredictionMatrix(matrix.user_index, matrix.item_index, {
+        (fold, model): _normalize_block(matrix, fold, model, mode)
+        for fold in matrix.folds() for model in matrix.models(fold)})
 
 
 def fuse_user(per_model_lists: Mapping[str, Sequence[ScoredItem]],
@@ -264,7 +256,7 @@ class FoldFuser:
                 holdout, _holdout_hits(self._keys, holdout.keys))
         hit = (rank < n) & self._hit_masks[id(holdout)][1][kept]
         # Users covered only by empty lists still count (score 0).
-        covered = np.unique(np.concatenate(
+        covered = sorted_unique(np.concatenate(
             [self._rows[m][2] for m in set(members)]))
         return mean_ndcg(covered, self._keys[kept[hit]] // self._n_items,
                          rank[hit], holdout, n, include_empty_holdout_users)

@@ -464,7 +464,7 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
     if any(m.kind is not None for m in config.models):
         for split in splits:
             parts.append(generate_matrix(
-                {split.fold_index: _fit_fold_models(config, split)},
+                split.fold_index, _fit_fold_models(config, split),
                 config.max_k()))
     for model_cfg in config.models:
         if model_cfg.matrix is not None:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from recfuse.core import IdIndex, IndexedPairs, InteractionDataset
+from recfuse.core import IdIndex, IndexedPairs, InteractionDataset, _top_k
 from recfuse.data import splitmix64_stream
 
 
@@ -23,6 +23,14 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     """count uniforms in (0, 1), 53-bit resolution, never exactly 0."""
     bits = splitmix64_stream(seed, count) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) / 9007199254740993.0
+
+
+def _top_quota(scores: np.ndarray, quotas: np.ndarray) -> np.ndarray:
+    """Row u's top quotas[u] columns as `_top_k` ranks them (score
+    descending, index ascending), in column order, rows end to end."""
+    kept = np.arange(quotas.max()) < quotas[:, None]
+    return np.sort(np.where(kept, _top_k(scores, quotas.max()),
+                            scores.shape[1]), axis=1)[kept]
 
 
 def check_recipe(n_users: int, n_items: int, n_interactions: int,
@@ -107,10 +115,8 @@ def generate_interactions(n_users: int, n_items: int, n_interactions: int,
 
     user_width = max(4, len(str(n_users - 1)))
     item_width = max(5, len(str(n_items - 1)))
-    # Each user's top-quota items, in item order: events sorted by (user,
-    # item), timestamped in that order.
-    cols = np.concatenate([np.sort(np.argsort(-scores[u], kind="stable")
-                                   [:int(quotas[u])]) for u in range(n_users)])
+    # Events sorted by (user, item), timestamped in that order.
+    cols = _top_quota(scores, quotas)
     indexed = IndexedPairs(
         IdIndex(f"u{u:0{user_width}d}" for u in range(n_users)),
         IdIndex(f"i{j:0{item_width}d}" for j in range(n_items)),

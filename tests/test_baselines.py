@@ -18,12 +18,11 @@ from recfuse.baselines import (
     DEFAULT_PARAMS,
     MODEL_KINDS,
     _sparse_row_sums,
-    _top_k,
     fit,
     generate_matrix,
     train_incidence,
 )
-from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix
+from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, _top_k
 from recfuse.data import SplitSpec, split_folds
 
 
@@ -339,7 +338,7 @@ class TestTfidfEqualsCosineOnBinaryData:
         assert common_items(train).any() == common
         models = (fit(kind, train) for kind in
                   ("item-item-cosine", "item-knn", "item-item-tfidf"))
-        blocks = generate_matrix({0: models}, 10)._blocks
+        blocks = generate_matrix(0, models, 10)._blocks
         cos, tfidf = blocks[(0, "item-item-cosine")], blocks[(0, "item-item-tfidf")]
         shared = [getattr(cos, name) is getattr(tfidf, name)
                   for name in ("indptr", "scores")]
@@ -555,9 +554,14 @@ class TestGenerateMatrix:
             ]
         return by_fold, folds
 
+    @staticmethod
+    def scored(by_fold, k_max):
+        return PredictionMatrix.union([generate_matrix(f, by_fold[f], k_max)
+                                       for f in sorted(by_fold)])
+
     def test_matches_per_user_recommend(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, k_max=8)
+        matrix = self.scored(by_fold, k_max=8)
         split_by_index = {f.fold_index: f for f in folds}
         checked = 0
         for (fold, model_id, user), stored in matrix.entries():
@@ -569,13 +573,13 @@ class TestGenerateMatrix:
 
     def test_k_max_caps_list_length(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, k_max=3)
+        matrix = self.scored(by_fold, k_max=3)
         for _, stored in matrix.entries():
             assert len(stored) <= 3
 
     def test_covers_every_train_user(self, fold_models):
         by_fold, folds = fold_models
-        matrix = generate_matrix(by_fold, k_max=5)
+        matrix = self.scored(by_fold, k_max=5)
         for fold in folds:
             expected = sorted(u for u in fold.train if fold.train[u])
             for model in by_fold[fold.fold_index]:
@@ -584,7 +588,7 @@ class TestGenerateMatrix:
     def test_k_max_below_one_rejected(self, fold_models):
         by_fold, folds = fold_models
         with pytest.raises(ValueError, match="k_max must be >= 1"):
-            generate_matrix(by_fold, k_max=0)
+            generate_matrix(0, by_fold[0], k_max=0)
 
     def test_models_of_one_fold_on_different_train_sets_rejected(
             self, small_folds):
@@ -595,14 +599,15 @@ class TestGenerateMatrix:
                   fit("popularity", train_of(fewer_users), model_id="ppl2")]
         with pytest.raises(ValueError, match="model 'ppl2' was fitted on "
                                              "another train set"):
-            generate_matrix({0: models}, k_max=5)
+            generate_matrix(0, models, k_max=5)
 
     def test_folds_scored_apart_join_into_the_same_matrix(self, fold_models):
         by_fold, folds = fold_models
-        whole = generate_matrix(by_fold, k_max=5)
-        per_fold = [generate_matrix({f: by_fold[f]}, k_max=5)
+        per_fold = [generate_matrix(f, by_fold[f], k_max=5)
                     for f in sorted(by_fold)]
-        assert PredictionMatrix.union(per_fold) == whole
+        whole = PredictionMatrix.union(per_fold)
+        assert PredictionMatrix.union(per_fold[::-1]) == whole
+        assert whole.folds() == sorted(by_fold)
         for part in per_fold:
             fold = part.folds()[0]
             assert list(part.entries()) == [
@@ -621,9 +626,9 @@ class TestGenerateMatrix:
                 yield model
                 del model
 
-        lazy = generate_matrix({0: models()}, k_max=5)
+        lazy = generate_matrix(0, models(), k_max=5)
         assert seen == [0] * len(MODEL_KINDS)
-        eager = generate_matrix({0: [fit(kind, train) for kind in MODEL_KINDS]},
+        eager = generate_matrix(0, [fit(kind, train) for kind in MODEL_KINDS],
                                 k_max=5)
         assert lazy == eager
 
@@ -653,7 +658,7 @@ class TestGenerateMatrix:
                 second._rows[:] = [4.0, 3.0, 2.0, 1.0]  # a, b, c, d
             yield second
 
-        matrix = generate_matrix({0: models()}, k_max=1)
+        matrix = generate_matrix(0, models(), k_max=1)
         assert matched == [True]
         assert matrix.block(0, "a").items.tolist() == [3, 3, 3, 2]
         assert matrix.block(0, "b").items.tolist() == [1, 0, 0, 0]
@@ -771,7 +776,7 @@ def test_row_chunks_cannot_move_a_bit(chunk, pairs, nn, k_max):
                 train.rows, _weighted_columns(train, weights)),
         }
         models = [fit(kind, train, params={"nn": nn}) for kind in MODEL_KINDS]
-        matrix = generate_matrix({0: models}, k_max)
+        matrix = generate_matrix(0, models, k_max)
     for kind in ("item-knn", "user-knn"):
         got[kind] = np.ascontiguousarray(
             models[MODEL_KINDS.index(kind)].similarity)

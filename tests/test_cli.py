@@ -139,8 +139,8 @@ class TestFuse:
         _, config_path = run_dir
         real_generate = harness.generate_matrix
 
-        def one_empty_list(models_by_fold, k_max):
-            entries = dict(real_generate(models_by_fold, k_max).entries())
+        def one_empty_list(fold, models, k_max):
+            entries = dict(real_generate(fold, models, k_max).entries())
             entries[next(key for key in entries if key[1] == "uknn")] = []
             return PredictionMatrix.from_entries(entries)
 

@@ -37,7 +37,7 @@ from recfuse.data import (
     write_weights,
 )
 from recfuse.core import ModelWeights
-from recfuse.synthetic import generate_interactions
+from recfuse.synthetic import _top_quota, generate_interactions
 
 
 class TestPinnedRng:
@@ -227,6 +227,32 @@ def test_generate_interactions_meets_the_total_exactly(
 
 def test_generate_interactions_allows_users_without_events():
     assert len(generate_interactions(10, 4, 5, seed=3).user_items()) == 5
+
+
+@st.composite
+def quota_cuts(draw):
+    """Small integer scores, so ties are many, and quotas from 0 to the
+    catalog size."""
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    scores = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n_items, max_size=n_items),
+        min_size=n_users, max_size=n_users))
+    return scores, draw(st.lists(st.integers(0, n_items), min_size=n_users,
+                                 max_size=n_users))
+
+
+@given(quota_cuts())
+@example(([[0, 0, 0, 0]] * 3, [0, 4, 2]))  # all tied; none and all kept
+@example(([[1, 1], [0, 1]], [0, 0]))       # no user keeps an item
+@settings(max_examples=300, deadline=None)
+def test_quota_cut_is_each_users_stable_argsort_head(cut):
+    """A user's events are the head of a stable argsort of the negated
+    scores (ties to the lower item index), in item order, users end to end."""
+    scores, quotas = np.array(cut[0], dtype=np.float64), cut[1]
+    want = [np.sort(np.argsort(-row, kind="stable")[:q]).tolist()
+            for row, q in zip(scores, quotas)]
+    got = _top_quota(scores, np.array(quotas)).tolist()
+    assert got == [item for head in want for item in head]
 
 
 @pytest.mark.parametrize("recipe,message", [

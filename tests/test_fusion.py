@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import indexed_pairs
 from recfuse.core import FoldSplit, ModelWeights, PredictionMatrix, ScoredItem
@@ -84,42 +84,83 @@ class TestNormalize:
 
 @st.composite
 def minmax_instances(draw):
-    """One fold of one or two models. Lists may be empty (before, between
-    or after filled ones), hold one entry or one repeated score, and mix
-    magnitudes from 1e-12 to 1e9."""
+    """One or two folds of one or two models. Lists may be empty (before,
+    between or after filled ones), hold one entry or one repeated score, and
+    mix magnitudes from 5e-324 to 1e308, -0.0 beside 0.0, and ranges wider
+    than a float64 holds."""
     values = st.one_of(st.floats(-1e9, 1e9), st.floats(-1e-12, 1e-12),
-                       st.sampled_from((0.0, 0.5, 3.0)))
+                       st.sampled_from((0.0, -0.0, 0.5, 3.0, 5e-324, 1e308,
+                                        -1e308)))
     entries = {}
-    for m in range(draw(st.integers(1, 2))):
-        for u in range(draw(st.integers(1, 5))):
-            scores = sorted(draw(st.lists(values, max_size=4)), reverse=True)
-            entries[(0, f"m{m}", f"u{u}")] = [
-                ScoredItem(f"i{j}", s) for j, s in enumerate(scores)]
+    for f in range(draw(st.integers(1, 2))):
+        for m in range(draw(st.integers(1, 2))):
+            for u in range(draw(st.integers(1, 5))):
+                scores = sorted(draw(st.lists(values, max_size=4)),
+                                reverse=True)
+                entries[(f, f"m{m}", f"u{u}")] = [
+                    ScoredItem(f"i{j}", s) for j, s in enumerate(scores)]
     return PredictionMatrix.from_entries(entries)
 
 
 def minmax_by_loop(matrix, mode):
     """Each list rescaled, one score at a time, over its (fold, model)
-    block's scores (global) or its own (per user)."""
+    block's scores (global) or its own (per user), a minimum to +0.0; and
+    the first (fold, model) whose max - min overflows, or None."""
     lists = dict(matrix.entries())
-    expected = {}
+    expected, overflow = {}, []
     for key, lst in lists.items():
         span = [si.score for other, scored in lists.items()
                 if other == key or (mode == "global-minmax"
                                     and other[:2] == key[:2])
                 for si in scored]
         lo, hi = (min(span), max(span)) if span else (0.0, 0.0)
-        expected[key] = [(si.score - lo) / (hi - lo) if hi > lo else 1.0
+        if not math.isfinite(hi - lo):
+            overflow.append(key[:2])
+        expected[key] = [(si.score - lo) / (hi - lo) + 0.0 if hi > lo else 1.0
                          for si in lst]
-    return expected
+    return expected, min(overflow, default=None)
 
 
 @given(minmax_instances(), st.sampled_from(NORMALIZATION_MODES))
+# A range wider than a float64: max - min overflows.
+@example(PredictionMatrix.from_entries({(0, "ext", "u1"): [
+    ScoredItem("a", 1e308), ScoredItem("b", 0.0), ScoredItem("c", -1e308)]}),
+    "global-minmax")
+@example(PredictionMatrix.from_entries({(0, "ext", "u1"): [
+    ScoredItem("a", 1e308), ScoredItem("b", 0.0), ScoredItem("c", -1e308)]}),
+    "per-user-minmax")
+# -0.0 tied with a later 0.0 at the minimum: both map to +0.0.
+@example(PredictionMatrix.from_entries({(0, "ext", "u1"): [
+    ScoredItem("a", 1.0), ScoredItem("b", -0.0), ScoredItem("c", 0.0)]}),
+    "per-user-minmax")
 @settings(max_examples=300)
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
 def test_normalize_matches_per_list_loop(matrix, mode):
+    expected, overflow = minmax_by_loop(matrix, mode)
+    if overflow is not None:
+        fold, model = overflow
+        with pytest.raises(ValueError, match=f"scores of model '{model}' in "
+                                             f"fold {fold} span more than"):
+            normalize_scores(matrix, mode)
+        return
     normed = normalize_scores(matrix, mode)
-    got = {key: [si.score for si in lst] for key, lst in normed.entries()}
-    assert got == minmax_by_loop(matrix, mode)
+    got = {key: [float.hex(si.score) for si in lst]
+           for key, lst in normed.entries()}
+    assert got == {key: [float.hex(v) for v in values]
+                   for key, values in expected.items()}
+
+
+def test_normalized_zeros_fuse():
+    # A -0.0 tied with 0.0 at a list's minimum must normalize to +0.0, as
+    # FoldFuser rejects a negative sign.
+    matrix = normalize_scores(PredictionMatrix.from_entries({
+        (0, "ext", "u1"): [ScoredItem("a", 1.0), ScoredItem("b", -0.0),
+                           ScoredItem("c", 0.0)]}), "per-user-minmax")
+    weights = ModelWeights({(0, "ext"): 1.0}, 3)
+    _, items, scores = FoldFuser(matrix, 0, 3).top_n(["ext"], weights, 3)
+    assert items.tolist() == [0, 1, 2]
+    assert [float.hex(s) for s in scores] == [float.hex(v)
+                                              for v in (1.0, 0.0, 0.0)]
 
 
 class TestFuseUser:

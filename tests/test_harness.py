@@ -612,7 +612,7 @@ def test_fold_fits_hold_one_item_square_beside_the_incidence():
         for array in (csr.indptr, csr.indices))
     del train
     _, peak = _traced_peak(lambda: generate_matrix(
-        {0: _fit_fold_models(cfg, split)}, cfg.max_k()))
+        0, _fit_fold_models(cfg, split), cfg.max_k()))
     assert peak - incidence < 2 * n_items ** 2 * 8
 
 
@@ -651,7 +651,7 @@ def test_fold_fits_make_no_users_by_items_array():
     users = sum(1 for items in split.train.values() if items)
     items = len({i for held in split.train.values() for i in held})
     _, peak = _traced_peak(lambda: generate_matrix(
-        {0: _fit_fold_models(cfg, split)}, cfg.max_k()))
+        0, _fit_fold_models(cfg, split), cfg.max_k()))
     assert peak < users * items * 8
 
 
@@ -686,7 +686,7 @@ def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
     monkeypatch.setattr(harness, "train_incidence", incidence)
     monkeypatch.setattr(baselines, "_cosine", cosine)
     monkeypatch.setattr(harness, "fit", fit)
-    blocks = generate_matrix({0: harness.fit_roster(split, roster)}, 5)._blocks
+    blocks = generate_matrix(0, harness.fit_roster(split, roster), 5)._blocks
     assert not common_items(trains[0]).any()  # so tfidf shares it
     assert len(built) == 1
     assert alive == [[], [True], [True], [True], [False], [False]]

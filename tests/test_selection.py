@@ -344,15 +344,15 @@ class TestEvaluateEnsemble:
 @pytest.fixture(scope="module")
 def small_bundle(small_folds):
     folds = small_folds[:2]
-    by_fold = {}
+    parts = []
     for fold in folds:
         train = train_incidence(fold.indexed_subset("train"))
-        by_fold[fold.fold_index] = [
+        parts.append(generate_matrix(fold.fold_index, [
             fit("popularity", train, model_id="ppl"),
             fit("item-item-cosine", train, params={"nn": 5}, model_id="cos"),
             fit("user-knn", train, params={"nn": 5}, model_id="uknn"),
-        ]
-    raw = generate_matrix(by_fold, k_max=10)
+        ], k_max=10))
+    raw = PredictionMatrix.union(parts)
     normalized = normalize_scores(raw)
     weights = compute_weights(raw, validation_keys(raw, folds), n=5)
     return normalized, weights, folds
