@@ -7,7 +7,7 @@ against the validation holdout to see how they compare before any fusion.
 """
 
 from recfuse.baselines import MODEL_KINDS, fit, train_incidence
-from recfuse.data import SplitSpec, split_folds
+from recfuse.data import split_folds
 from recfuse.metrics import ndcg_model
 from recfuse.synthetic import generate_interactions
 
@@ -15,7 +15,7 @@ from recfuse.synthetic import generate_interactions
 def main():
     dataset = generate_interactions(n_users=200, n_items=150,
                                     n_interactions=6000, seed=7)
-    folds = split_folds(dataset, SplitSpec(seed=42, n_folds=3))
+    folds = split_folds(dataset, seed=42, n_folds=3)
 
     split = folds[0]
     sizes = [(len(split.pairs("train")), len(split.pairs("validation")),

@@ -8,7 +8,7 @@ well on validation therefore pulls the fused order toward its view.
 
 from recfuse.baselines import fit, generate_matrix, train_incidence
 from recfuse.core import PredictionMatrix
-from recfuse.data import SplitSpec, split_folds
+from recfuse.data import split_folds
 from recfuse.fusion import fuse_all, fuse_user, normalize_scores
 from recfuse.metrics import holdout_keys
 from recfuse.selection import compute_weights
@@ -18,7 +18,7 @@ from recfuse.synthetic import generate_interactions
 def main():
     dataset = generate_interactions(n_users=120, n_items=100,
                                     n_interactions=3600, seed=3)
-    folds = split_folds(dataset, SplitSpec(seed=11, n_folds=2))
+    folds = split_folds(dataset, seed=11, n_folds=2)
 
     # Each fold's models score their lists; the folds join into one matrix.
     parts = []

@@ -9,7 +9,7 @@ they evaluate, so the search is fully auditable after the fact.
 from recfuse.baselines import fit, generate_matrix, train_incidence
 from recfuse.core import PredictionMatrix
 from recfuse.fusion import FoldFuser, normalize_scores
-from recfuse.data import SplitSpec, split_folds
+from recfuse.data import split_folds
 from recfuse.metrics import holdout_keys
 from recfuse.selection import (
     MemoizedEval,
@@ -23,7 +23,7 @@ from recfuse.synthetic import generate_interactions
 def main():
     dataset = generate_interactions(n_users=150, n_items=120,
                                     n_interactions=4500, seed=19)
-    folds = split_folds(dataset, SplitSpec(seed=5, n_folds=2))
+    folds = split_folds(dataset, seed=5, n_folds=2)
 
     roster = (("popularity", "ppl"), ("item-item-cosine", "cos"),
               ("item-item-bm25", "bm25"), ("user-knn", "uknn"))

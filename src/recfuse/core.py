@@ -359,16 +359,20 @@ class FoldSplit:
 LIST_FAULTS = ("not contiguous", "non-increasing", "tie order", "duplicate item")
 
 
-_JSON_NAMES = {float: "number", str: "string", Mapping: "object"}
+# JSON type -> (Python types accepted, name in messages). A JSON number may
+# be written without a fraction; a list may arrive as a tuple, as
+# canonical_dict() writes it.
+_JSON_TYPES = {bool: ((bool,), "JSON bool"), int: ((int,), "JSON int"),
+               float: ((int, float), "JSON number"), str: ((str,), "JSON string"),
+               Mapping: ((Mapping,), "JSON object"), list: ((list, tuple), "list")}
 
 
 def _json_typed(value, key: str, kind: type):
-    # bool is an int subclass: JSON true/false must not pass as 1/0. A JSON
-    # number (kind float) may be written without a fraction.
-    name = _JSON_NAMES.get(kind, kind.__name__)
-    if not isinstance(value, (int, float) if kind is float else kind) or (
+    # bool is an int subclass: JSON true/false must not pass as 1/0.
+    accepted, name = _JSON_TYPES[kind]
+    if not isinstance(value, accepted) or (
             kind is not bool and isinstance(value, bool)):
-        raise ValueError(f"{key} must be a JSON {name}, got {value!r}")
+        raise ValueError(f"{key} must be a {name}, got {value!r}")
     return value
 
 
@@ -419,7 +423,9 @@ class PredictionMatrix:
     The central exchange format of the pipeline. Lists are sorted by score
     descending with ties broken by item id ascending, contain no duplicate
     items, and hold only finite scores; each producer of new lists checks
-    them once (`_validate`), so downstream code never re-checks them.
+    them once (`_validate`), so downstream code never re-checks them. The
+    one exception is `normalize_scores`, whose rounding can tie two items
+    out of id order; its lists keep their raw order and are not checked.
     """
 
     def __init__(self, user_index: IdIndex, item_index: IdIndex,

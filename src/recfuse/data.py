@@ -22,7 +22,6 @@ import csv
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
@@ -124,20 +123,9 @@ def _shuffled(seeds: np.ndarray, counts: np.ndarray) -> np.ndarray:
 MIN_SPLIT_INTERACTIONS = 5
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Parameters of the per-user random split."""
-
-    seed: int
-    n_folds: int = 5
-
-    def __post_init__(self):
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be >= 2")
-
-
-def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]:
-    """Independent seeded train/validation/test re-splits of a dataset.
+def split_folds(dataset: InteractionDataset, seed: int, n_folds: int = 5
+                ) -> list[FoldSplit]:
+    """`n_folds` independent seeded train/validation/test re-splits.
 
     Per user and fold: the user's n interactions, in item-id order, are
     shuffled, then the last n // 5 go to test, the n // 5 before them to
@@ -145,6 +133,8 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
     Users with fewer than MIN_SPLIT_INTERACTIONS interactions go entirely
     to train. Each fold is a subset code per pair of `dataset.indexed`.
     """
+    if n_folds < 2:
+        raise ValueError("n_folds must be >= 2")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     indexed = dataset.indexed
@@ -165,7 +155,7 @@ def split_folds(dataset: InteractionDataset, spec: SplitSpec) -> list[FoldSplit]
 
     folds = []
     for fold_index, fold_seed in enumerate(
-            splitmix64_stream(spec.seed, spec.n_folds)):
+            splitmix64_stream(seed, n_folds)):
         codes = np.zeros(len(dataset), dtype=np.uint8)
         codes[starts + _shuffled(fold_seed ^ hashes, lane_counts)] = subsets
         folds.append(FoldSplit._of_codes(fold_index, indexed, codes))
@@ -345,17 +335,22 @@ def write_matrix(matrix: PredictionMatrix, path: str | Path):
                               format_score(si.score)) for si in items)
 
 
+def _parse_fold(text: str) -> int:
+    try:
+        fold = int(text)
+    except ValueError:
+        raise ValueError(f"fold {text!r} is not an integer") from None
+    if fold < 0:
+        raise ValueError("fold must be >= 0")
+    return fold
+
+
 def _parse_matrix_row(row: list[str]) -> tuple[int, str, str, str, float]:
     """One data row's fields, or ValueError naming the first bad field."""
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
     fold_s, model, user, item, score_s = row
-    try:
-        fold = int(fold_s)
-    except ValueError:
-        raise ValueError(f"fold {fold_s!r} is not an integer") from None
-    if fold < 0:
-        raise ValueError("fold must be >= 0")
+    fold = _parse_fold(fold_s)
     if not model or not user or not item:
         raise ValueError("empty id field")
     try:
@@ -599,17 +594,22 @@ def read_splits(path: str | Path) -> list[FoldSplit]:
     """Read a split audit CSV back into FoldSplit objects."""
     path = Path(path)
     per_fold: dict[int, dict[str, dict[str, set[str]]]] = {}
+    subset_of: dict[tuple[int, str, str], str] = {}
     for line_no, row in _data_rows(path, SPLITS_HEADER):
-        if len(row) != 4:
-            raise ValueError(f"{path}: line {line_no}: expected 4 fields")
-        fold_s, user, item, subset = row
         try:
-            fold = int(fold_s)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: fold {fold_s!r} "
-                             f"is not an integer") from None
-        if subset not in ("train", "validation", "test"):
-            raise ValueError(f"{path}: line {line_no}: unknown subset {subset!r}")
+            if len(row) != 4:
+                raise ValueError("expected 4 fields")
+            fold_s, user, item, subset = row
+            fold = _parse_fold(fold_s)
+            if not user or not item:
+                raise ValueError("empty id field")
+            if subset not in SUBSETS:
+                raise ValueError(f"unknown subset {subset!r}")
+            if subset_of.setdefault((fold, user, item), subset) != subset:
+                raise ValueError(
+                    f"subsets overlap for user {user!r} in fold {fold}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
         per_fold.setdefault(fold, {"train": {}, "validation": {}, "test": {}})
         per_fold[fold][subset].setdefault(user, set()).add(item)
     if not per_fold:
@@ -635,24 +635,31 @@ def read_weights(path: str | Path) -> ModelWeights:
     table: dict[tuple[int, str], float] = {}
     cutoff = None
     for line_no, row in _data_rows(path, WEIGHTS_HEADER):
-        if len(row) != 4:
-            raise ValueError(f"{path}: line {line_no}: expected 4 fields")
-        fold_s, model, n_s, weight_s = row
         try:
-            fold = int(fold_s)
-            n = int(n_s)
-            weight = float(weight_s)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: malformed row") from None
-        if cutoff is None:
-            cutoff = n
-        elif n != cutoff:
-            raise ValueError(f"{path}: line {line_no}: mixed cutoff n")
-        key = (fold, model)
-        if key in table:
-            raise ValueError(f"{path}: line {line_no}: duplicate weight "
-                             f"for fold {fold}, model {model!r}")
-        table[key] = weight
+            if len(row) != 4:
+                raise ValueError("expected 4 fields")
+            fold_s, model, n_s, weight_s = row
+            fold = _parse_fold(fold_s)
+            if not model:
+                raise ValueError("empty id field")
+            try:
+                n, weight = int(n_s), float(weight_s)
+            except ValueError:
+                raise ValueError("malformed row") from None
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            if not 0.0 <= weight <= 1.0:
+                raise ValueError(f"weight {weight_s!r} must be in [0, 1]")
+            if cutoff is None:
+                cutoff = n
+            elif n != cutoff:
+                raise ValueError("mixed cutoff n")
+            if (fold, model) in table:
+                raise ValueError(
+                    f"duplicate weight for fold {fold}, model {model!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        table[fold, model] = weight
     if cutoff is None:
         raise ValueError(f"{path}: no data rows")
     return ModelWeights(table, cutoff)

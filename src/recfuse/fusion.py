@@ -76,8 +76,9 @@ def normalize_scores(matrix: PredictionMatrix, mode: str = "global-minmax"
     fold; 'per-user-minmax' rescales each user's list independently.
     Min-max never decreases along a list, so within-list order never
     changes, though rounding can tie two adjacent scores with their items
-    out of id order. A stretch whose max - min overflows float64 raises
-    ValueError.
+    out of id order. Such lists keep their raw order and are not checked
+    again: a cut at k follows the stored order, and fusion breaks ties by
+    item id. A stretch whose max - min overflows float64 raises ValueError.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")

@@ -38,7 +38,6 @@ from recfuse.baselines import (
 )
 from recfuse.core import (
     FoldSplit,
-    InteractionDataset,
     ModelWeights,
     PredictionMatrix,
     _json_typed,
@@ -51,7 +50,6 @@ from recfuse.data import (
     load_interactions,
     read_matrix,
     split_folds,
-    SplitSpec,
     write_splits,
     write_weights,
 )
@@ -125,17 +123,21 @@ SELECTION_SPLITS = ("validation", "paper-faithful")
 SELECTION_SCOPES = ("per-fold", "fixed-subset")
 
 
-def _reject_unknown(mapping: Mapping, allowed: Sequence[str], context: str):
-    keys = set(_json_typed(mapping, context, Mapping))
-    unknown = sorted(keys - set(allowed))
+def _json_object(raw, context: str, types: Mapping[str, type],
+                 required: Sequence[str] = (), nullable: Sequence[str] = ()
+                 ) -> Mapping:
+    """`raw`, checked as a JSON object of `types`' keys, each value of its
+    key's JSON type. A null passes only for a `nullable` key, as absent."""
+    unknown = sorted(set(_json_typed(raw, context, Mapping)) - set(types))
     if unknown:
         raise ValueError(f"unknown {context} key(s): {', '.join(unknown)}")
-
-
-def _json_ints(values, key: str) -> tuple[int, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key} must be a list of integers, got {values!r}")
-    return tuple(sorted({_json_typed(v, f"{key} entry", int) for v in values}))
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{context} is missing required key {key!r}")
+    for key, value in raw.items():
+        if value is not None or key not in nullable:
+            _json_typed(value, f"{context} {key}", types[key])
+    return raw
 
 
 @dataclass(frozen=True)
@@ -148,35 +150,29 @@ class DatasetConfig:
     columns: Mapping[str, str | int] | None = None
     synthetic: Mapping[str, int | float] | None = None
 
-    _KEYS = ("name", "path", "format", "columns", "synthetic")
+    _TYPES = {"name": str, "path": str, "format": str, "columns": Mapping,
+              "synthetic": Mapping}
     _SYN_TYPES = {"n_users": int, "n_items": int, "n_interactions": int,
                   "seed": int, "n_factors": int, "popularity_weight": float,
                   "noise_scale": float}
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "DatasetConfig":
-        _reject_unknown(raw, cls._KEYS, "dataset")
-        if not _json_typed(raw.get("name"), "dataset name", str):
+        name = _json_typed(raw, "dataset", Mapping).get("name")
+        if not _json_typed(name, "dataset name", str):
             raise ValueError("dataset name must be nonempty")
-        cfg = cls(**raw)
-        context = f"dataset {cfg.name!r}"
+        context = f"dataset {name!r}"
+        cfg = cls(**_json_object(raw, context, cls._TYPES,
+                                 nullable=("path", "columns", "synthetic")))
         if (cfg.path is None) == (cfg.synthetic is None):
             raise ValueError(
                 f"{context} needs exactly one of 'path' or 'synthetic'")
         if cfg.synthetic is None:
-            _json_typed(cfg.path, f"{context} path", str)
-            _json_typed(cfg.format, f"{context} format", str)
-            if cfg.columns is not None:
-                _json_typed(cfg.columns, f"{context} columns", Mapping)
             check_interaction_format(cfg.format, cfg.columns)
             return cfg
         context += " synthetic"
-        _reject_unknown(cfg.synthetic, cls._SYN_TYPES, context)
-        for key in ("n_users", "n_items", "n_interactions"):
-            if key not in cfg.synthetic:
-                raise ValueError(f"{context} needs {key!r}")
-        for key, value in cfg.synthetic.items():
-            _json_typed(value, f"{context} {key}", cls._SYN_TYPES[key])
+        _json_object(cfg.synthetic, context, cls._SYN_TYPES,
+                     required=("n_users", "n_items", "n_interactions"))
         try:
             check_recipe(**{key: value for key, value in cfg.synthetic.items()
                             if key != "seed"})
@@ -194,27 +190,24 @@ class ModelConfig:
     params: Mapping[str, float] | None = None
     matrix: str | None = None
 
-    _KEYS = ("id", "kind", "params", "matrix")
+    _TYPES = {"id": str, "kind": str, "params": Mapping, "matrix": str}
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ModelConfig":
-        _reject_unknown(raw, cls._KEYS, "model")
-        kind = raw.get("kind")
-        matrix = raw.get("matrix")
+        _json_object(raw, "model", cls._TYPES, nullable=tuple(cls._TYPES))
+        kind, matrix = raw.get("kind"), raw.get("matrix")
         if (kind is None) == (matrix is None):
             raise ValueError("model needs exactly one of 'kind' or 'matrix'")
         if kind is not None and kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        if matrix is not None:
-            _json_typed(matrix, "model matrix", str)
-            if "params" in raw:
-                raise ValueError("external matrix models take no params")
+        if matrix is not None and "params" in raw:
+            raise ValueError("external matrix models take no params")
         if raw.get("params") is not None:
-            fit_params(_json_typed(raw["params"], "model params", Mapping))
+            fit_params(raw["params"])
         model_id = kind if raw.get("id") is None else raw["id"]
         if model_id is None:
             raise ValueError("external matrix model needs an 'id'")
-        if not _json_typed(model_id, "model id", str):
+        if not model_id:
             raise ValueError("model id must be nonempty")
         for ch in "+,":
             if ch in model_id:
@@ -229,12 +222,11 @@ class SelectionConfig:
     split: str = "validation"
     scope: str = "per-fold"
 
-    _KEYS = ("mode", "split", "scope")
+    _TYPES = {"mode": str, "split": str, "scope": str}
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "SelectionConfig":
-        _reject_unknown(raw, cls._KEYS, "selection")
-        cfg = cls(**raw)
+        cfg = cls(**_json_object(raw, "selection", cls._TYPES))
         if cfg.mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {cfg.mode!r}")
         if cfg.split not in SELECTION_SPLITS:
@@ -266,36 +258,28 @@ class ExperimentConfig:
     n_folds: int = 5
     include_empty_holdout_users: bool = False
 
-    _KEYS = ("seed", "output_dir", "datasets", "models", "n_values",
-             "k_values", "table_k", "selection", "normalization", "n_folds",
-             "include_empty_holdout_users")
+    _TYPES = {"seed": int, "output_dir": str, "datasets": list,
+              "models": list, "n_values": list, "k_values": list,
+              "table_k": int, "selection": Mapping, "normalization": str,
+              "n_folds": int, "include_empty_holdout_users": bool}
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
         """Check and build from parsed JSON; an absent key takes the
         field's default."""
-        _reject_unknown(raw, cls._KEYS, "config")
-        for key in ("seed", "output_dir", "datasets", "models"):
-            if key not in raw:
-                raise ValueError(f"config is missing required key {key!r}")
-        for key in ("datasets", "models"):
-            if not isinstance(raw[key], (list, tuple)):
-                raise ValueError(f"{key} must be a list, got {raw[key]!r}")
-        kwargs = dict(raw)
+        kwargs = dict(_json_object(
+            raw, "config", cls._TYPES, nullable=("table_k",),
+            required=("seed", "output_dir", "datasets", "models")))
         kwargs["datasets"] = tuple(
             DatasetConfig.from_dict(d) for d in raw["datasets"])
         kwargs["models"] = tuple(ModelConfig.from_dict(m) for m in raw["models"])
         if "selection" in raw:
             kwargs["selection"] = SelectionConfig.from_dict(raw["selection"])
-        for key, kind in (("seed", int), ("output_dir", str), ("n_folds", int),
-                          ("include_empty_holdout_users", bool)):
-            if key in raw:
-                _json_typed(raw[key], key, kind)
         for key in ("n_values", "k_values"):
             if key in raw:
-                kwargs[key] = _json_ints(raw[key], key)
-        if raw.get("table_k") is not None:
-            _json_typed(raw["table_k"], "table_k", int)
+                kwargs[key] = tuple(sorted({
+                    _json_typed(v, f"config {key} entry", int)
+                    for v in raw[key]}))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -404,20 +388,16 @@ class DatasetBundle:
     _test_tables: dict = field(default_factory=dict)
 
 
-def _load_dataset(config: ExperimentConfig, ds: DatasetConfig
-                  ) -> InteractionDataset:
-    if ds.synthetic is not None:
-        # Stable per-dataset default stream, decoupled from the split seed.
-        seed = (config.seed ^ fnv1a64(ds.name.encode("utf-8"))) & (2**64 - 1)
-        return generate_interactions(**{"seed": seed, **ds.synthetic})
-    return load_interactions(ds.path, ds.format, ds.columns)
-
-
 def split_dataset(config: ExperimentConfig, ds: DatasetConfig
                   ) -> list[FoldSplit]:
     """Load or generate one dataset and split it into the config's folds."""
-    return split_folds(_load_dataset(config, ds),
-                       SplitSpec(seed=config.seed, n_folds=config.n_folds))
+    if ds.synthetic is not None:
+        # Stable per-dataset default stream, decoupled from the split seed.
+        seed = (config.seed ^ fnv1a64(ds.name.encode("utf-8"))) & (2**64 - 1)
+        dataset = generate_interactions(**{"seed": seed, **ds.synthetic})
+    else:
+        dataset = load_interactions(ds.path, ds.format, ds.columns)
+    return split_folds(dataset, config.seed, config.n_folds)
 
 
 def fit_roster(split: FoldSplit, models: Sequence[ModelConfig]

@@ -5,7 +5,7 @@ import pytest
 
 from recfuse.baselines import train_incidence
 from recfuse.core import IndexedPairs, ScoredItem, PredictionMatrix
-from recfuse.data import SplitSpec, split_folds
+from recfuse.data import split_folds
 from recfuse.synthetic import generate_interactions
 
 # Filled by test_acceptance.py; printed after the run so the per-criterion
@@ -48,7 +48,7 @@ def small_dataset():
 
 @pytest.fixture(scope="session")
 def small_folds(small_dataset):
-    return split_folds(small_dataset, SplitSpec(seed=202, n_folds=5))
+    return split_folds(small_dataset, seed=202, n_folds=5)
 
 
 @pytest.fixture()

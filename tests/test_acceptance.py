@@ -18,7 +18,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from recfuse.cli import main as cli_main
 from recfuse.core import ScoredItem
-from recfuse.data import SplitSpec, read_splits, split_folds, write_splits
+from recfuse.data import read_splits, split_folds, write_splits
 from recfuse.fusion import fuse_user
 from recfuse.harness import (
     DEFAULT_K_VALUES,
@@ -345,7 +345,7 @@ def test_criterion_8_split_contract(tmp_path):
     for u, i in dataset.pairs():
         items_of.setdefault(u, set()).add(i)
     counts = Counter({u: len(s) for u, s in items_of.items()})
-    folds = split_folds(dataset, SplitSpec(seed=9, n_folds=5))
+    folds = split_folds(dataset, seed=9, n_folds=5)
     proportions = coverage = True
     for split in folds:
         for user, cnt in counts.items():

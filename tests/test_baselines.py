@@ -23,7 +23,6 @@ from recfuse.baselines import (
     train_incidence,
 )
 from recfuse.core import IdIndex, IndexedPairs, PredictionMatrix, _top_k
-from recfuse.data import SplitSpec, split_folds
 
 
 THREE_USERS = [("u1", "a"), ("u1", "b"), ("u2", "a"), ("u3", "b"), ("u3", "c")]

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,7 +23,6 @@ from recfuse.data import (
     _read_matrix_rows,
     _read_plain_matrix,
     _shuffled,
-    SplitSpec,
     fnv1a64,
     format_score,
     load_interactions,
@@ -109,11 +109,11 @@ def _shuffle(items: list, rng: SplitMix64):
         items[i], items[j] = items[j], items[i]
 
 
-def _reference_split(dataset, spec):
+def _reference_split(dataset, seed, n_folds):
     """split_folds one user and one draw at a time."""
     user_items = dataset.user_items()
-    seed_stream = SplitMix64(spec.seed)
-    fold_seeds = [seed_stream.next_u64() for _ in range(spec.n_folds)]
+    seed_stream = SplitMix64(seed)
+    fold_seeds = [seed_stream.next_u64() for _ in range(n_folds)]
     folds = []
     for fold_index, fold_seed in enumerate(fold_seeds):
         subsets = {"train": {}, "validation": {}, "test": {}}
@@ -336,7 +336,7 @@ class TestSplitFolds:
     @pytest.mark.parametrize("count", sorted(SIZES))
     def test_split_sizes(self, count):
         records = tuple(Interaction("u1", f"i{j}") for j in range(count))
-        folds = split_folds(InteractionDataset(records), SplitSpec(seed=1))
+        folds = split_folds(InteractionDataset(records), seed=1)
         n_train, n_val, n_test = self.SIZES[count]
         for fold in folds:
             assert len(fold.train["u1"]) == n_train
@@ -352,15 +352,19 @@ class TestSplitFolds:
                    | fold.pairs("test"))
             assert got == pairs
 
+    @pytest.mark.parametrize("n_folds", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, small_dataset, n_folds):
+        with pytest.raises(ValueError, match="n_folds must be >= 2"):
+            split_folds(small_dataset, seed=1, n_folds=n_folds)
+
     def test_same_seed_reproduces(self, small_dataset):
-        a = split_folds(small_dataset, SplitSpec(seed=77))
-        b = split_folds(small_dataset, SplitSpec(seed=77))
+        a = split_folds(small_dataset, seed=77)
+        b = split_folds(small_dataset, seed=77)
         for fa, fb in zip(a, b):
             assert fa == fb
 
     def test_matches_the_scalar_reference(self, small_dataset, small_folds):
-        assert small_folds == _reference_split(small_dataset,
-                                               SplitSpec(seed=202, n_folds=5))
+        assert small_folds == _reference_split(small_dataset, 202, 5)
 
     @given(st.dictionaries(st.text(min_size=1, max_size=3),
                            st.sets(st.text(min_size=1, max_size=2),
@@ -372,8 +376,8 @@ class TestSplitFolds:
         dataset = InteractionDataset(Interaction(user, item)
                                      for user, items in held.items()
                                      for item in items)
-        spec = SplitSpec(seed=seed, n_folds=2)
-        assert split_folds(dataset, spec) == _reference_split(dataset, spec)
+        assert (split_folds(dataset, seed, n_folds=2)
+                == _reference_split(dataset, seed, 2))
 
     def test_folds_differ_from_each_other(self, small_folds):
         assignments = [fold.pairs("test") for fold in small_folds]
@@ -381,7 +385,7 @@ class TestSplitFolds:
 
     def test_whole_dataset_proportions(self):
         ds = generate_interactions(1000, 400, 60000, seed=5)
-        folds = split_folds(ds, SplitSpec(seed=6))
+        folds = split_folds(ds, seed=6)
         total = len(ds)
         for fold in folds:
             train = sum(len(v) for v in fold.train.values())
@@ -546,7 +550,7 @@ class TestColumnLoader:
             write_interactions(dataset, events)
             dataset = load_interactions(events)
             assert dataset.pairs() == InteractionDataset(records).pairs()
-        folds = split_folds(dataset, SplitSpec(seed=3, n_folds=2))
+        folds = split_folds(dataset, seed=3, n_folds=2)
         got = tmp_path / "splits.csv"
         write_splits(folds, got)
         rows = []
@@ -640,6 +644,22 @@ class TestSplitsFiles:
         with pytest.raises(ValueError, match="line 2.*unknown subset"):
             read_splits(p)
 
+    @pytest.mark.parametrize("row,reason", [
+        ("-1,u1,b,train", "fold must be >= 0"),
+        ("0,u1,a,test", "subsets overlap for user 'u1' in fold 0"),
+        ("0,,b,train", "empty id field"),
+        ("0,u1,,train", "empty id field"),
+        ("x,u1,b,train", "fold 'x' is not an integer"),
+        ("0,u1,b", "expected 4 fields"),
+    ], ids=["negative-fold", "two-subsets", "empty-user", "empty-item",
+            "text-fold", "short-row"])
+    def test_bad_row_named_by_its_line(self, tmp_path, row, reason):
+        p = tmp_path / "s.csv"
+        p.write_text(f"fold,user,item,subset\n0,u1,a,train\n{row}\n"
+                     "1,u1,a,test\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: {reason}")):
+            read_splits(p)
+
 
 class TestWeightsFiles:
     def test_roundtrip(self, tmp_path):
@@ -655,6 +675,22 @@ class TestWeightsFiles:
         p = tmp_path / "w.csv"
         p.write_text("fold,model,n,weight\n0,A,5,0.5\n0,A,5,0.6\n")
         with pytest.raises(ValueError, match="duplicate weight"):
+            read_weights(p)
+
+    @pytest.mark.parametrize("row,reason", [
+        ("0,B,5,1.5", "weight '1.5' must be in [0, 1]"),
+        ("0,B,5,nan", "weight 'nan' must be in [0, 1]"),
+        ("0,B,0,0.5", "n must be >= 1"),
+        ("-1,B,5,0.5", "fold must be >= 0"),
+        ("0,,5,0.5", "empty id field"),
+        ("0,B,10,0.5", "mixed cutoff n"),
+        ("0,A,5,0.6", "duplicate weight for fold 0, model 'A'"),
+    ], ids=["weight-above-one", "weight-nan", "zero-n", "negative-fold",
+            "empty-model", "mixed-n", "duplicate"])
+    def test_bad_row_named_by_its_line(self, tmp_path, row, reason):
+        p = tmp_path / "w.csv"
+        p.write_text(f"fold,model,n,weight\n0,A,5,0.5\n{row}\n1,A,5,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: {reason}")):
             read_weights(p)
 
 

@@ -493,7 +493,35 @@ def fold_fuser_instances(draw):
     return matrix, weights, members, holdouts, k, n
 
 
+def rounding_tie(k):
+    """A global-minmax block whose raw scores for q and b normalize to one
+    score, 0.6708203932499368, with q still stored ahead of b against item
+    id order. Cut at k=2, the list keeps q; at k=3 the fused tie puts b,
+    the lower item id, in the top 2. Only u0's hit on q tells them apart."""
+    matrix = normalize_scores(PredictionMatrix.from_entries({
+        (0, "m0", "u0"): [ScoredItem("a", 0.7071067811865476),
+                          ScoredItem("q", 0.4743416490252569),
+                          ScoredItem("b", 0.47434164902525683),
+                          ScoredItem("c", 0.0)]}))
+    weights = ModelWeights({(0, "m0"): 1.0}, 1)
+    return matrix, weights, ["m0"], {"u0": frozenset({"q"})}, k, 2
+
+
+@pytest.mark.parametrize("k,top", [(2, ["a", "q"]), (3, ["a", "b"])])
+def test_normalized_ties_cut_in_stored_order_and_fuse_by_item_id(k, top):
+    matrix, weights, members, _, k, n = rounding_tie(k)
+    assert matrix.ranked_ids(0, "m0", "u0") == ["a", "q", "b", "c"]
+    with pytest.raises(ValueError, match="list not sorted"):
+        matrix._validate()
+    _, items, _ = FoldFuser(matrix, 0, k).top_n(members, weights, n)
+    assert [matrix.item_index.id(i) for i in items.tolist()] == top
+    assert fuse_all(matrix, weights, set(members), 0, k, n)["u0"].item_ids() \
+        == top
+
+
 @given(fold_fuser_instances(), st.booleans())
+@example(rounding_tie(2), False)
+@example(rounding_tie(3), False)
 @settings(max_examples=200)
 def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
     matrix, weights, members, holdouts, k, n = instance

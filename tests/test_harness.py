@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -45,6 +48,7 @@ from recfuse.harness import (
 )
 from recfuse.metrics import holdout_keys
 from recfuse.selection import EXHAUSTIVE_LIMIT
+from recfuse.synthetic import generate_interactions
 
 
 class TestConfidenceInterval:
@@ -429,6 +433,92 @@ class TestExperimentConfig:
         p.write_text(json.dumps(toy_config_dict()))
         assert ExperimentConfig.from_file(p) == \
             ExperimentConfig.from_dict(toy_config_dict())
+
+
+# -- the one JSON checker's rules -----------------------------------------------
+
+RECIPE = {"n_users": 30, "n_items": 40, "n_interactions": 500}
+# Every key of every config object, by the object that holds it.
+CHECKED_KEYS = [
+    (owner, key, kind)
+    for owner, types in (("config", ExperimentConfig._TYPES),
+                         ("dataset", DatasetConfig._TYPES),
+                         ("synthetic", DatasetConfig._SYN_TYPES),
+                         ("model", ModelConfig._TYPES),
+                         ("selection", SelectionConfig._TYPES))
+    for key, kind in types.items()]
+CONTEXTS = {"config": "config", "dataset": "dataset 's'",
+            "synthetic": "dataset 's' synthetic", "model": "model",
+            "selection": "selection"}
+NULLABLE = {"table_k", "path", "columns", "synthetic", "id", "kind", "params",
+            "matrix"}
+# One value of each JSON type, and the types each checked type accepts.
+JSON_SAMPLES = {"string": "x", "int": 7, "fraction": 1.5, "bool": True,
+                "object": {}, "list": []}
+ACCEPTS = {str: {"string"}, int: {"int"}, float: {"int", "fraction"},
+           bool: {"bool"}, Mapping: {"object"}, list: {"list"}}
+
+
+def config_with(owner, key, value):
+    """A loadable config but for `value` at `key` of an object of `owner`.
+    A key that names one of two sources sits beside the other."""
+    if owner == "config":
+        return toy_config_dict(**{key: value})
+    if owner == "selection":
+        return toy_config_dict(selection={key: value})
+    if owner == "model":
+        base = ({"id": "e", "matrix": "m.csv"} if key == "kind"
+                else {"kind": "popularity", "id": "m"})
+        return toy_config_dict(models=[{**base, key: value}])
+    if owner == "synthetic":
+        return toy_config_dict(datasets=[
+            {"name": "s", "synthetic": {**RECIPE, key: value}}])
+    base = ({"name": "s", "path": "x.csv"} if key == "synthetic"
+            else {"name": "s", "synthetic": RECIPE})
+    return toy_config_dict(datasets=[{**base, key: value}])
+
+
+def context_of(owner, key):
+    # A dataset's name is checked first, as it names the other keys' context.
+    return "dataset" if (owner, key) == ("dataset", "name") else CONTEXTS[owner]
+
+
+class TestJsonChecker:
+    def test_types_tables_name_every_field(self):
+        # A field added to a config class must be checked at load.
+        def names(cls, rename=None):
+            return {(rename or {}).get(f.name, f.name)
+                    for f in dataclasses.fields(cls)}
+
+        assert set(ExperimentConfig._TYPES) == names(ExperimentConfig)
+        assert set(DatasetConfig._TYPES) == names(DatasetConfig)
+        assert set(ModelConfig._TYPES) == names(ModelConfig,
+                                                {"model_id": "id"})
+        assert set(SelectionConfig._TYPES) == names(SelectionConfig)
+        assert set(DatasetConfig._SYN_TYPES) == set(
+            inspect.signature(generate_interactions).parameters)
+
+    @pytest.mark.parametrize("owner,key,kind", CHECKED_KEYS,
+                             ids=[f"{o}-{k}" for o, k, _ in CHECKED_KEYS])
+    def test_a_value_of_another_json_type_is_named(self, owner, key, kind):
+        prefix = f"{context_of(owner, key)} {key} must be a "
+        for name, value in JSON_SAMPLES.items():
+            if name in ACCEPTS[kind]:
+                continue
+            with pytest.raises(ValueError, match=re.escape(prefix)):
+                ExperimentConfig.from_dict(config_with(owner, key, value))
+
+    @pytest.mark.parametrize("owner,key,kind", CHECKED_KEYS,
+                             ids=[f"{o}-{k}" for o, k, _ in CHECKED_KEYS])
+    def test_null_passes_exactly_where_the_default_is_none(self, owner, key,
+                                                           kind):
+        raw = config_with(owner, key, None)
+        if key in NULLABLE:
+            ExperimentConfig.from_dict(raw)
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{context_of(owner, key)} {key} must be a")):
+                ExperimentConfig.from_dict(raw)
 
 
 # -- end-to-end runs -------------------------------------------------------------

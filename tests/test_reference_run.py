@@ -6,8 +6,10 @@ fold's models are refitted and every train user's list comes from
 `FittedModel.recommend`; the lists are min-max normalized one at a time,
 weighted by `ndcg_model` on the validation holdout, searched with
 `greedy_select` or `exhaustive_select` over `evaluate_ensemble`, and the
-picks scored on the test holdout. The weights files, the tables and the
-traces must hold exactly these numbers.
+picks scored on the test holdout, per fold or, in fixed-subset scope, on
+the cross-fold mean. The weights files, the tables with their means and
+percent columns, the traces, and every sweep row with its confidence
+interval must hold exactly these numbers.
 """
 
 import csv
@@ -18,8 +20,13 @@ from hypothesis import given, settings, strategies as st
 from recfuse.baselines import MODEL_KINDS, fit, train_incidence
 from recfuse.core import IdIndex, ModelWeights, PredictionMatrix
 from recfuse.data import format_score, read_splits, read_weights
-from recfuse.harness import ExperimentConfig, run_experiment
-from recfuse.metrics import ndcg_model
+from recfuse.harness import (
+    ExperimentConfig,
+    confidence_interval,
+    pct_vs_ppl,
+    run_experiment,
+)
+from recfuse.metrics import left_sum, ndcg_model
 from recfuse.selection import (
     evaluate_ensemble,
     exhaustive_select,
@@ -36,6 +43,7 @@ def tiny_configs(draw):
     n_values = sorted(draw(st.sets(st.sampled_from((5, 10)), min_size=1)))
     k_values = draw(st.sets(st.integers(5, 14), max_size=2)) | {n_values[-1]}
     nn = draw(st.integers(1, 6))
+    table_k = draw(st.none() | st.integers(n_values[-1], 14))
     return ExperimentConfig.from_dict({
         "seed": draw(st.integers(0, 2**32)),
         "output_dir": "",
@@ -47,12 +55,14 @@ def tiny_configs(draw):
                    for kind in MODEL_KINDS],
         "n_values": n_values,
         "k_values": sorted(k_values),
+        "table_k": table_k,
         "n_folds": draw(st.integers(2, 3)),
         "normalization": draw(st.sampled_from(
             ("global-minmax", "per-user-minmax"))),
         "selection": {
             "mode": draw(st.sampled_from(("greedy", "exhaustive"))),
-            "split": draw(st.sampled_from(("validation", "paper-faithful")))},
+            "split": draw(st.sampled_from(("validation", "paper-faithful"))),
+            "scope": draw(st.sampled_from(("per-fold", "fixed-subset")))},
         "include_empty_holdout_users": draw(st.booleans()),
     })
 
@@ -66,7 +76,7 @@ def reference_lists(config, splits):
             model = fit(m.kind, train, m.params, m.model_id)
             for user, items in split.train.items():
                 lists[split.fold_index, m.model_id, user] = model.recommend(
-                    user, config.max_k(), items)
+                    user, max(*config.k_values, config.table_k or 0), items)
     return lists
 
 
@@ -98,6 +108,44 @@ def model_ndcg(lists, split, model, kind, n, incl):
                       split.holdout(kind), n, incl)
 
 
+def mean(values):
+    return left_sum(values) / len(values)
+
+
+def reference_cell(config, splits, norm, weights, k, n):
+    """The (n, k) selection from the oracles: its trace rows as the trace
+    file holds them, and each fold's test score of its pick."""
+    sel, incl = config.selection, config.include_empty_holdout_users
+    search = greedy_select if sel.mode == "greedy" else exhaustive_select
+    ids = [m.model_id for m in config.models]
+
+    def score(members, split, holdout):
+        return evaluate_ensemble(members, norm, weights, split, k, n,
+                                 holdout, incl)
+
+    if sel.scope == "per-fold":
+        traces = [(s.fold_index, search(ids, lambda members, s=s: score(
+            members, s, sel.holdout))) for s in splits]
+        picks = [trace for _, trace in traces]
+    else:
+        traces = [("all", search(ids, lambda members: mean(
+            [score(members, s, sel.holdout) for s in splits])))]
+        picks = [traces[0][1]] * len(splits)
+    tests = [score(pick.chosen_members, s, "test")
+             for s, pick in zip(splits, picks)]
+    chosen = f"{sel.mode}-chosen"
+    rows = [(sel.mode, fold, step.members, sel.holdout, step.ndcg)
+            for fold, trace in traces for step in trace.steps]
+    if sel.holdout != "test":
+        rows += [(chosen, fold, trace.chosen_members, sel.holdout,
+                  trace.chosen_ndcg) for fold, trace in traces]
+    rows += [(chosen, s.fold_index, pick.chosen_members, "test", test)
+             for s, pick, test in zip(splits, picks, tests)]
+    return [[mode, str(fold), "+".join(sorted(members)), str(k), str(n),
+             split, format_score(ndcg)]
+            for mode, fold, members, split, ndcg in rows], tests
+
+
 def _rows(path):
     with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -115,36 +163,35 @@ def test_bundle_equals_the_oracle_pipeline(tmp_path_factory, config):
     lists = reference_lists(config, splits)
     norm = minmax(lists, config.normalization)
     ids = [m.model_id for m in config.models]
-    sel, incl = config.selection, config.include_empty_holdout_users
-    search = greedy_select if sel.mode == "greedy" else exhaustive_select
+    incl = config.include_empty_holdout_users
     for n in config.n_values:
         weights = ModelWeights({
             (s.fold_index, m): model_ndcg(lists, s, m, "validation", n, incl)
             for s in splits for m in ids}, n)
         assert read_weights(out / f"weights_tiny_{n}.csv") == weights
-        k = config.cell_table_k(n)
-        table = {row["model"]: [float(row[f"ndcg_fold{s.fold_index}"])
-                                for s in splits]
+        ks = [k for k in config.k_values if k >= n]
+        table_k = max(ks) if config.table_k is None else config.table_k
+        cells = {k: reference_cell(config, splits, norm, weights, k, n)
+                 for k in {table_k, *ks}}
+        scores = {m: [model_ndcg(lists, s, m, "test", n, incl)
+                      for s in splits] for m in ids}
+        means = {m: mean(v) for m, v in scores.items()}
+        trace, scores["ensemble"] = cells[table_k]
+        table = {row["model"]: row
                  for row in _rows(out / f"tables_tiny_{n}.csv")}
-        for m in ids:
-            assert table[m] == [model_ndcg(lists, s, m, "test", n, incl)
-                                for s in splits], m
-        chosen = f"{sel.mode}-chosen"
-        steps, picks, tests = [], [], []
-        for s in splits:
-            trace = search(ids, lambda members, s=s: evaluate_ensemble(
-                members, norm, weights, s, k, n, sel.holdout, incl))
-            steps += [(sel.mode, s.fold_index, step.members, sel.holdout,
-                       step.ndcg) for step in trace.steps]
-            picks.append((chosen, s.fold_index, trace.chosen_members,
-                          sel.holdout, trace.chosen_ndcg))
-            tests.append((chosen, s.fold_index, trace.chosen_members, "test",
-                          evaluate_ensemble(trace.chosen_members, norm,
-                                            weights, s, k, n, "test", incl)))
-        assert table["ensemble"] == [row[-1] for row in tests]
-        want = steps + (picks if sel.holdout != "test" else []) + tests
+        assert list(table) == [*ids, "ensemble"]
+        for m, row in table.items():
+            assert [float(row[f"ndcg_fold{s.fold_index}"])
+                    for s in splits] == scores[m], m
+            assert float(row["mean"]) == mean(scores[m]), m
+            pct = pct_vs_ppl(mean(scores[m]), means["popularity"])
+            assert row["pct_vs_ppl"] == ("n/a" if pct is None else str(pct))
         assert [list(row.values())
-                for row in _rows(out / f"trace_tiny_{n}.csv")] == [
-            [mode, str(fold), "+".join(sorted(members)), str(k), str(n),
-             split, format_score(ndcg)]
-            for mode, fold, members, split, ndcg in want]
+                for row in _rows(out / f"trace_tiny_{n}.csv")] == trace
+        best = min(means, key=lambda m: (-means[m], m))
+        assert [list(row.values())
+                for row in _rows(out / f"sweep_tiny_{n}.csv")] == [
+            ["tiny", str(n), str(k), *map(format_score, (
+                mean(cells[k][1]), *confidence_interval(cells[k][1]))),
+             best, format_score(means[best])]
+            for k in ks]
