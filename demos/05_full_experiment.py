@@ -14,7 +14,11 @@ from recfuse.harness import ExperimentConfig, run_experiment
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="recfuse_demo_"))
+    with tempfile.TemporaryDirectory(prefix="recfuse_demo_") as workdir:
+        report(Path(workdir))
+
+
+def report(workdir):
     config = ExperimentConfig.from_dict({
         "seed": 8,
         "output_dir": str(workdir / "report"),

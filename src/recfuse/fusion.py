@@ -133,23 +133,16 @@ def fuse_all(matrix: PredictionMatrix, weights: ModelWeights,
     member_list = sorted(set(members))
     if not member_list:
         raise ValueError("no models")
+    lists: dict[str, dict[str, Sequence[ScoredItem]]] = {}
     for model in member_list:
         if not matrix.has_block(fold, model):
             raise ValueError(f"no lists for model {model!r} in fold {fold}")
-    covered: set[str] = set()
-    for model in member_list:
-        covered.update(matrix.users(fold, model))
-    out: dict[str, FusedList] = {}
-    for user in sorted(covered):
-        lists: dict[str, Sequence[ScoredItem]] = {}
-        for model in member_list:
-            try:
-                lists[model] = matrix.scored_list(fold, model, user)
-            except KeyError:
-                continue
-        w = {m: weights.weight(fold, m) for m in lists}
-        out[user] = fuse_user(lists, w, k, n, user_id=user)
-    return out
+        for user in matrix.users(fold, model):
+            lists.setdefault(user, {})[model] = matrix.scored_list(
+                fold, model, user)
+    w = {model: weights.weight(fold, model) for model in member_list}
+    return {user: fuse_user(by_model, w, k, n, user_id=user)
+            for user, by_model in sorted(lists.items())}
 
 
 class FoldFuser:
@@ -158,14 +151,14 @@ class FoldFuser:
 
     The union of every model's top-k (user, item) pairs is laid out as a
     grid: a row per user, items ascending, padded to the widest row. Each
-    model keeps a float64 row of its scores over the grid (0.0 where it
-    holds nothing) and a bool row marking its cells. A candidate's fused
-    grid is its first member's weighted row plus each further one's, in
-    sorted member order, over the OR of their marks; one np.partition finds
-    each row's n-th best. This equals fuse_all bit for bit (tested): scores
-    (checked at build) and weights are non-negative, so an absent cell adds
-    +0.0 and the first product equals the reference's 0.0 + a, and an
-    absent 0.0 is at or below every fused score at the cut.
+    model keeps a float64 row of its scores over the grid, -0.0 where it
+    holds nothing. A candidate's fused grid adds each member's row times
+    (weight + 0.0) in sorted member order; its cells are those whose sign
+    bit is clear, and one np.partition finds each row's n-th best. This
+    equals fuse_all bit for bit (tested): scores (checked at build) and
+    weight + 0.0 have a clear sign bit and -0.0 + a == a, so a cell keeps its
+    sign bit while no member holds it, a covered cell's sum is the
+    reference's 0.0 + w * s + ..., and -0.0 ties 0.0 at the cut.
     """
 
     def __init__(self, matrix: PredictionMatrix, fold: int, k: int):
@@ -175,7 +168,7 @@ class FoldFuser:
         universe = np.zeros(len(matrix.user_index) * self._n_items, dtype=bool)
         for m in matrix.models(fold):
             block = matrix.block(fold, m)
-            # The sign bit, as a -0.0 would keep it through the first product.
+            # The sign bit marks the cells a candidate does not hold.
             if np.signbit(block.scores).any():
                 raise ValueError(f"negative score for model {m!r} in fold "
                                  f"{fold}: fuse normalized scores")
@@ -186,27 +179,28 @@ class FoldFuser:
             universe[keys] = True
             heads[m] = (keys, block.scores[top], block.user_rows)
         keys = np.flatnonzero(universe)
-        _, widths = np.unique(keys // self._n_items, return_counts=True)
+        # bincount, as np.unique hashes int64 before it sorts.
+        widths = np.bincount(keys // self._n_items)
+        widths = widths[widths > 0]
         self._width = int(widths.max(initial=1))
         # Slots come grouped by user: cell = row start + rank within the row.
         cells = (np.repeat(np.arange(widths.size) * self._width, widths)
                  + list_ranks(np.append(0, np.cumsum(widths))))
         self._keys = np.zeros(widths.size * self._width, dtype=np.int64)
-        self._keys[cells] = keys    # padding cells are never marked
+        self._keys[cells] = keys    # padding cells are -0.0 in every row
         # int32 halves this U x I transient.
         cell_of = np.empty(universe.size, dtype=np.int32)
         cell_of[keys] = cells
         self._rows = {}
         for m, (model_keys, scores, users) in heads.items():
-            at, size = cell_of[model_keys], self._keys.size
-            row, held = np.zeros(size), np.zeros(size, dtype=bool)
-            row[at], held[at] = scores, True
-            self._rows[m] = (row, held, users)
+            row = np.full(self._keys.size, -0.0)
+            row[cell_of[model_keys]] = scores
+            self._rows[m] = (row, users)
         self._hit_masks: dict[int, tuple[HoldoutKeys, np.ndarray]] = {}
 
     def _fuse(self, members: Sequence[str], weights: ModelWeights, n: int):
-        """(fused grid, kept cells in list order, their ranks in their rows)
-        of one member subset; kept holds each row's top n and its ties."""
+        """(fused grid, each row's top n cells in list order, their ranks
+        in their rows) of one member subset."""
         member_list = sorted(set(members))
         if not member_list:
             raise ValueError("no models")
@@ -218,13 +212,13 @@ class FoldFuser:
             if model not in self._rows:
                 raise ValueError(
                     f"no lists for model {model!r} in fold {self._fold}")
-            row, held, _ = self._rows[model]
+            # + 0.0 makes a -0.0 weight +0.0, as the reference's 0.0 + w * s.
+            w = weights.weight(self._fold, model) + 0.0
             if i == 0:
-                fused = row * weights.weight(self._fold, model)
-                present = held.copy()
+                fused = self._rows[model][0] * w
             else:
-                fused += row * weights.weight(self._fold, model)
-                present |= held
+                fused += self._rows[model][0] * w
+        present = ~np.signbit(fused)
         width = self._width
         if width > n:
             # Clear, through a view of present, every cell below its row's
@@ -238,7 +232,8 @@ class FoldFuser:
         # were ascending already, so they stay in step with the sorted cells.
         kept = kept[np.lexsort((-fused[kept], rows))]
         rank = list_ranks(np.append(0, np.cumsum(np.bincount(rows))))
-        return fused, kept, rank
+        head = rank < n     # ties at the n-th score can keep more
+        return fused, kept[head], rank[head]
 
     def ndcg(self, members: Sequence[str], weights: ModelWeights,
              holdout: HoldoutKeys, n: int,
@@ -255,10 +250,10 @@ class FoldFuser:
             # The entry keeps the holdout alive, so no other takes its id.
             self._hit_masks[id(holdout)] = (
                 holdout, _holdout_hits(self._keys, holdout.keys))
-        hit = (rank < n) & self._hit_masks[id(holdout)][1][kept]
+        hit = self._hit_masks[id(holdout)][1][kept]
         # Users covered only by empty lists still count (score 0).
         covered = sorted_unique(np.concatenate(
-            [self._rows[m][2] for m in set(members)]))
+            [self._rows[m][1] for m in set(members)]))
         return mean_ndcg(covered, self._keys[kept[hit]] // self._n_items,
                          rank[hit], holdout, n, include_empty_holdout_users)
 
@@ -266,6 +261,5 @@ class FoldFuser:
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """fuse_all's lists as flat (user index, item index, fused score)
         arrays in list order, users ascending. Raises as ndcg."""
-        fused, kept, rank = self._fuse(members, weights, n)
-        kept = kept[rank < n]
+        fused, kept, _ = self._fuse(members, weights, n)
         return (*np.divmod(self._keys[kept], self._n_items), fused[kept])

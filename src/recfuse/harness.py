@@ -170,6 +170,10 @@ class DatasetConfig:
         if cfg.synthetic is None:
             check_interaction_format(cfg.format, cfg.columns)
             return cfg
+        ignored = [key for key in ("columns", "format")
+                   if getattr(cfg, key) != getattr(cls, key)]
+        if ignored:
+            log.warning("synthetic %s ignores %s", context, ", ".join(ignored))
         context += " synthetic"
         _json_object(cfg.synthetic, context, cls._SYN_TYPES,
                      required=("n_users", "n_items", "n_interactions"))

@@ -43,6 +43,7 @@ def dcg(rel: Sequence[float]) -> float:
     return left_sum(r / math.log2(i) for i, r in enumerate(rel, start=2))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def idcg(n: int) -> float:
     """Ideal DCG for a list of length n: every position relevant."""
     if n <= 0:

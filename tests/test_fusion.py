@@ -453,13 +453,17 @@ def top_n_rows(fuser, members, weights, n):
                     map(float.hex, scores.tolist())))
 
 
+# A -0.0 weight must fuse as the reference's 0.0 + w * s does.
+FUSER_WEIGHTS = st.sampled_from((0.0, -0.0, 0.3, 1.0))
+
+
 @st.composite
 def fold_fuser_instances(draw):
     """One fold of up to three models, normalized global-minmax.
 
     Lists may be empty and users may have a list in only some models, so
     some users are covered only by empty lists. Each model's lowest score
-    normalizes to 0 and weights may be 0, so covered items can fuse to 0.
+    normalizes to 0 and weights may be ±0.0, so covered items can fuse to 0.
     """
     catalog = [f"i{j:02d}" for j in range(12)]
     entries = {}
@@ -477,9 +481,8 @@ def fold_fuser_instances(draw):
                                               for i, s in ranked]
     matrix = normalize_scores(PredictionMatrix.from_entries(entries))
     models = matrix.models(0)
-    weights = ModelWeights(
-        {(0, m): draw(st.sampled_from((0.0, 0.3, 1.0)), label=f"w_{m}")
-         for m in models}, 1)
+    weights = ModelWeights({(0, m): draw(FUSER_WEIGHTS, label=f"w_{m}")
+                            for m in models}, 1)
     members = draw(st.lists(st.sampled_from(models), min_size=1, unique=True))
     holdouts = {
         f"u{u}": frozenset(draw(st.lists(st.sampled_from(catalog + ["x0"]),
@@ -517,6 +520,34 @@ def test_normalized_ties_cut_in_stored_order_and_fuse_by_item_id(k, top):
     assert [matrix.item_index.id(i) for i in items.tolist()] == top
     assert fuse_all(matrix, weights, set(members), 0, k, n)["u0"].item_ids() \
         == top
+
+
+@pytest.mark.parametrize("w_z", [0.0, -0.0, 1.0])
+@pytest.mark.parametrize("members", [["Z"], ["A", "Z"]])
+def test_zero_scores_and_signed_zero_weights_fuse_as_the_reference(members,
+                                                                   w_z):
+    # Every score Z keeps is +0.0, as global min-max maps a block's minimum.
+    # A -0.0 weight must fuse as the reference's 0.0 + w * s does, to +0.0,
+    # and a cell held only by Z must still rank, at +0.0.
+    m = PredictionMatrix.from_entries({
+        (0, "A", "u1"): [ScoredItem("c", 1.0), ScoredItem("a", 0.5)],
+        (0, "A", "u2"): [ScoredItem("a", 0.25)],
+        (0, "Z", "u1"): [ScoredItem("a", 0.0), ScoredItem("b", 0.0)],
+        (0, "Z", "u2"): [ScoredItem("b", 0.0)],
+        (0, "Z", "u3"): [ScoredItem("d", 0.0)],
+    })
+    weights = ModelWeights({(0, "A"): 0.5, (0, "Z"): w_z}, 2)
+    holdouts = {"u1": frozenset({"b"}), "u2": frozenset({"b"}),
+                "u3": frozenset({"d"})}
+    split = FoldSplit(0, train={}, validation={}, test=holdouts)
+    keys = holdout_keys(indexed_pairs(holdouts), m.user_index, m.item_index)
+    for k, n in ((2, 2), (3, 2), (3, 3)):
+        fuser = FoldFuser(m, 0, k)
+        # Rows hold float.hex scores, so the sign of a zero counts.
+        assert (top_n_rows(fuser, members, weights, n)
+                == fuse_all_rows(m, weights, members, 0, k, n))
+        assert fuser.ndcg(members, weights, keys, n) == evaluate_ensemble(
+            members, m, weights, split, k, n, "test")
 
 
 @given(fold_fuser_instances(), st.booleans())
@@ -652,8 +683,7 @@ def grid_edge_instances(draw):
     for m in ("a", "b"):
         entries[(1, m, "s")] = entries[(1, m, "e")] = []
     matrix = normalize_scores(PredictionMatrix.from_entries(entries))
-    weights = ModelWeights({(f, m): draw(st.sampled_from((0.0, 0.3, 1.0)),
-                                         label=f"w_{f}_{m}")
+    weights = ModelWeights({(f, m): draw(FUSER_WEIGHTS, label=f"w_{f}_{m}")
                             for f in (0, 1) for m in matrix.models(f)}, 1)
     members = draw(st.sampled_from((["a"], ["b"], ["a", "b"])),
                    label="members")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import logging
 import math
 import os
 import re
@@ -392,6 +393,28 @@ class TestExperimentConfig:
         cases.append((null_id, "7b4039d4dd1006af"))
         for raw, prefix in cases:
             assert ExperimentConfig.from_dict(raw).config_hash()[:16] == prefix
+
+    @pytest.mark.parametrize("extra,ignored,prefix", [
+        ({}, None, "9bcf0998474743fe"),
+        ({"format": "csv", "columns": None}, None, "9bcf0998474743fe"),
+        ({"format": "tsv"}, "format", "85fe28d829429966"),
+        ({"columns": {"user": 0, "item": 1}}, "columns", "cd3dc677714c5b68"),
+        ({"format": "tsv", "columns": {"user": 0, "item": 1}},
+         "columns, format", "3455764480ad5fa1"),
+    ])
+    def test_synthetic_dataset_warns_of_file_keys_it_ignores(
+            self, caplog, extra, ignored, prefix):
+        # The keys still load and keep their pinned hash; the warning names
+        # those set to anything but their default.
+        dataset = {"name": "s", "synthetic": {
+            "n_users": 30, "n_items": 40, "n_interactions": 500}, **extra}
+        with caplog.at_level(logging.WARNING, logger="recfuse.harness"):
+            cfg = ExperimentConfig.from_dict(toy_config_dict(
+                datasets=[dataset]))
+        assert cfg.config_hash()[:16] == prefix
+        assert [r.getMessage() for r in caplog.records] == (
+            [] if ignored is None
+            else [f"synthetic dataset 's' ignores {ignored}"])
 
     def test_hash_covers_every_field_but_output_dir(self):
         # A field added to a config class must land in the hash.

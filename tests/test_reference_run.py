@@ -7,9 +7,11 @@ fold's models are refitted and every train user's list comes from
 weighted by `ndcg_model` on the validation holdout, searched with
 `greedy_select` or `exhaustive_select` over `evaluate_ensemble`, and the
 picks scored on the test holdout, per fold or, in fixed-subset scope, on
-the cross-fold mean. The weights files, the tables with their means and
-percent columns, the traces, and every sweep row with its confidence
-interval must hold exactly these numbers.
+the cross-fold mean. An external matrix, when drawn, joins the roster as
+written: its lists are the reference's lists for that model. The weights
+files, the tables with their means and percent columns, the traces, and
+every sweep row with its confidence interval must hold exactly these
+numbers.
 """
 
 import csv
@@ -18,13 +20,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from recfuse.baselines import MODEL_KINDS, fit, train_incidence
-from recfuse.core import IdIndex, ModelWeights, PredictionMatrix
-from recfuse.data import format_score, read_splits, read_weights
+from recfuse.core import IdIndex, ModelWeights, PredictionMatrix, ScoredItem
+from recfuse.data import format_score, read_splits, read_weights, write_matrix
 from recfuse.harness import (
     ExperimentConfig,
     confidence_interval,
     pct_vs_ppl,
     run_experiment,
+    split_dataset,
 )
 from recfuse.metrics import left_sum, ndcg_model
 from recfuse.selection import (
@@ -36,17 +39,18 @@ from recfuse.selection import (
 
 @st.composite
 def tiny_configs(draw):
-    """Up to 30 users and 25 items over 2-3 folds, every model kind. Every
-    user holds five or more items on average, so some user in each fold
-    has validation and test items and no population is empty."""
+    """(config dict without output_dir, external lists or None): up to 30
+    users and 25 items over 2-3 folds, every model kind, and at times an
+    external matrix. Every user holds five or more items on average, so some
+    user in each fold has validation and test items and no population is
+    empty."""
     n_users, n_items = draw(st.integers(4, 30)), draw(st.integers(10, 25))
     n_values = sorted(draw(st.sets(st.sampled_from((5, 10)), min_size=1)))
     k_values = draw(st.sets(st.integers(5, 14), max_size=2)) | {n_values[-1]}
     nn = draw(st.integers(1, 6))
     table_k = draw(st.none() | st.integers(n_values[-1], 14))
-    return ExperimentConfig.from_dict({
+    raw = {
         "seed": draw(st.integers(0, 2**32)),
-        "output_dir": "",
         "datasets": [{"name": "tiny", "synthetic": {
             "n_users": n_users, "n_items": n_items,
             "n_interactions": draw(st.integers(
@@ -64,15 +68,58 @@ def tiny_configs(draw):
             "split": draw(st.sampled_from(("validation", "paper-faithful"))),
             "scope": draw(st.sampled_from(("per-fold", "fixed-subset")))},
         "include_empty_holdout_users": draw(st.booleans()),
-    })
+    }
+    if not draw(st.booleans(), label="external"):
+        return raw, None
+    config = ExperimentConfig.from_dict({**raw, "output_dir": ""})
+    return raw, draw(external_lists(
+        split_dataset(config, config.datasets[0]), n_users, n_items,
+        config.max_k()))
 
 
-def reference_lists(config, splits):
-    """{(fold, model, user): recommend() list} for every train user."""
+@st.composite
+def external_lists(draw, splits, n_users, n_items, max_k):
+    """{(fold, "ext", user): list} in every fold for some users, always one
+    with validation and one with test items in that fold (so no population
+    is empty), and for user x, who is not in the dataset. Lists hold max_k
+    or more items, x's with item x0, which is not in the dataset either, and
+    x's top score is the block's maximum. Other scores come from four
+    values, so ties fall at every cut-off."""
+    catalog = [f"i{j:05d}" for j in range(n_items)] + ["x0", "x1", "x2", "x3"]
     lists = {}
+    for split in splits:
+        fold = split.fold_index
+        users = {draw(st.sampled_from(sorted(
+                     u for u, items in split.holdout(kind).items() if items)),
+                      label=f"{kind}_{fold}")
+                 for kind in ("validation", "test")}
+        users |= draw(st.sets(st.sampled_from(
+            [f"u{u:04d}" for u in range(n_users)])), label=f"users_{fold}")
+        for user in [*sorted(users), "x"]:
+            items = draw(st.lists(st.sampled_from(catalog), unique=True,
+                                  min_size=max_k),
+                         label=f"items_{fold}_{user}")
+            if user == "x" and "x0" not in items:
+                items.append("x0")
+            scores = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+                                   min_size=len(items), max_size=len(items)),
+                          label=f"scores_{fold}_{user}")
+            if user == "x":
+                scores[0] = 9.0
+            ranked = sorted(zip(items, scores), key=lambda p: (-p[1], p[0]))
+            lists[fold, "ext", user] = [ScoredItem(*p) for p in ranked]
+    return lists
+
+
+def reference_lists(config, splits, external):
+    """{(fold, model, user): list}: the external lists, and each built-in
+    model's recommend() list for every train user."""
+    lists = dict(external or {})
     for split in splits:
         train = train_incidence(split.indexed_subset("train"))
         for m in config.models:
+            if m.kind is None:
+                continue
             model = fit(m.kind, train, m.params, m.model_id)
             for user, items in split.train.items():
                 lists[split.fold_index, m.model_id, user] = model.recommend(
@@ -153,14 +200,19 @@ def _rows(path):
 
 @given(tiny_configs())
 @settings(max_examples=30, deadline=None)
-def test_bundle_equals_the_oracle_pipeline(tmp_path_factory, config):
+def test_bundle_equals_the_oracle_pipeline(tmp_path_factory, drawn):
+    raw, external = drawn
     out = tmp_path_factory.mktemp("run")
-    config = ExperimentConfig.from_dict({**config.canonical_dict(),
+    models = raw["models"]
+    if external is not None:
+        write_matrix(PredictionMatrix.from_entries(external), out / "ext.csv")
+        models = [*models, {"id": "ext", "matrix": str(out / "ext.csv")}]
+    config = ExperimentConfig.from_dict({**raw, "models": models,
                                          "output_dir": str(out)})
     assert run_experiment(config).failed_cells == []
     splits = read_splits(out / "splits_tiny.csv")
     assert [s.fold_index for s in splits] == list(range(config.n_folds))
-    lists = reference_lists(config, splits)
+    lists = reference_lists(config, splits, external)
     norm = minmax(lists, config.normalization)
     ids = [m.model_id for m in config.models]
     incl = config.include_empty_holdout_users
