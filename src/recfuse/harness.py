@@ -204,7 +204,7 @@ class ModelConfig:
             raise ValueError("model needs exactly one of 'kind' or 'matrix'")
         if kind is not None and kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        if matrix is not None and "params" in raw:
+        if matrix is not None and raw.get("params") is not None:
             raise ValueError("external matrix models take no params")
         if raw.get("params") is not None:
             fit_params(raw["params"])

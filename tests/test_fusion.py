@@ -231,6 +231,14 @@ class TestFuseAll:
         with pytest.raises(ValueError, match="no lists for model"):
             fuse_all(tiny_matrix, weights, {"Z"}, fold=0, k=3, n=3)
 
+    def test_member_without_a_weight_raises_with_only_empty_lists(self):
+        # Every member's weight is read, even one whose lists are all empty.
+        m = PredictionMatrix.from_entries({
+            (0, "A", "u1"): [ScoredItem("a", 1.0)], (0, "B", "u1"): []})
+        weights = ModelWeights({(0, "A"): 0.5}, 1)
+        with pytest.raises(KeyError, match="no weight for model 'B'"):
+            fuse_all(m, weights, {"A", "B"}, fold=0, k=1, n=1)
+
 
 # -- properties ----------------------------------------------------------------
 
@@ -453,6 +461,18 @@ def top_n_rows(fuser, members, weights, n):
                     map(float.hex, scores.tolist())))
 
 
+def fuse_each_covered_user(matrix, weights, members, fold, k, n):
+    """fuse_all as a loop over users: fuse_user over the member lists each
+    user holds, for every user that holds one."""
+    out = {}
+    for user in sorted({u for m in members for u in matrix.users(fold, m)}):
+        lists = {m: matrix.scored_list(fold, m, user) for m in sorted(members)
+                 if user in matrix.users(fold, m)}
+        out[user] = fuse_user(lists, {m: weights.weight(fold, m)
+                                      for m in lists}, k, n, user_id=user)
+    return out
+
+
 # A -0.0 weight must fuse as the reference's 0.0 + w * s does.
 FUSER_WEIGHTS = st.sampled_from((0.0, -0.0, 0.3, 1.0))
 
@@ -574,6 +594,19 @@ def test_fold_fuser_matches_evaluate_ensemble(instance, include_empty):
             got()
         return
     assert got() == want
+
+
+@given(fold_fuser_instances())
+@settings(max_examples=200)
+def test_fuse_all_fuses_each_covered_users_lists(instance):
+    matrix, weights, members, _, k, n = instance
+
+    def rows(fused):
+        return [(user, [(si.item_id, si.score.hex()) for si in lst.items])
+                for user, lst in fused.items()]
+
+    assert rows(fuse_all(matrix, weights, members, 0, k, n)) == rows(
+        fuse_each_covered_user(matrix, weights, members, 0, k, n))
 
 
 @given(fold_fuser_instances(), st.data())

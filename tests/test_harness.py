@@ -215,6 +215,9 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="no params"):
             ModelConfig.from_dict({"id": "x", "matrix": "m.csv",
                                    "params": {"nn": 5}})
+        # A null counts as absent, as canonical_dict() writes it.
+        assert ModelConfig.from_dict({"id": "x", "matrix": "m.csv",
+                                      "params": None}).params is None
         with pytest.raises(ValueError, match="needs an 'id'"):
             ModelConfig.from_dict({"matrix": "m.csv"})
 
@@ -431,6 +434,13 @@ class TestExperimentConfig:
             assert set(entry) == names(DatasetConfig)
         for entry in canonical["models"]:
             assert set(entry) == names(ModelConfig, {"model_id": "id"})
+
+    def test_canonical_dict_loads_back(self):
+        cfg = ExperimentConfig.from_dict(toy_config_dict(models=[
+            {"kind": "popularity"}, {"id": "ext", "matrix": "m.csv"}]))
+        again = ExperimentConfig.from_dict(
+            {**cfg.canonical_dict(), "output_dir": cfg.output_dir})
+        assert again == cfg and again.config_hash() == cfg.config_hash()
 
     def test_usable_ks_and_table_k(self):
         cfg = ExperimentConfig.from_dict(toy_config_dict(

@@ -208,6 +208,9 @@ def test_bundle_equals_the_oracle_pipeline(tmp_path_factory, drawn):
         write_matrix(PredictionMatrix.from_entries(external), out / "ext.csv")
         models = [*models, {"id": "ext", "matrix": str(out / "ext.csv")}]
     config = ExperimentConfig.from_dict({**raw, "models": models,
+                                         "output_dir": ""})
+    # Every run also checks that canonical_dict() loads back.
+    config = ExperimentConfig.from_dict({**config.canonical_dict(),
                                          "output_dir": str(out)})
     assert run_experiment(config).failed_cells == []
     splits = read_splits(out / "splits_tiny.csv")
