@@ -131,7 +131,8 @@ def _cmd_predict(config, args):
     out = _outdir(config)
     for ds in config.datasets:
         path = out / f"matrix_{ds.name}.csv"
-        write_matrix(harness.prepare_dataset(config, ds).raw, path)
+        write_matrix(harness.score_folds(
+            config, harness.split_dataset(config, ds)), path)
         log.info("wrote %s", path)
     return 0
 

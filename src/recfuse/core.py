@@ -482,14 +482,22 @@ class PredictionMatrix:
         for part in parts:
             user_map = users.indices(part._users.ids)
             item_map = items.indices(part._items.ids)
-            for (fold, model), block in part._blocks.items():
+            for (fold, model), block in part.each_block_once(lambda _, b: _Block(
+                    user_map[b.user_rows], b.indptr, item_map[b.items], b.scores)):
                 if (fold, model) in blocks:
                     raise ValueError(
                         f"duplicate lists for fold {fold}, model {model!r}")
-                blocks[(fold, model)] = _Block(
-                    user_map[block.user_rows], block.indptr,
-                    item_map[block.items], block.scores)
+                blocks[(fold, model)] = block
         return cls(users, items, blocks)
+
+    def each_block_once(self, make) -> Iterator[tuple[tuple[int, str], _Block]]:
+        """Each (fold, model) key, in order, with make(key, its block). make
+        runs once per distinct block: models that share a block share its result."""
+        made: dict[int, _Block] = {}    # by id: self keeps every block alive
+        for key, block in sorted(self._blocks.items(), key=lambda kb: kb[0]):
+            if id(block) not in made:
+                made[id(block)] = make(key, block)
+            yield key, made[id(block)]
 
     def _validate(self) -> "PredictionMatrix":
         for (fold, model), block in self._blocks.items():

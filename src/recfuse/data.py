@@ -180,10 +180,27 @@ def csv_writer(path: str | Path, header: Sequence[str], delimiter: str = ","
         yield writer
 
 
+@contextmanager
+def _utf8_text(path: Path) -> Iterator:
+    """`path` open as UTF-8 text for csv.reader. A byte that is not UTF-8
+    raises ValueError naming its line, counted in the file's bytes."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
+        raise
+
+
 def _data_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each data row of a CSV file that must
     start with the given header line."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
             raise ValueError(
@@ -244,7 +261,7 @@ def load_interactions(path: str | Path, format: str = "csv",
     by_name = isinstance(column_map["user"], str)
 
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh, delimiter=_DELIMITERS[format])
         if by_name:
             header = next(reader, None)

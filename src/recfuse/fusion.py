@@ -45,14 +45,12 @@ class FusedList:
         return [si.item_id for si in self.items]
 
 
-def _normalize_block(matrix: PredictionMatrix, fold: int, model: str,
-                     mode: str) -> _Block:
+def _normalize_block(block: _Block, fold: int, model: str, mode: str) -> _Block:
     """One (fold, model) block, its scores min-max rescaled to [0, 1] over
     stretches: the whole block (global) or each non-empty list (per user).
     A constant stretch maps to 1.0: a model that cannot distinguish items
     still gives each its full weight. A minimum maps to +0.0, even a -0.0
     under a +0.0 minimum, as fusion rejects a negative sign."""
-    block = matrix.block(fold, model)
     scores = block.scores
     lengths = (np.diff(block.indptr) if mode == "per-user-minmax"
                else np.array([scores.size]))
@@ -79,12 +77,12 @@ def normalize_scores(matrix: PredictionMatrix, mode: str = "global-minmax"
     out of id order. Such lists keep their raw order and are not checked
     again: a cut at k follows the stored order, and fusion breaks ties by
     item id. A stretch whose max - min overflows float64 raises ValueError.
+    A block two models share is normalized once and stays shared.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    return PredictionMatrix(matrix.user_index, matrix.item_index, {
-        (fold, model): _normalize_block(matrix, fold, model, mode)
-        for fold in matrix.folds() for model in matrix.models(fold)})
+    return PredictionMatrix(matrix.user_index, matrix.item_index, dict(
+        matrix.each_block_once(lambda key, b: _normalize_block(b, *key, mode))))
 
 
 def fuse_user(per_model_lists: Mapping[str, Sequence[ScoredItem]],

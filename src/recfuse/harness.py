@@ -382,9 +382,8 @@ class DatasetBundle:
     config: ExperimentConfig
     name: str
     splits: list[FoldSplit]
-    raw: PredictionMatrix
-    norm: PredictionMatrix
-    holdouts: dict[tuple[int, str], HoldoutKeys]  # (fold, kind), raw's indexes
+    norm: PredictionMatrix   # the normalized lists; shared blocks stored once
+    holdouts: dict[tuple[int, str], HoldoutKeys]  # (fold, kind), norm's indexes
     weights: dict[int, ModelWeights]          # keyed by n
     model_ids: list[str]
     input_s: float = 0.0                      # seconds to load and split
@@ -431,53 +430,55 @@ def _merge_matrices(parts: Sequence[PredictionMatrix]) -> PredictionMatrix:
     return PredictionMatrix.union(parts)
 
 
-def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
-                    ) -> DatasetBundle:
-    """Load, split, fit and score, ingest, translate the holdouts, normalize,
-    and weight one dataset.
+def score_folds(config: ExperimentConfig, splits: Sequence[FoldSplit]
+                ) -> PredictionMatrix:
+    """The raw prediction matrix of one dataset's folds: the built-in models
+    fitted and scored, and the external matrices read and checked, merged.
 
     Folds are fitted one after another, and within a fold each built-in model
     is fitted, scored and dropped before the next. At its peak a fold so
     holds its CSR train incidence, the item cosine until its last reader is
     fitted, one model's arrays (at most one more dense square), the blocks
     already scored and chunk transients: no users x items array."""
-    t0 = time.perf_counter()
-    splits = split_dataset(config, ds)
-    input_s = time.perf_counter() - t0
-    parts = []
-    if any(m.kind is not None for m in config.models):
-        for split in splits:
-            parts.append(generate_matrix(
-                split.fold_index, _fit_fold_models(config, split),
-                config.max_k()))
+    parts = [generate_matrix(s.fold_index, _fit_fold_models(config, s),
+                             config.max_k())
+             for s in splits if any(m.kind is not None for m in config.models)]
     for model_cfg in config.models:
         if model_cfg.matrix is not None:
             external = read_matrix(model_cfg.matrix, min_length=config.max_k())
-            ext_models = external.models()
-            if ext_models != [model_cfg.model_id]:
+            if external.models() != [model_cfg.model_id]:
                 raise ValueError(
                     f"{model_cfg.matrix}: expected lists for model "
-                    f"{model_cfg.model_id!r} only, found {ext_models}")
+                    f"{model_cfg.model_id!r} only, found {external.models()}")
             if external.folds() != [s.fold_index for s in splits]:
                 raise ValueError(
                     f"{model_cfg.matrix}: folds {external.folds()} do not "
                     f"match the configured {config.n_folds} folds")
             parts.append(external)
-    raw = _merge_matrices(parts)
+    return _merge_matrices(parts)
+
+
+def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
+                    ) -> DatasetBundle:
+    """Load, split, score, normalize, translate the holdouts, and weight one
+    dataset. Only the normalized matrix is kept: no reader needs raw scores."""
+    t0 = time.perf_counter()
+    splits = split_dataset(config, ds)
+    input_s = time.perf_counter() - t0
+    norm = normalize_scores(score_folds(config, splits), config.normalization)
     holdouts = {(s.fold_index, kind): holdout_keys(
-                    s.indexed_subset(kind), raw.user_index, raw.item_index)
+                    s.indexed_subset(kind), norm.user_index, norm.item_index)
                 for s in splits for kind in ("validation", "test")}
-    norm = normalize_scores(raw, config.normalization)
     validation = {f: h for (f, kind), h in holdouts.items()
                   if kind == "validation"}
     weights = {
         n: compute_weights(
-            raw, validation, n,
+            norm, validation, n,
             include_empty_holdout_users=config.include_empty_holdout_users)
         for n in config.n_values
     }
     log.info("prepared dataset %s in %.1fs", ds.name, time.perf_counter() - t0)
-    return DatasetBundle(config, ds.name, splits, raw, norm, holdouts, weights,
+    return DatasetBundle(config, ds.name, splits, norm, holdouts, weights,
                          [m.model_id for m in config.models], input_s)
 
 
@@ -486,10 +487,10 @@ def prepare_dataset(config: ExperimentConfig, ds: DatasetConfig
 def model_fold_ndcg(bundle: DatasetBundle, model: str, fold: int, n: int,
                     holdout_kind: str) -> float:
     """One model's top-n NDCG against one fold's holdout."""
-    block = bundle.raw.block(fold, model)
+    block = bundle.norm.block(fold, model)
     return ndcg_rows(
         block.user_rows, block.indptr, block.items,
-        len(bundle.raw.item_index), bundle.holdouts[fold, holdout_kind], n,
+        len(bundle.norm.item_index), bundle.holdouts[fold, holdout_kind], n,
         bundle.config.include_empty_holdout_users)
 
 

@@ -56,9 +56,9 @@ def compute_weights(matrix: PredictionMatrix,
     """Validation NDCG@n per (fold, model): the fusion weights.
 
     `holdouts` maps each fold to its validation holdout over the matrix's
-    indexes (metrics.holdout_keys). Computed from the raw matrix;
-    normalization cannot change a list's order, so weights are identical
-    either way.
+    indexes (metrics.holdout_keys). Only the lists' items are read, and
+    normalization cannot change a list's order, so a raw and a normalized
+    matrix give identical weights; the pipeline passes the normalized one.
 
     Raises:
         ValueError: a (fold, model) pair has no lists, or a matrix fold has

@@ -122,6 +122,22 @@ class TestChainedSubcommands:
         assert matrix.models() == ["cos", "ppl", "uknn"]
         assert matrix.folds() == [0, 1, 2]
 
+    def test_predict_only_scores(self, tmp_path, run_dir, monkeypatch):
+        # predict writes the raw scores: it neither normalizes, translates
+        # holdouts nor weights, and its file keeps the pinned bytes.
+        _, config_path = run_dir
+
+        def boom(*args, **kwargs):
+            raise AssertionError("predict must only score")
+
+        for name in ("normalize_scores", "compute_weights", "holdout_keys"):
+            monkeypatch.setattr(harness, name, boom)
+        out = tmp_path / "pred"
+        assert main(["predict", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "matrix_toy.csv").read_bytes()).hexdigest(
+        ) == "e9efd4fff5d4ad27e851a0a829f1b1ac1e24be7b3bae442e62f32c4c94162104"
+
     def test_fit_prints_summary(self, run_dir, capsys):
         _, config_path = run_dir
         assert main(["fit", "--config", str(config_path)]) == 0

@@ -694,6 +694,37 @@ class TestWeightsFiles:
             read_weights(p)
 
 
+# Each reader with a valid file of its format; line 3 is a data row.
+UTF8_FILES = {
+    "interactions-csv": (load_interactions,
+                         "user,item\nu1,i1\nu1,i2\nu2,i1\n"),
+    "interactions-tsv": (lambda p: load_interactions(p, "tsv"),
+                         "user\titem\nu1\ti1\nu1\ti2\nu2\ti1\n"),
+    "matrix": (read_matrix, "fold,model,user,item,score\n0,A,u1,i1,1.0\n"
+                            "0,A,u1,i2,0.5\n0,A,u2,i1,1.0\n"),
+    "splits": (read_splits, "fold,user,item,subset\n0,u1,i1,train\n"
+                            "0,u1,i2,test\n0,u2,i1,train\n"),
+    "weights": (read_weights, "fold,model,n,weight\n0,A,5,0.5\n"
+                              "0,B,5,0.25\n1,A,5,1.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", UTF8_FILES)
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
+    # A bare UnicodeDecodeError gives only an offset within a decoded chunk.
+    read, text = UTF8_FILES[name]
+    p = tmp_path / "file"
+    p.write_text(text, encoding="utf-8")
+    read(p)
+    lines = text.encode().split(b"\n")
+    lines[2] = lines[2].replace(b"2", b"\xff2", 1)
+    p.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as caught:
+        read(p)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{p}: line 3: not valid UTF-8"
+
+
 # -- property: lossless matrix round trip over generated matrices ---------------
 
 @st.composite

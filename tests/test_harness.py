@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -565,9 +566,9 @@ def toy_bundle():
 class TestPreparedBundle:
     def test_matrix_covers_all_models_and_folds(self, toy_bundle):
         cfg, bundle = toy_bundle
-        assert bundle.raw.models() == ["cos", "ppl", "uknn"]
-        assert bundle.raw.folds() == [0, 1, 2]
-        bundle.raw.ensure_supports_k(1)
+        assert bundle.norm.models() == ["cos", "ppl", "uknn"]
+        assert bundle.norm.folds() == [0, 1, 2]
+        bundle.norm.ensure_supports_k(1)
         assert set(bundle.weights) == {5}
 
     def test_weights_are_validation_ndcg(self, toy_bundle):
@@ -575,8 +576,8 @@ class TestPreparedBundle:
         from recfuse.metrics import ndcg_model
         w = bundle.weights[5]
         split = bundle.splits[0]
-        lists = {u: bundle.raw.ranked_ids(0, "ppl", u, limit=5)
-                 for u in bundle.raw.users(0, "ppl")}
+        lists = {u: bundle.norm.ranked_ids(0, "ppl", u, limit=5)
+                 for u in bundle.norm.users(0, "ppl")}
         expected = ndcg_model(lists, split.holdout("validation"), 5)
         assert w.weight(0, "ppl") == expected
 
@@ -587,7 +588,7 @@ class TestPreparedBundle:
         for (fold, kind), keys in bundle.holdouts.items():
             expected = holdout_keys(
                 indexed_pairs(bundle.splits[fold].holdout(kind)),
-                bundle.raw.user_index, bundle.raw.item_index)
+                bundle.norm.user_index, bundle.norm.item_index)
             assert np.array_equal(keys.keys, expected.keys)
             assert np.array_equal(keys.nonempty, expected.nonempty)
 
@@ -674,10 +675,10 @@ def test_prepare_translates_ids_without_per_id_lookups(tmp_path,
         ModelConfig.from_dict({"kind": kind, "id": kind, "params": {"nn": 5}})
         for kind in MODEL_KINDS if kind != "popularity"))
     bundle = prepare_dataset(cfg, cfg.datasets[0])
-    assert bundle.raw.models() == sorted(
+    assert bundle.norm.models() == sorted(
         ["ppl", "ext1", "ext2", *MODEL_KINDS[1:]])
     assert calls == []
-    bundle.raw.scored_list(0, "ext1", "u00")
+    bundle.norm.scored_list(0, "ext1", "u00")
     assert calls == ["u00"]
 
 
@@ -814,6 +815,97 @@ def test_fold_cosine_is_built_once_and_dies_with_its_last_reader(
     assert len(built) == 1
     assert alive == [[], [True], [True], [True], [False], [False]]
     assert blocks[(0, "cos")].scores is blocks[(0, "tfidf")].scores
+
+
+SHARED_ROSTER = [{"kind": "popularity", "id": "ppl"},
+                 {"kind": "item-item-cosine", "id": "cos"},
+                 {"kind": "item-item-tfidf", "id": "tfidf"}]
+
+
+@pytest.mark.parametrize("mode", ["global-minmax", "per-user-minmax"])
+def test_a_block_two_models_share_stays_one_block(monkeypatch, mode):
+    # Wherever generate_matrix gives two models one block (tfidf and cosine
+    # when no item is held by every train user), the merged and the
+    # normalized matrix map both models to one block, whose scores equal
+    # normalizing each model alone.
+    scored, normalized = [], []
+    real_generate, real_normalize = (harness.generate_matrix,
+                                     harness.normalize_scores)
+
+    def generate(*args):
+        scored.append(real_generate(*args))
+        return scored[-1]
+
+    def normalize(matrix, mode):
+        normalized.append((matrix, real_normalize(matrix, mode)))
+        return normalized[-1][1]
+
+    monkeypatch.setattr(harness, "generate_matrix", generate)
+    monkeypatch.setattr(harness, "normalize_scores", normalize)
+    cfg = ExperimentConfig.from_dict(toy_config_dict(models=SHARED_ROSTER,
+                                                     normalization=mode))
+    assert not any(common_items(train_incidence(s.indexed_subset("train"))).any()
+                   for s in harness.split_dataset(cfg, cfg.datasets[0]))
+    bundle = prepare_dataset(cfg, cfg.datasets[0])
+    [(merged, norm)] = normalized
+    assert norm is bundle.norm
+    shared = [(a, b) for part in scored for a in part._blocks
+              for b in part._blocks if a < b and part.block(*a) is part.block(*b)]
+    assert sorted(shared) == [((f, "cos"), (f, "tfidf")) for f in range(3)]
+    for a, b in shared:
+        assert merged.block(*a) is merged.block(*b)
+        assert norm.block(*a) is norm.block(*b)
+        for fold, model in (a, b):
+            alone = real_normalize(PredictionMatrix(
+                merged.user_index, merged.item_index,
+                {(fold, model): merged.block(fold, model)}), mode)
+            assert np.array_equal(alone.block(fold, model).scores,
+                                  norm.block(fold, model).scores)
+
+
+def _numpy_bytes_held(arrays) -> int:
+    """The bytes of the buffers that own these arrays' data, each once."""
+    owners = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+def test_prepared_bundle_keeps_one_float64_per_distinct_stored_entry():
+    # Numpy's buffers are traced in their own tracemalloc domain. What a
+    # bundle frees when it dies, beyond its index arrays, holdouts and
+    # splits, is its scores: one float64 per entry of each distinct block.
+    # The raw matrix's scores and a second copy of a shared block are gone.
+    numpy_domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def numpy_bytes():
+        gc.collect()
+        return sum(stat.size for stat in tracemalloc.take_snapshot()
+                   .filter_traces(numpy_domain).statistics("filename"))
+
+    cfg = ExperimentConfig.from_dict(toy_config_dict(models=[
+        *SHARED_ROSTER, {"kind": "user-knn", "id": "uknn"}]))
+    tracemalloc.start()
+    try:
+        bundle = prepare_dataset(cfg, cfg.datasets[0])
+        blocks = {id(bundle.norm.block(f, m)): bundle.norm.block(f, m)
+                  for f in bundle.norm.folds() for m in bundle.norm.models(f)}
+        entries = sum(b.scores.size for b in blocks.values())
+        others = _numpy_bytes_held(
+            [a for b in blocks.values() for a in (b.user_rows, b.indptr, b.items)]
+            + [a for h in bundle.holdouts.values() for a in h]
+            + [a for s in bundle.splits
+               for a in (s.indexed.user_rows, s.indexed.item_cols, s.codes)])
+        held = numpy_bytes()
+        n_distinct = len(blocks)
+        del bundle, blocks
+        freed = held - numpy_bytes()
+    finally:
+        tracemalloc.stop()
+    assert freed - others <= 8 * entries
+    assert n_distinct == (len(cfg.models) - 1) * cfg.n_folds  # tfidf shares
 
 
 def test_pipeline_runs_on_one_thread(tmp_path, monkeypatch):

@@ -34,6 +34,7 @@ def test_traced_run_records_every_layer(tmp_path):
         "models": [
             {"kind": "popularity", "id": "ppl"},
             {"kind": "item-item-cosine", "id": "cos"},
+            {"kind": "item-item-tfidf", "id": "tfidf"},
             {"kind": "user-knn", "id": "uknn", "params": {"nn": 5}},
         ],
         "n_values": [5],
