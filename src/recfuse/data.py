@@ -181,12 +181,16 @@ def csv_writer(path: str | Path, header: Sequence[str], delimiter: str = ","
 
 
 @contextmanager
-def _utf8_text(path: Path) -> Iterator:
-    """`path` open as UTF-8 text for csv.reader. A byte that is not UTF-8
-    raises ValueError naming its line, counted in the file's bytes."""
+def _csv_reader(path: Path, delimiter: str = ",") -> Iterator:
+    """A csv.reader over `path` as UTF-8 text. A csv.Error, such as a field
+    over csv.field_size_limit(), raises ValueError naming its line; so does
+    a byte that is not UTF-8, its line counted in the file's bytes."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            yield fh
+            reader = csv.reader(fh, delimiter=delimiter)
+            yield reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         data = path.read_bytes()
         try:
@@ -200,8 +204,7 @@ def _utf8_text(path: Path) -> Iterator:
 def _data_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each data row of a CSV file that must
     start with the given header line."""
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         if next(reader, None) != header:
             raise ValueError(
                 f"{path}: line 1: expected header {','.join(header)!r}")
@@ -253,16 +256,15 @@ def load_interactions(path: str | Path, format: str = "csv",
     non-finite timestamp) are skipped, counted, and reported via logging.
 
     Raises:
-        ValueError: bad format/column_map, missing header columns, or zero
-            valid rows.
+        ValueError: bad format/column_map, missing header columns, a line
+            that is not UTF-8 or that csv.reader rejects, or zero valid rows.
         OSError: unreadable file.
     """
     column_map = check_interaction_format(format, column_map)
     by_name = isinstance(column_map["user"], str)
 
     path = Path(path)
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh, delimiter=_DELIMITERS[format])
+    with _csv_reader(path, _DELIMITERS[format]) as reader:
         if by_name:
             header = next(reader, None)
             if header is None:
@@ -393,7 +395,10 @@ def read_matrix(path: str | Path, min_length: int | None = None) -> PredictionMa
     if matrix is None:
         matrix = _read_matrix_rows(path)
     if min_length is not None:
-        matrix.ensure_supports_k(min_length)
+        try:
+            matrix.ensure_supports_k(min_length)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return matrix
 
 

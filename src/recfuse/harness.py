@@ -522,20 +522,35 @@ class CellSelection:
 def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     """Search the subset lattice for one (dataset, n, k) context.
 
-    The first call at a k builds that k's FoldFusers, one per fold, selects
-    on them for n and every configured n <= k, caches each cell's result or
-    exception, and drops them: each (fold, k) is built once per dataset and
-    one k's fusers live at a time. An exception is raised by its cell only.
+    A scope groups the folds: each fold alone in per-fold scope, all of them
+    in fixed-subset scope. The first call at a k runs the groups in fold
+    order, each on its own FoldFusers: it searches and test-scores n and
+    every configured n <= k, then drops them. So each (fold, k) is built
+    once, and per-fold scope holds one fuser at a time. Each cell's result
+    or exception is cached; an exception fails its own cell only.
     """
     if (n, k) not in bundle._selections:
-        fusers = {s.fold_index: FoldFuser(bundle.norm, s.fold_index, k)
-                  for s in bundle.splits}
-        for cell_n in {n, *(m for m in bundle.config.n_values if m <= k)}:
-            try:
-                result = _select(bundle, fusers, cell_n, k)
-            except Exception as exc:  # noqa: BLE001 - kept for its own cell
-                traceback.clear_frames(exc.__traceback__)  # frees the fusers
-                result = exc
+        config, folds = bundle.config, [s.fold_index for s in bundle.splits]
+        groups = ([[f] for f in folds] if config.selection.scope == "per-fold"
+                  else [folds])
+        cells = {c: [] for c in {n, *(m for m in config.n_values if m <= k)}}
+        for group in groups:
+            fusers = {fold: FoldFuser(bundle.norm, fold, k) for fold in group}
+            for cell_n in [c for c in cells if isinstance(cells[c], list)]:
+                try:
+                    cells[cell_n].append(_select(bundle, fusers, cell_n))
+                except Exception as exc:  # noqa: BLE001 - fails its own cell
+                    traceback.clear_frames(exc.__traceback__)  # frees the fusers
+                    cells[cell_n] = exc
+            del fusers  # before the next group's are built
+        for cell_n, result in cells.items():
+            if isinstance(result, list):
+                members, tests = zip(*(pick for _, picks in result
+                                       for pick in picks))
+                result = CellSelection(
+                    cell_n, k, tuple(trace for trace, _ in result), members,
+                    tests, left_sum(tests) / len(tests),
+                    confidence_interval(tests))
             bundle._selections[cell_n, k] = result
     result = bundle._selections[n, k]
     if isinstance(result, Exception):
@@ -543,40 +558,25 @@ def run_selection(bundle: DatasetBundle, n: int, k: int) -> CellSelection:
     return result
 
 
-def _select(bundle: DatasetBundle, fusers: Mapping[int, FoldFuser], n: int,
-            k: int) -> CellSelection:
-    config = bundle.config
-    sel = config.selection
+def _select(bundle: DatasetBundle, fusers: Mapping[int, FoldFuser], n: int):
+    """One group's (label, trace) and its pick's (members, test NDCG) per
+    fold. A candidate scores its mean NDCG over the group's folds: for one
+    fold, exactly that fold's NDCG, as NDCG is never negative."""
+    sel = bundle.config.selection
     search = greedy_select if sel.mode == "greedy" else exhaustive_select
-    weights = bundle.weights[n]
-    incl = config.include_empty_holdout_users
+    incl = bundle.config.include_empty_holdout_users
 
     def score(fold: int, members: frozenset[str], kind: str) -> float:
         return fusers[fold].ndcg(
-            sorted(members), weights, bundle.holdouts[fold, kind], n,
+            sorted(members), bundle.weights[n], bundle.holdouts[fold, kind], n,
             include_empty_holdout_users=incl)
 
-    folds = [s.fold_index for s in bundle.splits]
-    traces: list[tuple[str | int, SelectionTrace]]
-    if sel.scope == "per-fold":
-        traces = [(fold, search(bundle.model_ids,
-                                lambda m, _f=fold: score(_f, m, sel.holdout)))
-                  for fold in folds]
-        picks = [trace for _, trace in traces]
-    else:
-        # Fixed-subset selection scores are cross-fold means.
-        trace = search(bundle.model_ids, lambda m: left_sum(
-            score(fold, m, sel.holdout) for fold in folds) / len(folds))
-        traces = [("all", trace)]
-        picks = [trace] * len(folds)
-    members_per_fold = [trace.chosen_members for trace in picks]
-    test_scores = [score(fold, members, "test")
-                   for fold, members in zip(folds, members_per_fold)]
-
-    return CellSelection(
-        n, k, tuple(traces), tuple(members_per_fold), tuple(test_scores),
-        left_sum(test_scores) / len(test_scores),
-        confidence_interval(test_scores))
+    trace = search(bundle.model_ids, lambda m: left_sum(
+        score(fold, m, sel.holdout) for fold in fusers) / len(fusers))
+    label = next(iter(fusers)) if sel.scope == "per-fold" else "all"
+    return (label, trace), [(trace.chosen_members,
+                             score(fold, trace.chosen_members, "test"))
+                            for fold in fusers]
 
 
 def model_table(bundle: DatasetBundle, n: int) -> list[ReportRow]:

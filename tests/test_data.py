@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+import json
 import math
 import re
 from types import SimpleNamespace
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from recfuse import cli
 from recfuse.core import (
     FoldSplit,
     IdIndex,
@@ -622,8 +626,9 @@ class TestMatrixFiles:
         p = tmp_path / "m.csv"
         write_matrix(tiny_matrix, p)
         read_matrix(p, min_length=3)
-        with pytest.raises(ValueError, match="k=4 was requested"):
+        with pytest.raises(ValueError, match="k=4 was requested") as caught:
             read_matrix(p, min_length=4)
+        assert str(caught.value).startswith(f"{p}: list for fold ")
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -695,7 +700,7 @@ class TestWeightsFiles:
 
 
 # Each reader with a valid file of its format; line 3 is a data row.
-UTF8_FILES = {
+READER_FILES = {
     "interactions-csv": (load_interactions,
                          "user,item\nu1,i1\nu1,i2\nu2,i1\n"),
     "interactions-tsv": (lambda p: load_interactions(p, "tsv"),
@@ -709,10 +714,10 @@ UTF8_FILES = {
 }
 
 
-@pytest.mark.parametrize("name", UTF8_FILES)
+@pytest.mark.parametrize("name", READER_FILES)
 def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
     # A bare UnicodeDecodeError gives only an offset within a decoded chunk.
-    read, text = UTF8_FILES[name]
+    read, text = READER_FILES[name]
     p = tmp_path / "file"
     p.write_text(text, encoding="utf-8")
     read(p)
@@ -723,6 +728,142 @@ def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name):
         read(p)
     assert type(caught.value) is ValueError
     assert str(caught.value) == f"{p}: line 3: not valid UTF-8"
+
+
+@pytest.mark.parametrize("name", READER_FILES)
+def test_a_field_over_the_csv_limit_names_its_file_and_line(
+        tmp_path, capsys, name):
+    # csv.Error is no ValueError: `recfuse split` took it for an internal
+    # error, and `run` failed its cells with no file or line.
+    read, text = READER_FILES[name]
+    lines = text.split("\n")
+    lines[2] += "x" * 140_000
+    p = tmp_path / "file"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    message = (f"{p}: line 3: field larger than field limit "
+               f"({csv.field_size_limit()})")
+    with pytest.raises(ValueError) as caught:
+        read(p)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+    if name.startswith("interactions"):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 1, "output_dir": str(tmp_path / "out"),
+            "datasets": [{"name": "d", "path": str(p),
+                          "format": name.rsplit("-", 1)[1]}],
+            "models": [{"kind": "popularity"}]}))
+        assert cli.main(["split", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
+
+# -- property: a mutated input file is read, or named with its fault -----------
+
+def _interactions_csv():
+    return "user,item,rating,timestamp\n" + "".join(
+        f"u{u},i{i},{(u + i) % 5 + 0.5},{1000 + 7 * u + i}\n"
+        for u in range(3) for i in range(6))
+
+
+def _matrix():
+    return "fold,model,user,item,score\n" + "".join(
+        f"{fold},A,u{u},i{i},{1 - i / 8}\n"
+        for fold in range(2) for u in range(2) for i in range(5))
+
+
+def _config(dataset, models):
+    return json.dumps({"seed": 7, "output_dir": "unused", "n_folds": 2,
+                       "n_values": [5], "k_values": [5],
+                       "datasets": [dataset], "models": models}, indent=1)
+
+
+BY_NAME = {"user": "user", "item": "item", "rating": "rating",
+           "timestamp": "timestamp"}
+BY_POSITION = {"user": 0, "item": 1, "rating": 2}
+# kind -> (its valid text given a valid interactions file, its reader or
+# None, the recfuse command that reads it or None, and that command's config
+# given the mutated file and the valid interactions file).
+MUTATED_INPUTS = {
+    "interactions-csv": (
+        lambda good: _interactions_csv(),
+        lambda p: load_interactions(p, "csv", BY_NAME),
+        "split", lambda p, good: _config(
+            {"name": "d", "path": str(p), "columns": BY_NAME},
+            [{"kind": "popularity"}])),
+    "interactions-tsv": (
+        lambda good: _interactions_csv().split("\n", 1)[1].replace(",", "\t"),
+        lambda p: load_interactions(p, "tsv", BY_POSITION),
+        "split", lambda p, good: _config(
+            {"name": "d", "path": str(p), "format": "tsv",
+             "columns": BY_POSITION}, [{"kind": "popularity"}])),
+    "matrix": (
+        lambda good: _matrix(), lambda p: read_matrix(p, min_length=5),
+        "predict", lambda p, good: _config(
+            {"name": "d", "path": str(good)}, [{"id": "A", "matrix": str(p)}])),
+    "splits": (lambda good: READER_FILES["splits"][1], read_splits, None, None),
+    "weights": (lambda good: READER_FILES["weights"][1], read_weights, None,
+                None),
+    "config": (
+        lambda good: _config({"name": "d", "path": str(good)},
+                             [{"kind": "popularity", "id": "ppl"}]),
+        None, "split", None),
+}
+# What follows the path in a reader's error: a line and its fault, or a
+# fault of the whole file.
+READER_FAULT = re.compile(
+    r"line \d+: .+|empty file|no data rows|no valid interaction rows"
+    r"|column .+ not in header|list for fold .+ was requested", re.S)
+EDIT_BYTES = (st.binary(max_size=2)
+              | st.sampled_from([b",", b"\t", b"\n", b"\r", b'"', b"\0",
+                                 b"\xff", b"\xc3", b"-", b"9", b"e", b"{"]))
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    """`data` with each (line, column, bytes cut, bytes put in) edit made,
+    the line and column taken modulo what the data has."""
+    lines = data.split(b"\n")
+    for line, column, cut, put in edits:
+        text = lines[line % len(lines)]
+        column %= len(text) + 1
+        lines[line % len(lines)] = text[:column] + put + text[column + cut:]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", MUTATED_INPUTS)
+@given(edits=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                                st.integers(0, 2), EDIT_BYTES),
+                      min_size=1, max_size=3))
+@example(edits=[(2, 1, 0, b"x" * 140_000)])   # a field over the csv limit
+@settings(max_examples=50, deadline=None)
+def test_a_mutated_input_is_read_or_named(tmp_path_factory, kind, edits):
+    """Each reader returns, or raises a ValueError that starts with the
+    file's path; and `recfuse` reports a bad file, never an internal error."""
+    text_of, read, command, config_of = MUTATED_INPUTS[kind]
+    tmp = tmp_path_factory.mktemp("mutated")
+    good = tmp / "interactions.csv"
+    good.write_text(_interactions_csv(), encoding="utf-8")
+    p = tmp / "input"
+    p.write_bytes(_mutated(text_of(good).encode("utf-8"), edits))
+    if read is not None:
+        try:
+            read(p)
+        except ValueError as exc:
+            assert type(exc) is ValueError, repr(exc)
+            message = str(exc)
+            assert message.startswith(f"{p}: ") and READER_FAULT.fullmatch(
+                message[len(f"{p}: "):]), message
+    if command is not None:
+        config = p
+        if config_of is not None:
+            config = tmp / "config.json"
+            config.write_text(config_of(p, good), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(config),
+                             "--out", str(tmp / "out")])
+        assert code in (0, 1) and "internal error" not in err.getvalue(), \
+            err.getvalue()
 
 
 # -- property: lossless matrix round trip over generated matrices ---------------
@@ -906,14 +1047,17 @@ def _matrix_outcome(read, path, min_length):
     """('ok', matrix) or ('error', exception type, message) of one read."""
     try:
         return ("ok", read(path, min_length))
-    except Exception as exc:    # the row reader can raise csv.Error too
+    except ValueError as exc:   # each reader's only error
         return ("error", type(exc), str(exc))
 
 
 def _read_by_rows(path, min_length):
     matrix = _read_matrix_rows(path)
     if min_length is not None:
-        matrix.ensure_supports_k(min_length)
+        try:
+            matrix.ensure_supports_k(min_length)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return matrix
 
 

@@ -957,23 +957,31 @@ class TestRunSelection:
 
     def test_fusers_built_once_per_fold_and_k_grouped_by_k(
             self, tmp_path, monkeypatch):
-        builds = []
+        # Per-fold scope holds one fold's fuser at a time; fixed-subset
+        # scope holds all of a k's together.
+        alive = weakref.WeakSet()
         real_init = FoldFuser.__init__
 
-        def counting(self, matrix, fold, k):
-            builds.append((fold, k))
+        def spying(self, matrix, fold, k):
             real_init(self, matrix, fold, k)
+            alive.add(self)
+            builds.append((fold, k, len(alive)))
 
-        monkeypatch.setattr(FoldFuser, "__init__", counting)
-        cfg = ExperimentConfig.from_dict(toy_config_dict(
-            output_dir=str(tmp_path / "run"), n_values=[5, 10],
-            k_values=[5, 10, 15]))
-        assert run_experiment(cfg).failed_cells == []
-        assert sorted(builds) == sorted(
-            (fold, k) for fold in range(3) for k in (5, 10, 15))
-        ks = [k for _, k in builds]
-        runs = [k for i, k in enumerate(ks) if i == 0 or ks[i - 1] != k]
-        assert sorted(runs) == [5, 10, 15]
+        monkeypatch.setattr(FoldFuser, "__init__", spying)
+        for scope in ("per-fold", "fixed-subset"):
+            builds = []
+            cfg = ExperimentConfig.from_dict(toy_config_dict(
+                output_dir=str(tmp_path / scope), n_values=[5, 10],
+                k_values=[5, 10, 15], selection={"scope": scope}))
+            assert run_experiment(cfg).failed_cells == []
+            assert sorted((fold, k) for fold, k, _ in builds) == [
+                (fold, k) for fold in range(3) for k in (5, 10, 15)]
+            ks = [k for _, k, _ in builds]
+            runs = [k for i, k in enumerate(ks) if i == 0 or ks[i - 1] != k]
+            assert sorted(runs) == [5, 10, 15]
+            assert [held for _, _, held in builds] == [
+                1 if scope == "per-fold" else fold + 1
+                for fold, _, _ in builds], scope
 
     def test_failing_cell_fails_alone(self, tmp_path, monkeypatch):
         # Selection at k=15 runs n=10 while n=5 asks for it; the n=10
