@@ -88,20 +88,25 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Each row's top-k column indices, score descending, index ascending:
     `np.argsort(-scores, axis=1, kind="stable")[:, :k]` without sorting
-    whole rows. A partition finds each row's k-th largest value; the entries
-    above it and the lowest-index entries equal to it make exactly k (ties
-    straddling the cut resolve by index), and only those are argsorted."""
+    whole rows. A partition finds each row's k-th largest value, and one
+    flat pass takes the entries at or above it. A row with more than k of
+    them drops its last ties at the cut by index, so ties straddling the
+    cut resolve by index. Only the kept entries are argsorted."""
     n_rows, n_cols = scores.shape
     width = min(k, n_cols)
     if width < 1:
         return np.empty((n_rows, 0), dtype=np.intp)
-    cut = np.partition(scores, n_cols - width, axis=1)[:, n_cols - width, None]
-    keep = scores > cut
-    rows, cols = np.nonzero(scores == cut)
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    fill = rank < width - np.count_nonzero(keep, axis=1)[rows]
-    keep[rows[fill], cols[fill]] = True
-    top = np.nonzero(keep)[1].reshape(n_rows, width)
+    cut = np.partition(scores, n_cols - width, axis=1)[:, n_cols - width]
+    flat = np.flatnonzero(scores >= cut[:, None])
+    if flat.size > n_rows * width:
+        rows = flat // n_cols
+        tie = np.take(scores, flat) == cut[rows]
+        counts = np.bincount(rows, minlength=n_rows)
+        # Ties from each entry to the end of its row.
+        later = np.cumsum(tie[::-1])[::-1]
+        later -= np.append(later, 0)[np.cumsum(counts)][rows]
+        flat = flat[~tie | (later > (counts - width)[rows])]
+    top = (flat % n_cols).reshape(n_rows, width)
     order = np.argsort(-np.take_along_axis(scores, top, axis=1), axis=1,
                        kind="stable")
     return np.take_along_axis(top, order, axis=1)

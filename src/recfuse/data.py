@@ -22,8 +22,8 @@ import csv
 import logging
 import math
 from contextlib import contextmanager
-from itertools import compress
 from pathlib import Path
+from struct import pack
 from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
@@ -202,13 +202,17 @@ def _csv_reader(path: Path, delimiter: str = ",") -> Iterator:
 
 
 def _data_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, fields) of each data row of a CSV file that must
-    start with the given header line."""
+    """(1-based number of its first line, fields) of each data row of a CSV
+    file that must start with the given header line. A quoted field may hold
+    a line break, so a row starts on the line after the row before it ends."""
     with _csv_reader(path) as reader:
         if next(reader, None) != header:
             raise ValueError(
                 f"{path}: line 1: expected header {','.join(header)!r}")
-        yield from enumerate(reader, start=2)
+        ended = reader.line_num
+        for row in reader:
+            yield ended + 1, row
+            ended = reader.line_num
 
 
 # -- interaction files -------------------------------------------------------
@@ -264,6 +268,13 @@ def load_interactions(path: str | Path, format: str = "csv",
     by_name = isinstance(column_map["user"], str)
 
     path = Path(path)
+    # The columns grow as the rows are read, and no row outlives its parse:
+    # ids are interned, so a repeated id keeps its first string.
+    ids: dict[str, str] = {}
+    user_ids, item_ids = [], []
+    numbers = bytearray()  # each row's rating and timestamp, two float64s
+    rated = bytearray()
+    n_rows = 0
     with _csv_reader(path, _DELIMITERS[format]) as reader:
         if by_name:
             header = next(reader, None)
@@ -277,49 +288,45 @@ def load_interactions(path: str | Path, format: str = "csv",
         else:
             positions = dict(column_map)
         needed = max(positions.values()) + 1
-        rows = list(reader)
+        user_at, item_at = positions["user"], positions["item"]
+        rating_at, stamp_at = positions.get("rating"), positions.get("timestamp")
+        for n_rows, row in enumerate(reader, start=1):
+            # A row is malformed if any of its fields is.
+            if len(row) < needed:
+                continue
+            user, item = row[user_at].strip(), row[item_at].strip()
+            if not user or not item:
+                continue
+            try:
+                rating, stamp = _number(row, rating_at), _number(row, stamp_at)
+            except ValueError:
+                continue
+            # int() takes a finite float only, and truncates it.
+            if stamp is not None and not math.isfinite(stamp):
+                continue
+            user_ids.append(ids.setdefault(user, user))
+            item_ids.append(ids.setdefault(item, item))
+            numbers += pack("dd", math.nan if rating is None else rating,
+                            math.nan if stamp is None else stamp)
+            rated.append(rating is not None)
 
-    # One column at a time; a row is malformed if any of its fields is.
-    whole = [row for row in rows if len(row) >= needed]
-    user_ids = [row[positions["user"]].strip() for row in whole]
-    item_ids = [row[positions["item"]].strip() for row in whole]
-    valid = (np.fromiter(map(bool, user_ids), bool, len(whole))
-             & np.fromiter(map(bool, item_ids), bool, len(whole)))
-    ratings, rated = _numbers(whole, positions.get("rating"), valid)
-    timestamps, stamped = _numbers(whole, positions.get("timestamp"), valid)
-    # int() takes a finite float only, and truncates it.
-    valid &= np.isfinite(timestamps) | ~stamped
-    timestamps = np.trunc(timestamps)
-
-    malformed = len(rows) - int(valid.sum())
+    malformed = n_rows - len(user_ids)
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
-    if not valid.any():
+    if not user_ids:
         raise ValueError(f"{path}: no valid interaction rows")
-    if not valid.all():
-        user_ids = list(compress(user_ids, valid))
-        item_ids = list(compress(item_ids, valid))
-    return InteractionDataset._latest(user_ids, item_ids, ratings[valid],
-                                      rated[valid], timestamps[valid])
+    ratings, timestamps = np.frombuffer(numbers).reshape(-1, 2).T
+    return InteractionDataset._latest(user_ids, item_ids, ratings,
+                                      np.frombuffer(rated, dtype=bool),
+                                      np.trunc(timestamps))
 
 
-def _numbers(rows: list[list[str]], position: int | None, valid: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's field at `position` as float() reads it (NaN where it is
-    blank or there is no such column), and whether it is non-blank. Clears
-    `valid` where float() rejects the field."""
-    values = np.full(len(rows), math.nan)
-    present = np.zeros(len(rows), dtype=bool)
-    if position is not None:
-        for r, row in enumerate(rows):
-            text = row[position]
-            if text.strip():
-                present[r] = True
-                try:
-                    values[r] = float(text)
-                except ValueError:
-                    valid[r] = False
-    return values, present
+def _number(row: list[str], position: int | None) -> float | None:
+    """The row's field at `position` as float() reads it: None where it is
+    blank or there is no such column, ValueError where float() rejects it."""
+    if position is None or not row[position].strip():
+        return None
+    return float(row[position])
 
 
 def write_interactions(dataset: InteractionDataset, path: str | Path,
@@ -407,7 +414,7 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
     the one that names the first bad line."""
     list_of: dict[tuple[int, str, str], int] = {}   # list key -> list id
     code_of: dict[str, int] = {}                    # item id -> first-seen code
-    list_ids, codes, scores = [], [], []            # one entry per data row
+    list_ids, codes, scores, lines = [], [], [], []  # one entry per data row
     field_fault = None
     for line_no, row in _data_rows(path, MATRIX_HEADER):
         try:
@@ -415,6 +422,7 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
         except ValueError as exc:
             field_fault = f"{path}: line {line_no}: {exc}"
             break
+        lines.append(line_no)
         list_ids.append(list_of.setdefault((fold, model, user), len(list_of)))
         codes.append(code_of.setdefault(item, len(code_of)))
         scores.append(score)
@@ -427,7 +435,7 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
     if fault is not None:
         pos, reason = fault
         fold, model, user = keys[list_ids[pos]]
-        raise ValueError(f"{path}: line {pos + 2}: " + {
+        raise ValueError(f"{path}: line {lines[pos]}: " + {
             "not contiguous": f"rows for fold {fold}, model {model!r}, "
                               f"user {user!r} are not contiguous",
             "non-increasing": "scores must be non-increasing within a list",
@@ -445,7 +453,8 @@ def _read_matrix_rows(path: Path) -> PredictionMatrix:
 
 _MATRIX_HEADER_LINE = (",".join(MATRIX_HEADER) + "\n").encode()
 # The column reader takes lines of at most _MAX_LINE bytes and gathers them
-# _BLOCK_ROWS at a time, which bounds its transient arrays.
+# _BLOCK_ROWS at a time, and write_splits writes rows as many at a time,
+# which bounds their transient arrays.
 _MAX_LINE = 128
 _BLOCK_ROWS = 8192
 
@@ -586,7 +595,8 @@ SPLITS_HEADER = ["fold", "user", "item", "subset"]
 def write_splits(folds: Sequence[FoldSplit], path: str | Path):
     """Audit export: one row per (fold, user, item) with its subset label,
     in (fold, user, item) order. Each id is rendered by csv.writer once and
-    the rows are joined from the fields, so the bytes are csv.writer's."""
+    the rows are joined from the fields, so the bytes are csv.writer's; a
+    fold is written _BLOCK_ROWS rows at a time."""
     labels = np.array([f"{name}\n" for name in SUBSETS], dtype=object)
     rendered: dict[IdIndex, list[str]] = {}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -601,8 +611,11 @@ def write_splits(folds: Sequence[FoldSplit], path: str | Path):
                               for user in rendered[indexed.users]], dtype=object)
             items = np.array([f"{item}," for item in rendered[indexed.items]],
                              dtype=object)
-            fh.write("".join((users[indexed.user_rows] + items[indexed.item_cols]
-                              + labels[codes]).tolist()))
+            for lo in range(0, codes.size, _BLOCK_ROWS):
+                block = slice(lo, lo + _BLOCK_ROWS)
+                fh.write("".join((users[indexed.user_rows[block]]
+                                  + items[indexed.item_cols[block]]
+                                  + labels[codes[block]]).tolist()))
 
 
 def _csv_fields(values: Sequence[str]) -> list[str]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -18,6 +19,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn):
+    """`fn()` and the tracemalloc peak of what it allocates."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def indexed_pairs(pairs):

@@ -505,6 +505,27 @@ def test_top_k_equals_stable_argsort(data):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_k_of_wide_rows_equals_stable_argsort(data):
+    # Scoring chunks are up to 64 rows of every item. A few distinct values
+    # put many ties on both sides of each row's cut; some rows are all -inf,
+    # and k may reach past the row.
+    draw = data.draw
+    n_rows = draw(st.integers(1, 64))
+    n_cols = draw(st.integers(1, 300))
+    pool = draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -np.inf]),
+                         min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.choice(np.array(pool), size=(n_rows, n_cols))
+    scores[rng.random(n_rows) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = -np.inf
+    k = draw(st.one_of(st.integers(1, 25), st.integers(n_cols, n_cols + 3)))
+    want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    got = _top_k(scores, k)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_train_incidence_matches_per_pair_loop(data):
     ids = st.text(alphabet="ab9Z", min_size=1, max_size=3)

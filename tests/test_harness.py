@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import common_items, indexed_pairs
+from conftest import common_items, indexed_pairs, traced_peak
 from recfuse import baselines, core, harness, metrics
 from recfuse.baselines import (
     MODEL_KINDS,
@@ -705,16 +705,6 @@ def test_prepare_peak_memory_stays_near_two_item_squares():
     assert peak < 4 * n_items ** 2 * 8
 
 
-def _traced_peak(fn):
-    """`fn()` and the tracemalloc peak of what it allocates."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_fold_fits_hold_one_item_square_beside_the_incidence():
     # A fold's lazy fit-and-score holds its train incidence, one items x
     # items array and row-chunk transients: the kNN kinds keep sparse
@@ -735,7 +725,7 @@ def test_fold_fits_hold_one_item_square_beside_the_incidence():
         array.nbytes for csr in (train.rows, train.columns)
         for array in (csr.indptr, csr.indices))
     del train
-    _, peak = _traced_peak(lambda: generate_matrix(
+    _, peak = traced_peak(lambda: generate_matrix(
         0, _fit_fold_models(cfg, split), cfg.max_k()))
     assert peak - incidence < 2 * n_items ** 2 * 8
 
@@ -753,9 +743,9 @@ def test_long_histories_score_in_small_chunks():
     train = train_incidence(split.indexed_subset("train"))
     n_items = len(train.items)
     model = baselines.fit("item-knn", train)
-    _, peak = _traced_peak(lambda: baselines._score_block(model, 10))
+    _, peak = traced_peak(lambda: baselines._score_block(model, 10))
     assert peak < 0.35 * n_items ** 2 * 8
-    gram, peak = _traced_peak(lambda: baselines._cosine(train.rows,
+    gram, peak = traced_peak(lambda: baselines._cosine(train.rows,
                                                         train.columns))
     assert peak - gram.nbytes < 0.25 * n_items ** 2 * 8
 
@@ -774,7 +764,7 @@ def test_fold_fits_make_no_users_by_items_array():
     split = harness.split_dataset(cfg, cfg.datasets[0])[0]
     users = sum(1 for items in split.train.values() if items)
     items = len({i for held in split.train.values() for i in held})
-    _, peak = _traced_peak(lambda: generate_matrix(
+    _, peak = traced_peak(lambda: generate_matrix(
         0, _fit_fold_models(cfg, split), cfg.max_k()))
     assert peak < users * items * 8
 
